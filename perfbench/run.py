@@ -11,7 +11,9 @@ cycles until ``--seconds`` have passed.  Every job's output is checked.
 
 ``--trace 0`` reports the end-to-end metrics: set-up time (median of
 fresh interpreters), throughput, median and tail job time, and peak
-resident memory.  ``--trace 1`` reports the per-layer metrics: micro
+resident memory.  Each time is scaled to a reference speed by a reference
+operation timed just before and after it, so that the host's drifting
+speed cancels.  ``--trace 1`` reports the per-layer metrics: micro
 rows per layer at batch 1 and 100, then the same jobs run untraced and
 traced, the traced ones recording a span at every layer entry point.
 Spans and a summary go to ``.perfbench/``.
@@ -30,6 +32,7 @@ for _var in THREAD_VARS:
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -54,6 +57,9 @@ SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 
 SETUP_REPS = 7
+# Seconds the reference operation takes at the reference speed; a host
+# running at that speed reports every time as measured.
+REF_NOMINAL_S = 1.25e-3
 SETUP_TIMEOUT_S = 60
 
 
@@ -150,22 +156,28 @@ class Client:
             outcome.reason += " | " + err.strip().splitlines()[-1]
         return Record(job, rc, dur, outcome)
 
-    def loop(self, jobs, seconds, between=None, min_cycles=1):
+    def loop(self, jobs, seconds, between=None, min_cycles=1, ref=None):
         """Whole cycles of jobs until ``seconds`` of job time have passed.
 
         Runs at least ``min_cycles`` cycles.  ``between(fraction_done)``
-        runs after each cycle, off the clock.
+        runs after each cycle, off the clock.  When ``ref`` is a list, the
+        reference operation is timed into it before the first job and
+        after every job, off the clock.
         """
         cycle = self.workload.cycle
         records = []
         i = 0
         spent = 0.0
+        if ref is not None:
+            ref.append(time_reference())
         while True:
             if i + cycle > len(jobs):
                 i = 0
-            t0 = time.perf_counter()
-            records += [self.run(job) for job in jobs[i:i + cycle]]
-            spent += time.perf_counter() - t0
+            for job in jobs[i:i + cycle]:
+                records.append(self.run(job))
+                spent += records[-1].dur
+                if ref is not None:
+                    ref.append(time_reference())
             i += cycle
             if spent >= seconds and len(records) >= min_cycles * cycle:
                 return records
@@ -173,22 +185,36 @@ class Client:
                 between(spent / seconds if seconds > 0 else 1.0)
 
 
-def cycle_rate(records, cycle):
-    """Work per second of a cycle assembled from each position's quick jobs.
+def time_reference():
+    """Seconds one run of a fixed reference operation takes right now.
 
-    Jobs at one position of the cycle do like work.  On a shared machine
-    their times fall into a quick and a slow cluster, whose shares drift
-    from run to run; each position's 10th-percentile job time stays in
-    the quick cluster.  ``job_s_p50`` and ``job_s_tail`` report the
-    unfiltered job times.
+    The operation mixes small numpy array operations with dict and float
+    work in the interpreter, as the CLI's batch-1 and batch-100 paths do,
+    and uses nothing of finslerem.  Its garbage collection is held off so
+    that objects the program left alive do not change its cost.
     """
-    work = secs = 0.0
-    for p in range(cycle):
-        at = records[p::cycle]
-        work += statistics.median(r.outcome.work for r in at)
-        durs = [r.dur for r in at]
-        secs += statistics.quantiles(durs, n=10)[0] if len(durs) > 1 else durs[0]
-    return work / secs
+    import numpy as np
+
+    gc.disable()
+    t0 = time.perf_counter()
+    a = np.arange(35.0)
+    d = {}
+    for i in range(400):
+        d[i] = float((a * i + 1.0).sum())
+    sum(d.values())
+    dt = time.perf_counter() - t0
+    gc.enable()
+    return dt
+
+
+def to_reference_speed(secs, ref_before, ref_after):
+    """``secs`` as they would read on a host at the reference speed.
+
+    The shared host's speed drifts, by up to half, over seconds to
+    minutes.  The reference operation timed just before and just after
+    the measured interval slows with it.
+    """
+    return secs * REF_NOMINAL_S / (0.5 * (ref_before + ref_after))
 
 
 def tail(durs, min_jobs):
@@ -222,33 +248,55 @@ def measure_setup(scene_path):
 
 def run_e2e(workload, jobs, seconds):
     scene = jobs[0].argv[1]
-    setup = [measure_setup(scene)]
+    setup = []   # (measured, at reference speed), one per fresh interpreter
+
+    def probe():
+        before = time_reference()
+        secs = measure_setup(scene)
+        setup.append((secs, to_reference_speed(secs, before, time_reference())))
 
     def between(done):
         # spread the set-up probes over the run, so a slow spell hits few
         if len(setup) < SETUP_REPS and done >= len(setup) / SETUP_REPS:
-            setup.append(measure_setup(scene))
+            probe()
 
+    probe()
     client = Client(workload)
     warm = [client.run(jobs[-1])]
-    timed = client.loop(jobs, seconds, between, workload.min_cycles)
+    ref = []
+    timed = client.loop(jobs, seconds, between, workload.min_cycles, ref)
     while len(setup) < SETUP_REPS:
-        setup.append(measure_setup(scene))
-    durs = [r.dur for r in timed]
-    tail_s, tail_pct, beyond = tail(durs, workload.min_cycles * workload.cycle)
-    metrics = {
-        "setup_s": (statistics.median(setup), "s"),
-        "work_per_s": (cycle_rate(timed, workload.cycle), "1/s"),
-        "job_s_p50": (statistics.median(durs), "s"),
-        "job_s_tail": (tail_s, "s"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
-    }
+        probe()
+    work = [r.outcome.work for r in timed]
+    min_jobs = workload.min_cycles * workload.cycle
+
+    def summary(setup_s, durs):
+        # work per second is total over total: a percentile of job times
+        # jumps between the few speed levels of a shared host, where the
+        # total follows their shares smoothly
+        return {
+            "setup_s": statistics.median(setup_s),
+            "work_per_s": sum(work) / sum(durs),
+            "job_s_p50": statistics.median(durs),
+            "job_s_tail": tail(durs, min_jobs)[0],
+        }
+
+    # job k ran between reference timings k and k + 1
+    scaled = [to_reference_speed(r.dur, a, b) for r, a, b in zip(timed, ref, ref[1:])]
+    units = {"setup_s": "s", "work_per_s": "1/s", "job_s_p50": "s", "job_s_tail": "s"}
+    metrics = {k: (v, units[k]) for k, v in summary([s for _, s in setup], scaled).items()}
+    metrics["peak_rss_mb"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB")
+    _, tail_pct, beyond = tail(scaled, min_jobs)
     notes = {
-        "setup_runs_s": setup,
+        "measured": summary([m for m, _ in setup], [r.dur for r in timed]),
+        "host_speed": REF_NOMINAL_S / statistics.mean(ref),
+        "reference_s": ref,
+        "setup_runs_s": [m for m, _ in setup],
         "jobs_timed": len(timed),
         "tail_percentile": tail_pct,
         "tail_jobs_beyond": beyond,
-        "work": sum(r.outcome.work for r in timed),
+        "work": sum(work),
     }
     return warm + timed, metrics, notes
 
@@ -259,7 +307,7 @@ def print_e2e(workload, records, metrics, notes):
     rows = [
         ("setup_s", "setup_s", "s", f"median of {SETUP_REPS} fresh interpreters"),
         (workload.rate_name, "work_per_s", workload.unit.replace(" ", "_") + "/s",
-         f"JSON work_per_s; p10 cycle; {notes['work']} {workload.unit} "
+         f"JSON work_per_s; {notes['work']} {workload.unit} "
          f"in {notes['jobs_timed']} jobs"),
         ("job_s_p50", "job_s_p50", "s", f"{notes['jobs_timed']} jobs"),
         ("job_s_tail", "job_s_tail", "s",
@@ -267,7 +315,12 @@ def print_e2e(workload, records, metrics, notes):
          f"{notes['tail_jobs_beyond']} beyond"),
         ("peak_rss_mb", "peak_rss_mb", "MB", "this process"),
     ]
+    print(f"# times scaled to the reference speed; the host ran at {notes['host_speed']:.4g} "
+          f"of it on average (reference operation {statistics.mean(notes['reference_s']) * 1e3:.4g} ms "
+          f"over {len(notes['reference_s'])} timings, nominal {REF_NOMINAL_S * 1e3:.4g} ms)")
     for name, key, unit, note in rows:
+        if key in notes["measured"]:
+            note += f"; measured {notes['measured'][key]:.6g}"
         print(f"{name:<20} {metrics[key][0]:>14.6g} {unit:<16} {note}")
     print(f"{'failed_frac':<20} {failed / n:>14.6g} {'ratio':<16} "
           f"{failed} of {n} jobs incl. warm-up")

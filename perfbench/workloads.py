@@ -45,8 +45,11 @@ VALIDATE_SAMPLES = 100
 RK4_DT = 1e-3
 RK4_T_END = 1.0
 RK4_STEPS = 1000
-COMPARE_T_END = 0.03
-COMPARE_KAPPAS = 3          # per job, one of them 0
+COMPARE_T_END = 0.005      # 5 rk4 steps: jobs under a second, 60+ per run for the tail
+# kappa values per job over one cycle, one of them 0 in each job; jobs of
+# unlike size spread job times, so the median does not jump between the
+# few speed levels of a shared machine
+COMPARE_KAPPAS = (2, 3, 4, 5)
 ORTHO_BOUND = 1e-8          # monitor bound of the dynamics tests
 DIV_J_BOUND = 1e-4          # acceptance criterion 7
 ADMISSIBLE_MARGIN = 1e-3    # F^2 >= margin |y|^2, as in the engine's sampler
@@ -329,11 +332,12 @@ def _compare_jobs(rng, workdir):
                   scene_text(name, x0=x0, y0=y0, t_end=COMPARE_T_END,
                              seed=rng.randrange(2**31), count=16))
     jobs = []
-    for _ in range(40):
-        kappas = [0.0] + [rng.uniform(0.05, 0.95) for _ in range(COMPARE_KAPPAS - 1)]
-        rng.shuffle(kappas)
-        argv = ("compare", path, "--kappa-sweep", ",".join(_num(k) for k in kappas))
-        jobs.append(Job("compare", name, argv, {"kappas": len(kappas)}))
+    for _ in range(25):
+        for n in COMPARE_KAPPAS:
+            kappas = [0.0] + [rng.uniform(0.05, 0.95) for _ in range(n - 1)]
+            rng.shuffle(kappas)
+            argv = ("compare", path, "--kappa-sweep", ",".join(_num(k) for k in kappas))
+            jobs.append(Job("compare", name, argv, {"kappas": len(kappas)}))
     return jobs
 
 
@@ -391,7 +395,8 @@ WORKLOADS = {
             "compare-sweep",
             "expression size, not batch size, sets the cost: blend_anisotropy splices "
             "ASTs and L1 grows ~20x, so expr CSE and hash-consing show here",
-            "kappa values", "kappa_per_s", 1, 20, _compare_jobs, check_compare,
+            "kappa values", "kappa_per_s", len(COMPARE_KAPPAS), 15, _compare_jobs,
+            check_compare,
         ),
     )
 }
