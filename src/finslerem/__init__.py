@@ -5,15 +5,12 @@ tensor, generalized Maxwell residuals and currents, and charged-particle
 dynamics, plus a scene-file CLI.
 """
 
-from .dynamics import Trajectory, TrajectoryState, integrate, lorentz_acceleration
+from .dynamics import ForceEvaluator, Trajectory, TrajectoryState, integrate
 from .em import (
     EMSample,
     em_sample,
-    em_tensor,
     gauge_shift,
-    gravito_em_form,
     isotropic_truncation,
-    potential,
 )
 from .errors import (
     DegenerateMetricError,
@@ -31,15 +28,11 @@ from .expr import Jet, ScalarField, check_homogeneity, eval_jet, fd_jet, parse
 from .geometry import (
     GeometrySample,
     SpaceDef,
-    adapted_derivative,
-    chern,
-    curvature,
+    Tower,
     divergence,
     draw_admissible,
     geometry_sample,
     metric,
-    nonlinear_connection,
-    spray,
 )
 from .maxwell import (
     CurrentSample,

@@ -26,7 +26,7 @@ from .errors import (
     SignatureMismatchError,
 )
 from .geometry import Tower, draw_admissible, geometry_sample
-from .maxwell import current_sample, homogeneous_residuals, horizontal_current, vertical_current
+from .maxwell import current_sample, homogeneous_residuals, horizontal_current
 from .scene import load_scene
 
 LOAD_ERRORS = (
@@ -314,12 +314,6 @@ def _endpoint(space, scene):
     return tr.endpoint
 
 
-def _currents_at(space, xs, ys):
-    j, z = horizontal_current(space, xs, ys)
-    v = vertical_current(space, xs, ys)
-    return j, z, v
-
-
 def cmd_compare(args):
     scene = _load(args.scene)
     y_ref = (
@@ -336,19 +330,19 @@ def cmd_compare(args):
     xs, ys = draw_admissible(
         scene.space, scene.rng(), n, scene.sampling.x_box, scene.sampling.y_box
     )
-    j_iso, z_iso, v_cur_iso = _currents_at(iso, xs, ys)
+    cur_iso = current_sample(iso, xs, ys)
     print("reference direction: " + " ".join(_fmt(v) for v in y_ref))
     print("kappa,endpoint_delta,dJ_h,dzeta,dJ_v")
     for kappa in kappas:
         space_k = blend_anisotropy(scene.space, y_ref, kappa)
         xk, vk = _endpoint(space_k, scene)
         de = float(np.linalg.norm(xk - x_iso) + np.linalg.norm(vk - v_iso))
-        jk, zk, vck = _currents_at(space_k, xs, ys)
+        cur_k = current_sample(space_k, xs, ys)
         print(",".join([
             _fmt(kappa), _fmt(de),
-            _fmt(np.abs(jk - j_iso).max()),
-            _fmt(np.abs(zk - z_iso).max()),
-            _fmt(np.abs(vck - v_cur_iso).max()),
+            _fmt(np.abs(cur_k.J_h - cur_iso.J_h).max()),
+            _fmt(np.abs(cur_k.zeta - cur_iso.zeta).max()),
+            _fmt(np.abs(cur_k.J_v - cur_iso.J_v).max()),
         ]))
     return 0
 

@@ -31,9 +31,8 @@ from .series import jet_tensor
 __all__ = [
     "TrajectoryState",
     "Trajectory",
-    "lorentz_acceleration",
+    "ForceEvaluator",
     "integrate",
-    "normalize_velocity",
 ]
 
 
@@ -145,21 +144,6 @@ class ForceEvaluator:
             "ortho_Ftilde": float(force_v @ g @ y),
             "eq_motion_residual": float(np.max(np.abs(res))),
         }
-
-
-def lorentz_acceleration(space, x, y):
-    """Covariant acceleration delta y/dt from the implicit force law.
-
-    Coordinate acceleration follows as dy/dt = a - 2 G(x, y).
-    """
-    a, _ = ForceEvaluator(space)(np.asarray(x, float), np.asarray(y, float))
-    return a
-
-
-def normalize_velocity(space, x, y):
-    """Rescale y to unit generating-function value (initial-condition helper)."""
-    f = expr.eval_value(space.F, np.concatenate([np.asarray(x, float), np.asarray(y, float)]))
-    return np.asarray(y, float) / f
 
 
 def _record(states, t, x, y, a, mon):

@@ -93,18 +93,6 @@ def _mat(series_mat):
     return np.array([[series_mat[i][j].value() for j in range(4)] for i in range(4)])
 
 
-def potential(space, x, y):
-    """A_i = dL1/dy^i and its fibre Hessian A_{i.a}."""
-    point = np.concatenate([np.asarray(x, float), np.asarray(y, float)], axis=0)
-    l1 = expr.eval_series(space.L1, point, 2)
-    a_series = [l1.deriv(4 + i) for i in range(4)]
-    A = np.array([a_series[i].value() for i in range(4)])
-    A_v = np.array(
-        [[a_series[i].deriv(4 + a).value() for a in range(4)] for i in range(4)]
-    )
-    return A, A_v
-
-
 def em_sample(space, x, y, tower=None):
     """Field blocks, raised variants and the 2-form blocks at (x, y)."""
     t = tower if tower is not None else Tower(space, x, y, order_f=3, order_l1=2)
@@ -144,18 +132,6 @@ def em_sample(space, x, y, tower=None):
         omega_hh=qc * F_hh,
         omega_hv=qc * F_hv - g,
     )
-
-
-def em_tensor(space, x, y):
-    """Both field blocks and the raised variants."""
-    s = em_sample(space, x, y)
-    return s.F_hh, s.F_hv, s.F_mixed_up_h, s.F_mixed_up_v, s.F_up_hh, s.F_up_hv
-
-
-def gravito_em_form(space, x, y):
-    """Blocks of the 2-form mixing metric and field: ((q/c)F_ij, (q/c)Ft_ia - g_ia)."""
-    s = em_sample(space, x, y)
-    return s.omega_hh, s.omega_hv
 
 
 def gauge_shift(space, lam):

@@ -125,7 +125,12 @@ def homogeneous_residuals(space, x, y, tower=None):
     return MaxwellResiduals(hhh=hhh, hhv=hhv, hvv=hvv, max_abs=max_abs)
 
 
-def _current_pieces(space, x, y, tower=None):
+def horizontal_current(space, x, y, tower=None):
+    """J^i from the generalized inhomogeneous equation, and the raw zeta term.
+
+    coupling * J^i = (1/S){(F^{ij}S)_{;j} - F^{ij} N^a_{j.a} S} + zeta^i,
+    zeta^i = (1/S)(Ft^{ia} S)_{.a}.
+    """
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
     t = tower if tower is not None else _fibre_tower(space, x, y)
@@ -144,16 +149,6 @@ def _current_pieces(space, x, y, tower=None):
         for j in range(4):
             classical[i] += t.delta_value(up_hh[i][j] * S, j) / s0
             classical[i] -= up_hh[i][j].value() * ntr[j]
-    return t, em, S, s0, classical, zeta
-
-
-def horizontal_current(space, x, y, tower=None):
-    """J^i from the generalized inhomogeneous equation, and the raw zeta term.
-
-    coupling * J^i = (1/S){(F^{ij}S)_{;j} - F^{ij} N^a_{j.a} S} + zeta^i,
-    zeta^i = (1/S)(Ft^{ia} S)_{.a}.
-    """
-    _, _, _, _, classical, zeta = _current_pieces(space, x, y, tower=tower)
     J_h = (classical + zeta) / space.coupling
     return J_h, zeta
 
@@ -207,9 +202,10 @@ def continuity_residual(space, x, y, step=1e-3):
 
 
 def current_sample(space, x, y, with_continuity=False, step=1e-3):
-    """Currents (and optionally div J) at one point."""
-    J_h, zeta = horizontal_current(space, x, y)
-    J_v = vertical_current(space, x, y)
+    """Currents (and optionally div J) at one point, from one shared Tower."""
+    t = _fibre_tower(space, x, y)
+    J_h, zeta = horizontal_current(space, x, y, tower=t)
+    J_v = vertical_current(space, x, y, tower=t)
     cont = continuity_residual(space, x, y, step=step) if with_continuity else None
     return CurrentSample(
         x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,6 @@ class SamplingSpec:
 
 @dataclass
 class OutputSpec:
-    format: str = "csv"
     path: str = "-"
 
 
@@ -170,11 +170,17 @@ def parse_scene_text(text):
         integ.rel_tol = get_num("integrate", "rel_tol", integ.rel_tol)
         if integ.method not in ("rk4", "rk45"):
             raise SceneParseError(f"unknown integrate method {integ.method!r}")
+        for name in ("dt", "t_end", "abs_tol", "rel_tol"):
+            v = getattr(integ, name)
+            if not (math.isfinite(v) and v > 0):
+                raise SceneParseError(f"integrate.{name} must be finite and > 0, got {v!r}")
 
     sampling = SamplingSpec()
     if cp.has_section("sampling"):
         sampling.seed = get_num("sampling", "seed", sampling.seed, conv=int)
         sampling.count = get_num("sampling", "count", sampling.count, conv=int)
+        if sampling.count < 1:
+            raise SceneParseError(f"sampling.count must be >= 1, got {sampling.count}")
         if cp.has_option("sampling", "x_box"):
             sampling.x_box = _parse_box(cp.get("sampling", "x_box"), "sampling.x_box")
         if cp.has_option("sampling", "y_box"):
@@ -182,10 +188,7 @@ def parse_scene_text(text):
 
     output = OutputSpec()
     if cp.has_section("output"):
-        output.format = get("output", "format", output.format).strip()
         output.path = get("output", "path", output.path).strip()
-        if output.format not in ("csv", "json"):
-            raise SceneParseError(f"unknown output format {output.format!r}")
 
     return Scene(space=space, particle=particle, integrate=integ,
                  sampling=sampling, output=output)
@@ -250,5 +253,5 @@ def scene_to_text(scene):
     buf.write("x_box = " + ", ".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in sm.x_box) + "\n")
     buf.write("y_box = " + ", ".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in sm.y_box) + "\n")
     buf.write("\n[output]\n")
-    buf.write(f"format = {scene.output.format}\npath = {scene.output.path}\n")
+    buf.write(f"path = {scene.output.path}\n")
     return buf.getvalue()

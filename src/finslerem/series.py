@@ -260,10 +260,7 @@ class TSeries:
     # analytic functions via univariate composition (Horner in h = u - u0)
     def _compose(self, cs):
         h = self.copy()
-        if h.coeffs.ndim > 1:
-            h.coeffs[0] = 0.0
-        else:
-            h.coeffs[0] = 0.0
+        h.coeffs[0] = 0.0
         r = TSeries.constant(0.0, self.order, self.batch)
         r.coeffs[0] = cs[-1]
         for m in range(len(cs) - 2, -1, -1):

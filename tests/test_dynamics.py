@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from finslerem.dynamics import (
-    ForceEvaluator,
-    integrate,
-    lorentz_acceleration,
-    normalize_velocity,
-)
+from finslerem.dynamics import ForceEvaluator, integrate
 from finslerem.em import em_sample, gauge_shift, blend_anisotropy
 from finslerem.errors import SingularForceMatrixError, StepRejectionLimitError
 from finslerem.expr import eval_jet, parse
@@ -37,11 +32,12 @@ def efield_exact(E, t, y0):
 class TestLorentzAcceleration:
     def test_vacuum_zero(self, randers, probe_point):
         x, y = probe_point
-        assert np.allclose(lorentz_acceleration(randers, x, y), 0.0)
+        a, _ = ForceEvaluator(randers)(x, y)
+        assert np.allclose(a, 0.0)
 
     def test_isotropic_classical_force(self, efield, probe_point):
         x, y = probe_point
-        a = lorentz_acceleration(efield, x, y)
+        a, _ = ForceEvaluator(efield)(x, y)
         s = em_sample(efield, x, y)
         # mixed block vanishes, so the system matrix is the identity
         assert np.allclose(s.F_mixed_up_v, 0.0, atol=1e-14)
@@ -53,7 +49,7 @@ class TestLorentzAcceleration:
             F=parse(MINKOWSKI_F),
             L1=parse("0.05*sin(x0)*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)"),
         )
-        a = lorentz_acceleration(space, x, y)
+        a, _ = ForceEvaluator(space)(x, y)
         s = em_sample(space, x, y)
         a_fp = np.zeros(4)
         for _ in range(80):
@@ -84,7 +80,7 @@ class TestLorentzAcceleration:
 
         singular = replace(space, q=1.0 / real[0], c=1.0)
         with pytest.raises(SingularForceMatrixError):
-            lorentz_acceleration(singular, x, y)
+            ForceEvaluator(singular)(x, y)
 
 
 class TestIntegrate:
@@ -227,13 +223,6 @@ class TestMonitors:
 
 
 class TestHelpers:
-    def test_normalize_velocity(self, randers, probe_point):
-        x, y = probe_point
-        yn = normalize_velocity(randers, x, y)
-        from finslerem.expr import eval_value
-
-        assert eval_value(randers.F, np.concatenate([x, yn])) == pytest.approx(1.0)
-
     def test_trajectory_columns(self, minkowski):
         tr = integrate(minkowski, X0, Y0, 0.1, method="rk4", dt=1e-2)
         assert len(tr.states) == 11

@@ -4,11 +4,8 @@ import pytest
 from finslerem.em import (
     blend_anisotropy,
     em_sample,
-    em_tensor,
     gauge_shift,
-    gravito_em_form,
     isotropic_truncation,
-    potential,
 )
 from finslerem.expr import eval_value, eval_values, parse
 from finslerem.geometry import SpaceDef, draw_admissible, metric
@@ -31,20 +28,23 @@ class TestPotential:
         space = SpaceDef(F=parse(MINKOWSKI_F), L1=parse("2*x1*y0"))
         x = np.array([0.0, 3.0, 0.0, 0.0])
         y = np.array([1.0, 0.1, 0.0, 0.0])
-        A, Av = potential(space, x, y)
+        s = em_sample(space, x, y)
+        A, Av = s.A, s.A_vderiv
         assert np.allclose(A, [6.0, 0.0, 0.0, 0.0], atol=1e-14)
         assert np.allclose(Av, 0.0, atol=1e-14)
 
     def test_position_dependent_linear(self, pr_curved, probe_point):
         x, y = probe_point
-        A, Av = potential(pr_curved, x, y)
+        s = em_sample(pr_curved, x, y)
+        A, Av = s.A, s.A_vderiv
         want = np.array([0.3 * np.sin(x[1]), 0.0, 0.1 * x[0], 0.0])
         assert np.allclose(A, want, atol=1e-13)
         assert np.allclose(Av, 0.0, atol=1e-14)
 
     def test_anisotropic_generator_fd_oracle(self, randers_aniso, probe_point):
         x, y = probe_point
-        A, Av = potential(randers_aniso, x, y)
+        s = em_sample(randers_aniso, x, y)
+        A, Av = s.A, s.A_vderiv
         pt = np.concatenate([x, y])
         jet = richardson_jet(randers_aniso.L1, pt, 2, 2e-3)
         want = np.array([jet.partial(mi(4 + i)) for i in range(4)])
@@ -97,7 +97,10 @@ class TestEMTensor:
 
     def test_em_tensor_tuple_surface(self, randers_aniso, probe_point):
         x, y = probe_point
-        F_hh, F_hv, mix_h, mix_v, up_hh, up_hv = em_tensor(randers_aniso, x, y)
+        s = em_sample(randers_aniso, x, y)
+        F_hh, F_hv, mix_h, mix_v, up_hh, up_hv = (
+            s.F_hh, s.F_hv, s.F_mixed_up_h, s.F_mixed_up_v, s.F_up_hh, s.F_up_hv
+        )
         g, ginv, _ = metric(randers_aniso, x, y)
         assert np.allclose(mix_h, ginv @ F_hh, atol=1e-12)
         assert np.allclose(mix_v, ginv @ F_hv, atol=1e-12)
@@ -115,14 +118,15 @@ class TestEMTensor:
 class TestGravitoEMForm:
     def test_vacuum_gives_fundamental_form(self, randers, probe_point):
         x, y = probe_point
-        o_hh, o_hv = gravito_em_form(randers, x, y)
+        s = em_sample(randers, x, y)
+        o_hh, o_hv = s.omega_hh, s.omega_hv
         g, _, _ = metric(randers, x, y)
         assert np.allclose(o_hh, 0.0, atol=1e-14)
         assert np.allclose(o_hv, -g, atol=1e-14)
 
     def test_minkowski_vacuum(self, minkowski, probe_point):
         x, y = probe_point
-        _, o_hv = gravito_em_form(minkowski, x, y)
+        o_hv = em_sample(minkowski, x, y).omega_hv
         assert np.allclose(o_hv, -ETA, atol=1e-14)
 
     def test_charged_scene_composition(self, probe_point):
@@ -202,8 +206,9 @@ class TestIsotropicTruncation:
         y_ref = np.array([1.0, 0.1, 0.0, 0.0])
         iso = isotropic_truncation(randers_aniso, y_ref)
         x = np.array([0.2, -0.1, 0.4, 0.0])
-        A_iso, Av_iso = potential(iso, x, y_ref)
-        A_orig, _ = potential(randers_aniso, x, y_ref)
+        s_iso = em_sample(iso, x, y_ref)
+        A_iso, Av_iso = s_iso.A, s_iso.A_vderiv
+        A_orig = em_sample(randers_aniso, x, y_ref).A
         assert np.allclose(A_iso, A_orig, atol=1e-12)
         assert np.allclose(Av_iso, 0.0, atol=1e-13)
 

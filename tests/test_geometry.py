@@ -2,19 +2,14 @@ import numpy as np
 import pytest
 
 from finslerem.errors import DegenerateMetricError, SignatureMismatchError
-from finslerem.expr import ScalarField, eval_jet, parse
+from finslerem.expr import ScalarField, eval_jet, eval_series, parse
 from finslerem.geometry import (
     SpaceDef,
     Tower,
-    adapted_derivative,
-    chern,
-    curvature,
     divergence,
     draw_admissible,
     geometry_sample,
     metric,
-    nonlinear_connection,
-    spray,
 )
 
 from conftest import PR_F
@@ -34,6 +29,13 @@ def mi(*vars_):
     for v in vars_:
         alpha[v] += 1
     return tuple(alpha)
+
+
+def adapted(space, f, x, y):
+    """delta_i f = f_{,i} - N^a_i f_{.a}, read off the Tower at (x, y)."""
+    t = Tower(space, x, y, order_f=3, order_l1=0)
+    s = eval_series(f, t.point, 1)
+    return np.array([t.delta_value(s, i) for i in range(4)])
 
 
 class TestMetric:
@@ -81,19 +83,19 @@ class TestMetric:
 class TestSpray:
     def test_minkowski_zero(self, minkowski, probe_point):
         x, y = probe_point
-        assert np.allclose(spray(minkowski, x, y), 0.0, atol=1e-15)
+        assert np.allclose(geometry_sample(minkowski, x, y).G_spray, 0.0, atol=1e-15)
 
     def test_pseudo_riemannian_christoffel(self, probe_point):
         x, y = probe_point
         space = SpaceDef(F=parse(PR_F))
         gam = pr_christoffel(x)
         want = 0.5 * np.einsum("ijk,j,k->i", gam, y, y)
-        assert np.allclose(spray(space, x, y), want, rtol=1e-12, atol=1e-13)
+        assert np.allclose(geometry_sample(space, x, y).G_spray, want, rtol=1e-12, atol=1e-13)
 
     def test_two_homogeneous(self, randers_aniso, probe_point):
         x, y = probe_point
-        g1 = spray(randers_aniso, x, y)
-        g2 = spray(randers_aniso, x, 2.0 * y)
+        g1 = geometry_sample(randers_aniso, x, y).G_spray
+        g2 = geometry_sample(randers_aniso, x, 2.0 * y).G_spray
         assert np.allclose(g2, 4.0 * g1, rtol=1e-10, atol=1e-12)
 
     def test_geodesic_euler_lagrange_residual(self, probe_point):
@@ -123,14 +125,16 @@ class TestSpray:
 class TestNonlinearConnection:
     def test_minkowski_zero(self, minkowski, probe_point):
         x, y = probe_point
-        N, ntr = nonlinear_connection(minkowski, x, y)
+        gs = geometry_sample(minkowski, x, y)
+        N, ntr = gs.N, gs.N_trace_dot
         assert np.allclose(N, 0.0)
         assert np.allclose(ntr, 0.0)
 
     def test_pseudo_riemannian_form(self, probe_point):
         x, y = probe_point
         space = SpaceDef(F=parse(PR_F))
-        N, ntr = nonlinear_connection(space, x, y)
+        gs = geometry_sample(space, x, y)
+        N, ntr = gs.N, gs.N_trace_dot
         gam = pr_christoffel(x)
         assert np.allclose(N, np.einsum("ajk,k->aj", gam, y), rtol=1e-11, atol=1e-12)
         assert np.allclose(ntr, np.einsum("aja->j", gam), rtol=1e-11, atol=1e-12)
@@ -148,22 +152,22 @@ class TestAdaptedDerivative:
     def test_flat_space_reduces_to_partial(self, minkowski, probe_point):
         x, y = probe_point
         f = parse("sin(x0)*x1 + y1^2/y0")
-        d = adapted_derivative(minkowski, f, x, y)
+        d = adapted(minkowski, f, x, y)
         jet = eval_jet(f, np.concatenate([x, y]), 1)
         want = np.array([jet.partial(mi(i)) for i in range(4)])
         assert np.allclose(d, want, atol=1e-14)
 
     def test_f_squared_is_horizontally_constant(self, curved_aniso, probe_point):
         x, y = probe_point
-        d = adapted_derivative(curved_aniso, f_squared(curved_aniso), x, y)
+        d = adapted(curved_aniso, f_squared(curved_aniso), x, y)
         assert np.abs(d).max() < 1e-8
 
     def test_x_independent_function(self, probe_point):
         x, y = probe_point
         space = SpaceDef(F=parse(PR_F))
         f = parse("y1^2/y0")
-        d = adapted_derivative(space, f, x, y)
-        N, _ = nonlinear_connection(space, x, y)
+        d = adapted(space, f, x, y)
+        N = geometry_sample(space, x, y).N
         jet = eval_jet(f, np.concatenate([x, y]), 1)
         fy = np.array([jet.partial(mi(4 + a)) for a in range(4)])
         assert np.allclose(d, -N.T @ fy, atol=1e-12)
@@ -172,12 +176,13 @@ class TestAdaptedDerivative:
 class TestChern:
     def test_minkowski_zero(self, minkowski, probe_point):
         x, y = probe_point
-        assert np.allclose(chern(minkowski, x, y), 0.0)
+        assert np.allclose(geometry_sample(minkowski, x, y).L_chern, 0.0)
 
     def test_pseudo_riemannian_equals_christoffel(self, probe_point):
         x, y = probe_point
         space = SpaceDef(F=parse(PR_F))
-        assert np.allclose(chern(space, x, y), pr_christoffel(x), rtol=1e-10, atol=1e-11)
+        L = geometry_sample(space, x, y).L_chern
+        assert np.allclose(L, pr_christoffel(x), rtol=1e-10, atol=1e-11)
 
     def test_h_metricity_randers(self, curved_aniso):
         rng = np.random.default_rng(4)
@@ -208,18 +213,18 @@ class TestChern:
 class TestCurvature:
     def test_minkowski_zero(self, minkowski, probe_point):
         x, y = probe_point
-        assert np.allclose(curvature(minkowski, x, y), 0.0)
+        assert np.allclose(geometry_sample(minkowski, x, y).R_curv, 0.0)
 
     def test_pseudo_riemannian_riemann_oracle(self, probe_point):
         x, y = probe_point
         space = SpaceDef(F=parse(PR_F))
-        R = curvature(space, x, y)
+        R = geometry_sample(space, x, y).R_curv
         want = -np.einsum("abjk,b->ajk", pr_riemann(x), y)
         assert np.allclose(R, want, rtol=1e-9, atol=1e-10)
 
     def test_antisymmetry(self, curved_aniso, probe_point):
         x, y = probe_point
-        R = curvature(curved_aniso, x, y)
+        R = geometry_sample(curved_aniso, x, y).R_curv
         assert np.allclose(R, -R.transpose(0, 2, 1))
         assert np.abs(R).max() > 1e-3  # the probe scene is genuinely curved
 

@@ -3,6 +3,7 @@ import pytest
 
 from finslerem.em import em_sample
 from finslerem.expr import eval_values, parse
+from finslerem import geometry
 from finslerem.geometry import SpaceDef, Tower, draw_admissible
 from finslerem.maxwell import (
     continuity_residual,
@@ -244,3 +245,39 @@ class TestCurrentSample:
         ca = continuity_residual(scaled, x, y)
         cb = continuity_residual(aniso_wave, x, y / 2.0)
         assert ca == pytest.approx(cb, abs=1e-14)
+
+
+class TestOneTowerPerSample:
+    @pytest.fixture
+    def tower_count(self, monkeypatch):
+        count = [0]
+        init = geometry.Tower.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(geometry.Tower, "__init__", counting_init)
+        return count
+
+    def test_current_sample_builds_one_tower(self, curved_aniso, probe_point, tower_count):
+        x, y = probe_point
+        current_sample(curved_aniso, x, y)
+        assert tower_count[0] == 1
+
+    def test_continuity_tower_budget(self, curved_aniso, probe_point, tower_count):
+        x, y = probe_point
+        current_sample(curved_aniso, x, y, with_continuity=True)
+        assert tower_count[0] <= 6
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_shared_tower_is_bit_identical(self, curved_aniso, batch):
+        xs, ys = draw_admissible(curved_aniso, np.random.default_rng(34), batch)
+        if batch == 1:
+            xs, ys = xs[:, 0], ys[:, 0]
+        cs = current_sample(curved_aniso, xs, ys)
+        J_h, zeta = horizontal_current(curved_aniso, xs, ys)
+        J_v = vertical_current(curved_aniso, xs, ys)
+        assert np.array_equal(cs.J_h, J_h)
+        assert np.array_equal(cs.zeta, zeta)
+        assert np.array_equal(cs.J_v, J_v)

@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import finslerem
 from finslerem.cli import main, run_validation
 from finslerem.errors import (
     HomogeneityViolationError,
@@ -83,6 +89,13 @@ class TestLoadScene:
         assert again.space == scene.space
         assert np.array_equal(again.particle.x0, scene.particle.x0)
         assert np.array_equal(again.particle.y0, scene.particle.y0)
+
+    def test_output_format_key_is_ignored(self):
+        # [output] format is no longer read; configparser skips unread keys
+        text = (FIXTURES / "minkowski-vacuum.scene").read_text()
+        scene = parse_scene_text(text + "\n[output]\nformat = json\npath = out.csv\n")
+        assert scene.output.path == "out.csv"
+        assert "format" not in scene_to_text(scene)
 
     def test_seed_determines_draws(self):
         scene = load_scene(FIXTURES / "randers-aniso.scene")
@@ -295,3 +308,48 @@ class TestRunValidation:
         space = SpaceDef(F=eparse("sqrt(y0^2 - y1^2 - y2^2 - y3^2)"), coupling=0.0)
         with pytest.raises(ValueError):
             horizontal_current(space, x, y)
+
+
+def _with_entry(text, section, key, value):
+    """Scene text with ``key`` set to ``value`` in ``[section]``."""
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+class TestInputContract:
+    """Bad integration or sampling settings fail at load: exit 2, one line."""
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("integrate", "method", "rk45"), ("integrate", "dt", "0")],
+            [("integrate", "dt", "0")],
+            [("integrate", "dt", "-0.1")],
+            [("integrate", "t_end", "nan")],
+            [("integrate", "t_end", "inf")],
+            [("integrate", "abs_tol", "0")],
+            [("integrate", "rel_tol", "-1e-8")],
+            [("sampling", "count", "0")],
+            [("sampling", "count", "-5")],
+        ],
+        ids=["rk45-dt-0", "rk4-dt-0", "dt-negative", "t_end-nan", "t_end-inf",
+             "abs_tol-0", "rel_tol-negative", "count-0", "count-negative"],
+    )
+    def test_rejected_at_load(self, edits, tmp_path):
+        text = (FIXTURES / "minkowski-efield.scene").read_text()
+        for section, key, value in edits:
+            text = _with_entry(text, section, key, value)
+        with pytest.raises(SceneParseError):
+            parse_scene_text(text)
+        path = tmp_path / "bad.scene"
+        path.write_text(text)
+        src = str(pathlib.Path(finslerem.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "finslerem.cli", "trajectory", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("load error:")
