@@ -168,8 +168,13 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     method "rk4": classic fixed-step with step dt; "rk45": Dormand-Prince
     embedded pair at the given tolerances, with dt seeding the first
     step.  Monitors are recorded at every accepted step and integration
-    aborts with the failing t on per-sample errors.
+    aborts with the failing t on per-sample errors.  dt and t_end must be
+    finite and > 0.  An rk45 step below 16 units in the last place of t
+    no longer advances time reliably and raises StepRejectionLimitError.
     """
+    for name, v in (("dt", dt), ("t_end", t_end)):
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
     force = ForceEvaluator(space)
@@ -226,6 +231,11 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     h = min(dt, t_end)
     rejections = 0
     while t < t_end - 1e-14:
+        h_min = 16 * np.spacing(t)
+        if h < h_min:
+            raise StepRejectionLimitError(
+                f"step {h:.3g} below the minimum {h_min:.3g} at t={t:.6g}"
+            )
         h = min(h, t_end - t)
         try:
             k = [f(z)]

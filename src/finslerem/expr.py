@@ -16,14 +16,17 @@ the two-argument pow.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
-from .series import NVARS, TSeries, VAR_NAMES
+from .series import FACT, NTERMS, TERMS, TSeries, VAR_NAMES
 
 __all__ = [
     "ScalarField",
@@ -108,6 +111,11 @@ class ScalarField:
 
     def is_zero(self):
         return isinstance(self.ast, Num) and self.ast.value == 0.0
+
+    @cached_property
+    def _tape(self):
+        # held by the field, so it is freed with it
+        return _Tape(self.ast)
 
 
 @dataclass
@@ -224,7 +232,12 @@ class _Parser:
     def atom(self):
         kind, text, off = self.next()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(
+                    f"number {text!r} out of range", off, expected=("finite number",)
+                )
+            return Num(value)
         if kind == "ident":
             if text in _VAR_INDEX:
                 return Var(_VAR_INDEX[text])
@@ -313,65 +326,174 @@ def to_source(node):
 
 
 # ----------------------------------------------------------------------
-# evaluation
+# evaluation: each field compiles once into a straight-line series program
 
-def _series_eval(node, point, order, batch):
+_SERIES_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg}
+
+
+def _literal(node):
+    """The value of an exponent written as a number or a negated number."""
     if isinstance(node, Num):
-        return TSeries.constant(node.value, order, batch)
-    if isinstance(node, Var):
-        return TSeries.coordinate(node.index, point[node.index], order, batch)
-    if isinstance(node, Neg):
-        return -_series_eval(node.arg, point, order, batch)
-    if isinstance(node, BinOp):
-        left = _series_eval(node.left, point, order, batch)
-        right = _series_eval(node.right, point, order, batch)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
+        return node.value
+    if isinstance(node, Neg) and isinstance(node.arg, Num):
+        return -node.arg.value
+    return None
+
+
+class _Tape:
+    """A field's unique series operations in the order they are first needed.
+
+    Structurally equal subtrees share one slot: slots are hash-consed on
+    the operation and its child slots, never on a whole subtree.  An
+    operation whose leaves are all numbers is folded: it runs once per
+    derivative order on batch-free series, with the same series arithmetic,
+    and its result is broadcast into every evaluation.  No algebraic
+    identity is applied, so the results are those of a plain tree walk.
+    """
+
+    def __init__(self, ast):
+        self.code = []    # (fn, child slots, AST node); fn is None for a leaf
+        self.const = []   # the slot depends on numbers only
+        self._index = {}
+        self._programs = {}
+        self.root = self._compile(ast)
+        del self._index
+
+    def _emit(self, key, fn, args, node):
+        slot = self._index.get(key)
+        if slot is None:
+            slot = self._index[key] = len(self.code)
+            self.code.append((fn, args, node))
+            self.const.append(
+                isinstance(node, Num) if fn is None else all(self.const[a] for a in args)
+            )
+        return slot
+
+    def _op(self, name, args, node, arg=None):
+        fn = _SERIES_FNS.get(name) or operator.methodcaller(
+            name, *(() if arg is None else (arg,))
+        )
+        return self._emit((name, arg) + args, fn, args, node)
+
+    def _compile(self, node):
+        if isinstance(node, Num):
+            v = node.value
+            return self._emit(("num", v, math.copysign(1.0, v)), None, (), node)
+        if isinstance(node, Var):
+            return self._emit(("var", node.index), None, (), node)
+        if isinstance(node, Neg):
+            return self._op("neg", (self._compile(node.arg),), node)
+        if isinstance(node, BinOp):
+            a, b = self._compile(node.left), self._compile(node.right)
             if node.op == "/":
-                return left / right
-            # '^': exact paths for constant exponents, exp/log otherwise
-            if isinstance(node.right, Num):
-                return left ** node.right.value
-            if isinstance(node.right, Neg) and isinstance(node.right.arg, Num):
-                return left ** (-node.right.arg.value)
-            return (right * left.log()).exp()
-        except DomainError as e:
-            raise DomainError(str(e), to_source(node)) from None
-    if isinstance(node, Call):
-        args = [_series_eval(a, point, order, batch) for a in node.args]
-        try:
+                return self._op("*", (a, self._op("reciprocal", (b,), node)), node)
+            if node.op == "^":
+                return self._power(a, b, node.right, node)
+            return self._op(node.op, (a, b), node)
+        if isinstance(node, Call):
+            args = [self._compile(a) for a in node.args]
             if node.func == "pow":
-                if isinstance(node.args[1], Num):
-                    return args[0] ** node.args[1].value
-                if isinstance(node.args[1], Neg) and isinstance(node.args[1].arg, Num):
-                    return args[0] ** (-node.args[1].arg.value)
-                return (args[1] * args[0].log()).exp()
-            return getattr(args[0], node.func)()
+                return self._power(args[0], args[1], node.args[1], node)
+            return self._op(node.func, (args[0],), node)
+        raise TypeError(f"not an AST node: {node!r}")
+
+    def _power(self, base, exponent, exponent_node, node):
+        """Exact paths for a literal exponent, exp(b log a) otherwise."""
+        p = _literal(exponent_node)
+        if p is None:
+            log = self._op("log", (base,), node)
+            return self._op("exp", (self._op("*", (exponent, log), node),), node)
+        if not (isinstance(p, int) or (isinstance(p, float) and p.is_integer())):
+            return self._op("powf", (base,), node, float(p))
+        # TSeries.ipow unrolled: the same products in the same order
+        p = int(p)
+        if p == 0:
+            return self._compile(Num(1.0))
+        if p < 0:
+            base, p = self._op("reciprocal", (base,), node), -p
+        result = None
+        while p:
+            if p & 1:
+                result = base if result is None else self._op("*", (result, base), node)
+            p >>= 1
+            if p:
+                base = self._op("*", (base, base), node)
+        return result
+
+    def _build(self, order, ndim):
+        """The constants folded at ``order`` and the steps left for each call."""
+        consts = [None] * len(self.code)
+        coords, steps, failure = [], [], None
+        for slot, (fn, args, node) in enumerate(self.code):
+            if not self.const[slot]:
+                if fn is None:
+                    coords.append((slot, node.index))
+                else:
+                    steps.append((slot, fn, args))
+                continue
+            try:
+                consts[slot] = (TSeries.constant(node.value, order) if fn is None
+                                else fn(*(consts[a] for a in args)))
+            except DomainError as e:
+                # raised in turn, after every step that comes before it
+                failure = (str(e), node)
+                break
+        # shared by every call: broadcast over the batch axes, read-only
+        pad = (1,) * ndim
+        for i, c in enumerate(consts):
+            if c is not None:
+                consts[i] = TSeries(c.coeffs.reshape(c.coeffs.shape + pad), order)
+                consts[i].coeffs.flags.writeable = False
+        # drop each intermediate after its last use, so few stay alive
+        last = {a: i for i, (_, _, args) in enumerate(steps) for a in args}
+        dead = [[] for _ in steps]
+        for a, i in last.items():
+            if a != self.root:
+                dead[i].append(a)
+        steps = [(slot, fn, args[0], args[1] if len(args) > 1 else None, tuple(d))
+                 for (slot, fn, args), d in zip(steps, dead)]
+        return consts, coords, steps, failure
+
+    def run(self, point, order):
+        batch = point.shape[1:]
+        key = (order, len(batch))
+        if key not in self._programs:
+            self._programs[key] = self._build(*key)
+        consts, coords, steps, failure = self._programs[key]
+        vals = list(consts)
+        for slot, var in coords:
+            vals[slot] = TSeries.coordinate(var, point[var], order, batch)
+        try:
+            for slot, fn, a, b, dead in steps:
+                vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+                for d in dead:
+                    vals[d] = None
         except DomainError as e:
-            raise DomainError(str(e), to_source(node)) from None
-    raise TypeError(f"not an AST node: {node!r}")
+            raise DomainError(str(e), to_source(self.code[slot][2])) from None
+        if failure is not None:
+            raise DomainError(failure[0], to_source(failure[1]))
+        out = vals[self.root]
+        if self.const[self.root]:
+            shape = out.coeffs.shape[:1] + batch
+            out = TSeries(np.broadcast_to(out.coeffs, shape).copy(), order)
+        return out
 
 
 def eval_series(field, point, order):
-    """Taylor series of the field at ``point`` (shape (8,) or (8, B))."""
+    """Taylor series of the field at ``point`` (shape (8,) or (8, B)).
+
+    The field is compiled into its series program on first use; the
+    program lives on the field and is reused by every later call.
+    """
     if not 0 <= order <= 4:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
-    point = np.asarray(point, dtype=float)
-    batch = point.shape[1:]
-    return _series_eval(field.ast, point, order, batch)
+    return field._tape.run(np.asarray(point, dtype=float), order)
 
 
 def eval_jet(field, point, order):
     """Exact derivatives of the closed form up to total ``order`` (<= 4)."""
     s = eval_series(field, np.asarray(point, dtype=float), order)
     partials = {}
-    from .series import DEGREE, FACT, NTERMS, TERMS
-
     for i in range(1, NTERMS[order]):
         partials[TERMS[i]] = float(s.coeffs[i] * FACT[i])
     return Jet(value=float(s.coeffs[0]), partials=partials, order=order)
@@ -435,8 +557,6 @@ _STENCILS = {
 
 
 def _multi_indices(order):
-    from .series import NTERMS, TERMS
-
     return TERMS[1:NTERMS[order]]
 
 
@@ -461,9 +581,7 @@ def fd_jet(field, point, order, step=1e-3):
         grids = [_STENCILS[a] if a else ((0, 1.0),) for a in alpha]
         combo_off = []
         combo_w = []
-        import itertools as _it
-
-        for combo in _it.product(*grids):
+        for combo in itertools.product(*grids):
             off = np.array([c[0] for c in combo], dtype=float)
             w = math.prod(c[1] for c in combo)
             combo_off.append(off)

@@ -87,9 +87,12 @@ def _parse_vec4(s, what):
     if len(parts) != 4:
         raise SceneParseError(f"{what} needs 4 numbers, got {s!r}")
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError as e:
         raise SceneParseError(f"bad number in {what}: {e}") from None
+    if not np.all(np.isfinite(vec)):
+        raise SceneParseError(f"{what} must be finite, got {s!r}")
+    return vec
 
 
 def _parse_box(s, what):
@@ -101,7 +104,13 @@ def _parse_box(s, what):
         bits = p.split(":")
         if len(bits) != 2:
             raise SceneParseError(f"{what} range {p!r} is not min:max")
-        out[i] = [float(bits[0]), float(bits[1])]
+        try:
+            lo, hi = float(bits[0]), float(bits[1])
+        except ValueError:
+            raise SceneParseError(f"bad number in {what} range {p!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise SceneParseError(f"{what} range {p!r} needs finite min <= max")
+        out[i] = [lo, hi]
     return out
 
 
@@ -153,6 +162,12 @@ def parse_scene_text(text):
         coupling=get_num("space", "coupling", 1.0),
         signature=_parse_signature(get("space", "signature", "+---")),
     )
+    for name in ("q", "c", "H", "coupling"):
+        v = getattr(space, name)
+        if not math.isfinite(v):
+            raise SceneParseError(f"space.{name} must be finite, got {v!r}")
+        if v == 0 and name != "q":  # c, H and coupling are divisors
+            raise SceneParseError(f"space.{name} must be nonzero")
 
     particle = ParticleSpec()
     if cp.has_section("particle"):

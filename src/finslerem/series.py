@@ -52,7 +52,11 @@ NTERMS = [int(np.sum(DEGREE <= k)) for k in range(MAX_ORDER + 1)]
 #: product of factorials of the exponents, converts coefficients to partials
 FACT = np.array([math.prod(math.factorial(e) for e in t) for t in TERMS], dtype=float)
 
+#: largest gathered block of a product, in bytes (below malloc's mmap threshold)
+BLOCK_BYTES = 128 * 1024
+
 _mul_cache = {}
+_block_cache = {}
 _deriv_cache = {}
 _jet_tensor_cache = {}
 
@@ -78,6 +82,49 @@ def _mul_tables(k):
         starts = np.searchsorted(K, np.arange(n))
         _mul_cache[k] = (I, J, starts)
     return _mul_cache[k]
+
+
+def _mul_blocks(k, width):
+    """The order-k product tables cut at output-term boundaries.
+
+    Each block gathers at most ``BLOCK_BYTES`` per temporary for ``width``
+    batch columns (but always holds at least one whole output term), so
+    every term's segment is summed exactly as in one unblocked reduceat.
+    Returns a list of ``(t0, t1, I, J, starts)`` with block-local starts.
+    """
+    key = (k, width)
+    if key not in _block_cache:
+        I, J, starts = _mul_tables(k)
+        rows = BLOCK_BYTES // (8 * width)
+        bounds = np.append(starts, len(I))
+        blocks = []
+        t0 = 0
+        while t0 < len(starts):
+            t1 = t0 + 1
+            while t1 < len(starts) and bounds[t1 + 1] - bounds[t0] <= rows:
+                t1 += 1
+            s0, s1 = bounds[t0], bounds[t1]
+            blocks.append((t0, t1, I[s0:s1], J[s0:s1], starts[t0:t1] - s0))
+            t0 = t1
+        _block_cache[key] = blocks
+    return _block_cache[key]
+
+
+def _product(a, b, k):
+    """Coefficients of the truncated product of two coefficient arrays.
+
+    Small products gather, multiply and reduce in one go.  Wide batches
+    go block by block, so no temporary outgrows ``BLOCK_BYTES``; the
+    blocks are bit-identical to the one-shot result.
+    """
+    I, J, starts = _mul_tables(k)
+    width = max(a.size // len(a), b.size // len(b))
+    if len(I) * width * 8 <= BLOCK_BYTES:
+        return np.add.reduceat(a[I] * b[J], starts, axis=0)
+    out = np.empty((len(starts),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for t0, t1, I, J, starts in _mul_blocks(k, width):
+        np.add.reduceat(a[I] * b[J], starts, axis=0, out=out[t0:t1])
+    return out
 
 
 def _deriv_tables(k, var):
@@ -220,9 +267,7 @@ class TSeries:
     def __mul__(self, other):
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
-            I, J, starts = _mul_tables(k)
-            prod = a.coeffs[I] * b.coeffs[J]
-            return TSeries(np.add.reduceat(prod, starts, axis=0), k)
+            return TSeries(_product(a.coeffs, b.coeffs, k), k)
         return TSeries(self.coeffs * other, self.order)
 
     __rmul__ = __mul__

@@ -1,6 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import finslerem
 from finslerem.dynamics import ForceEvaluator, integrate
 from finslerem.em import em_sample, gauge_shift, blend_anisotropy
 from finslerem.errors import SingularForceMatrixError, StepRejectionLimitError
@@ -127,6 +134,58 @@ class TestIntegrate:
         with pytest.raises(StepRejectionLimitError):
             integrate(curved_aniso, X0, Y0, 1.0, method="rk45", dt=1.0,
                       abs_tol=1e-16, rel_tol=1e-16, max_rejections=2)
+
+    def test_step_inputs_and_floor(self):
+        """dt and t_end must be finite and > 0; a collapsing rk45 step stops.
+
+        Runs in a subprocess with a timeout, because a missing floor shows
+        as a hang.  The blow-up y' = y^2, y(0) = 1 (singular at t = 1)
+        stands in for the force, so only the step control is under test.
+        """
+        script = textwrap.dedent("""
+            import numpy as np
+            from finslerem import dynamics
+            from finslerem.errors import StepRejectionLimitError
+            from finslerem.expr import parse
+            from finslerem.geometry import SpaceDef
+
+            space = SpaceDef(F=parse("sqrt(y0^2 - y1^2 - y2^2 - y3^2)"))
+            x0, y0 = np.zeros(4), np.array([1.0, 0.1, 0.0, 0.0])
+            for method, dt, t_end in [("rk45", 0.0, 1.0), ("rk4", 0.0, 1.0),
+                                      ("rk45", -0.1, 1.0), ("rk4", 1e-3, np.nan),
+                                      ("rk45", 1e-3, 0.0), ("rk4", np.inf, 1.0)]:
+                try:
+                    dynamics.integrate(space, x0, y0, t_end, method=method, dt=dt)
+                except ValueError:
+                    continue
+                raise SystemExit(f"accepted {method} dt={dt} t_end={t_end}")
+
+            class BlowUp:
+                def __init__(self, space):
+                    pass
+
+                def __call__(self, x, y, monitors=False):
+                    a = np.zeros(4)
+                    if monitors:
+                        mon = dict(F_value=0.0, ortho_F=0.0, ortho_Ftilde=0.0,
+                                   eq_motion_residual=0.0)
+                        return a, y * y, mon
+                    return a, y * y
+
+            dynamics.ForceEvaluator = BlowUp
+            try:
+                dynamics.integrate(space, x0, np.ones(4), 2.0, method="rk45",
+                                   dt=1e-3, abs_tol=1e-9, rel_tol=1e-9)
+            except StepRejectionLimitError as e:
+                assert "below the minimum" in str(e), e
+                print("ok")
+        """)
+        src = str(pathlib.Path(finslerem.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
     def test_unknown_method(self, minkowski):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+
+from finslerem.em import blend_anisotropy
 
 from finslerem.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from finslerem.expr import (
@@ -19,6 +24,8 @@ from finslerem.expr import (
     subst_ast,
     to_source,
 )
+
+from finslerem.series import TSeries
 
 from oracles import richardson_jet
 
@@ -79,6 +86,11 @@ class TestParser:
 
     def test_number_with_exponent(self):
         assert eval_values(parse("1.5e-3 + 2E2"), PT) == pytest.approx(200.0015)
+
+    def test_out_of_range_literal(self):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse("y0 + 1e999*y1")
+        assert ei.value.offset == 5
 
     def test_pow_function_two_args(self):
         assert eval_values(parse("pow(y0, 3)"), PT) == 1.0
@@ -310,6 +322,110 @@ class TestConcurrentEvaluation:
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = list(pool.map(lambda p: eval_jet(f, p, 3).partials, pts))
         assert serial == parallel
+
+    def test_first_evaluation_races_on_a_fresh_field(self):
+        """Threads that all find the field uncompiled get the serial results."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        src = "0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2) + sin(x0)*y0 + (y1*y2)^3"
+        jobs = [(PT + 0.01 * k, k % 5) for k in range(32)]
+        reference = parse(src)
+        serial = [eval_series(reference, p, order).coeffs for p, order in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                f = parse(src)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(eval_series, f, p, order) for p, order in jobs]
+                    parallel = [fut.result(timeout=60).coeffs for fut in futures]
+                assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _count_products(monkeypatch):
+    """Record every series product from here on."""
+    calls = []
+    mul = TSeries.__mul__
+
+    def counting(a, b):
+        calls.append(isinstance(b, TSeries))
+        return mul(a, b)
+
+    monkeypatch.setattr(TSeries, "__mul__", counting)
+    return calls
+
+
+def _node_count(node):
+    if isinstance(node, (Num, Var)):
+        return 1
+    if isinstance(node, Neg):
+        return 1 + _node_count(node.arg)
+    if isinstance(node, BinOp):
+        return 1 + _node_count(node.left) + _node_count(node.right)
+    return 1 + sum(_node_count(a) for a in node.args)
+
+
+class TestTape:
+    """eval_series runs a program compiled once per field."""
+
+    def test_repeated_subtree_evaluated_once(self, monkeypatch):
+        f = parse("(y0*y1 + x0)*(y0*y1 + x0)")
+        calls = _count_products(monkeypatch)
+        s = eval_series(f, PT, 2)
+        assert len(calls) == 2  # y0*y1 and the outer product; a tree walk makes 3
+        u = TSeries.coordinate(4, PT[4], 2) * TSeries.coordinate(5, PT[5], 2) \
+            + TSeries.coordinate(0, PT[0], 2)
+        assert np.array_equal(s.coeffs, (u * u).coeffs)
+
+    def test_constant_subtree_costs_no_product(self, monkeypatch):
+        f = parse("y0*(2*3*sqrt(5) + 1/7)")
+        eval_series(f, PT, 3)  # folds the constants at order 3
+        calls = _count_products(monkeypatch)
+        s = eval_series(f, PT, 3)
+        assert calls == [True]
+        c = lambda v: TSeries.constant(v, 3)  # noqa: E731
+        folded = c(2.0) * c(3.0) * c(5.0).sqrt() + c(1.0) / c(7.0)
+        assert np.array_equal(s.coeffs, (TSeries.coordinate(4, PT[4], 3) * folded).coeffs)
+
+    def test_blended_aniso_wave_tape_is_small(self, aniso_wave):
+        blended = blend_anisotropy(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0]), 0.3).L1
+        tape = blended._tape
+        ops = sum(1 for (fn, _, _), const in zip(tape.code, tape.const)
+                  if fn is not None and not const)
+        assert _node_count(blended.ast) > 500
+        assert ops <= 45
+
+    def test_tape_dies_with_field(self):
+        f = parse("0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)")
+        eval_series(f, PT, 2)
+        refs = [weakref.ref(f), weakref.ref(f._tape)]
+        del f
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_constant_domain_error_raised_at_evaluation(self, order):
+        f = parse("y0 + sqrt(0 - 1)")  # parses and compiles; fails when evaluated
+        with pytest.raises(DomainError) as ei:
+            eval_series(f, PT, order)
+        assert "sqrt" in str(ei.value)
+
+    def test_constant_abs_at_zero_fails_only_with_derivatives(self):
+        f = parse("y0 + abs(0)")
+        assert eval_series(f, PT, 0).coeffs[0] == PT[4]
+        with pytest.raises(DomainError) as ei:
+            eval_series(f, PT, 1)
+        assert "abs(0)" in str(ei.value)
+
+    def test_first_failure_in_evaluation_order_is_reported(self):
+        # y1 = 0.2 at PT: the division comes first and fails first
+        f = parse("y0/(y1 - 0.2) + sqrt(0 - 1)")
+        with pytest.raises(DomainError) as ei:
+            eval_series(f, PT, 1)
+        assert "division by zero" in str(ei.value)
 
 
 class TestSymbolicHelpers:

@@ -353,3 +353,39 @@ class TestInputContract:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("load error:")
+
+
+class TestSceneValueContract:
+    """Bad values in the scene fail at load: exit 2, one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sampling", "x_box", "1:-1, 0:0, 0:0, 0:0"),
+            ("sampling", "x_box", "a:1, 0:0, 0:0, 0:0"),
+            ("particle", "y0", "nan 0.1 0 0"),
+            ("space", "L1", '"1e999*y0"'),
+            ("space", "c", "0"),
+            ("space", "coupling", "0"),
+            ("space", "H", "0"),
+        ],
+        ids=["x_box-reversed", "x_box-not-a-number", "y0-nan", "literal-overflow",
+             "c-zero", "coupling-zero", "H-zero"],
+    )
+    def test_rejected_at_load(self, section, key, value, tmp_path):
+        text = _with_entry((FIXTURES / "aniso-wave.scene").read_text(), section, key, value)
+        with pytest.raises(SceneParseError):
+            parse_scene_text(text)
+        path = tmp_path / "bad.scene"
+        path.write_text(text)
+        src = str(pathlib.Path(finslerem.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "finslerem.cli", "compare", str(path),
+             "--kappa-sweep", "0,0.5"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("load error:")

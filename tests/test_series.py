@@ -9,6 +9,7 @@ from finslerem.series import (
     NTERMS,
     TERMS,
     TSeries,
+    _mul_tables,
     jet_tensor,
 )
 
@@ -148,6 +149,21 @@ class TestBatch:
         t = jet_tensor(p, "yy")
         assert t.shape == (4, 4, 2)
         assert np.allclose(t[0, 0], 2.0)
+
+
+class TestBlockedProduct:
+    @pytest.mark.parametrize("batch", [(), (1,), (16,), (100,), (300,)])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bit_identical_to_one_shot(self, order, batch):
+        """Blocks cut only between output terms, so every sum is unchanged."""
+        rng = np.random.default_rng(order * 1000 + sum(batch))
+        a = rng.standard_normal((NTERMS[order],) + batch)
+        b = rng.standard_normal((NTERMS[order],) + batch)
+        I, J, starts = _mul_tables(order)
+        ref = np.add.reduceat(a[I] * b[J], starts, axis=0)
+        out = (TSeries(a, order) * TSeries(b, order)).coeffs
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
 
 
 class TestJetTensor:
