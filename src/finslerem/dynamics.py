@@ -33,7 +33,11 @@ __all__ = [
     "Trajectory",
     "ForceEvaluator",
     "integrate",
+    "MAX_RK4_STEPS",
 ]
+
+#: most fixed steps an rk4 run may take (the fixture scenes take at most 1e4)
+MAX_RK4_STEPS = 10**6
 
 
 @dataclass
@@ -84,7 +88,7 @@ class ForceEvaluator:
     def __call__(self, x, y, monitors=False):
         pt = np.concatenate([x, y])
         order = 2 if (self.flat_x or not self.has_em) else 3
-        fs = expr.eval_series(self.space.F, pt, order)
+        fs = expr.eval_series(self.space.F, pt, order, self.space.layout)
         e = fs * fs
         g = 0.5 * jet_tensor(e, "yy")
         det = np.linalg.det(g)
@@ -110,7 +114,7 @@ class ForceEvaluator:
                 N = None  # not needed: vacuum motion only uses N y^j = 2 G
 
         if self.has_em:
-            ls = expr.eval_series(self.space.L1, pt, 2)
+            ls = expr.eval_series(self.space.L1, pt, 2, self.space.layout)
             ay = jet_tensor(ls, "yy")           # ay[a, j] = dA_j/dy^a, symmetric
             ax = jet_tensor(ls, "yx")           # ax[j, i] = dA_j/dx^i
             if self.flat_x:
@@ -169,12 +173,17 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     embedded pair at the given tolerances, with dt seeding the first
     step.  Monitors are recorded at every accepted step and integration
     aborts with the failing t on per-sample errors.  dt and t_end must be
-    finite and > 0.  An rk45 step below 16 units in the last place of t
-    no longer advances time reliably and raises StepRejectionLimitError.
+    finite and > 0, and rk4 takes at most MAX_RK4_STEPS steps.  An rk45
+    step below 16 units in the last place of t no longer advances time
+    reliably and raises StepRejectionLimitError.
     """
     for name, v in (("dt", dt), ("t_end", t_end)):
         if not (np.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    if method == "rk4" and not t_end / dt <= MAX_RK4_STEPS:
+        raise ValueError(
+            f"rk4 t_end/dt = {t_end / dt:.3g} exceeds {MAX_RK4_STEPS} steps"
+        )
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
     force = ForceEvaluator(space)

@@ -50,7 +50,7 @@ def em_series(tower):
     if "em" in tower.cache:
         return tower.cache["em"]
     space = tower.space
-    l1 = expr.eval_series(space.L1, tower.point, tower.kl)
+    l1 = expr.eval_series(space.L1, tower.point, tower.kl, tower.layout)
     A = [l1.deriv(4 + i) for i in range(4)]
     dA = [[tower.delta(A[j], i) for j in range(4)] for i in range(4)]
     F_hh = [[None] * 4 for _ in range(4)]

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
-from .series import FACT, NTERMS, TERMS, TSeries, VAR_NAMES
+from .series import ALL, FACT, NTERMS, TERMS, TSeries, VAR_NAMES
 
 __all__ = [
     "ScalarField",
@@ -420,8 +420,12 @@ class _Tape:
                 base = self._op("*", (base, base), node)
         return result
 
-    def _build(self, order, ndim):
+    def _build(self, order, ndim, layout):
         """The constants folded at ``order`` and the steps left for each call."""
+        outside = [VAR_NAMES[n.index] for _, _, n in self.code
+                   if isinstance(n, Var) and n.index not in layout]
+        if outside:
+            raise ValueError(f"{', '.join(outside)} outside the series layout {layout}")
         consts = [None] * len(self.code)
         coords, steps, failure = [], [], None
         for slot, (fn, args, node) in enumerate(self.code):
@@ -432,8 +436,8 @@ class _Tape:
                     steps.append((slot, fn, args))
                 continue
             try:
-                consts[slot] = (TSeries.constant(node.value, order) if fn is None
-                                else fn(*(consts[a] for a in args)))
+                consts[slot] = (TSeries.constant(node.value, order, layout=layout)
+                                if fn is None else fn(*(consts[a] for a in args)))
             except DomainError as e:
                 # raised in turn, after every step that comes before it
                 failure = (str(e), node)
@@ -442,7 +446,7 @@ class _Tape:
         pad = (1,) * ndim
         for i, c in enumerate(consts):
             if c is not None:
-                consts[i] = TSeries(c.coeffs.reshape(c.coeffs.shape + pad), order)
+                consts[i] = TSeries(c.coeffs.reshape(c.coeffs.shape + pad), order, layout)
                 consts[i].coeffs.flags.writeable = False
         # drop each intermediate after its last use, so few stay alive
         last = {a: i for i, (_, _, args) in enumerate(steps) for a in args}
@@ -454,15 +458,15 @@ class _Tape:
                  for (slot, fn, args), d in zip(steps, dead)]
         return consts, coords, steps, failure
 
-    def run(self, point, order):
+    def run(self, point, order, layout):
         batch = point.shape[1:]
-        key = (order, len(batch))
+        key = (order, len(batch), layout)
         if key not in self._programs:
             self._programs[key] = self._build(*key)
         consts, coords, steps, failure = self._programs[key]
         vals = list(consts)
         for slot, var in coords:
-            vals[slot] = TSeries.coordinate(var, point[var], order, batch)
+            vals[slot] = TSeries.coordinate(var, point[var], order, batch, layout)
         try:
             for slot, fn, a, b, dead in steps:
                 vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
@@ -475,24 +479,31 @@ class _Tape:
         out = vals[self.root]
         if self.const[self.root]:
             shape = out.coeffs.shape[:1] + batch
-            out = TSeries(np.broadcast_to(out.coeffs, shape).copy(), order)
+            out = TSeries(np.broadcast_to(out.coeffs, shape).copy(), order, layout)
         return out
 
 
-def eval_series(field, point, order):
+def eval_series(field, point, order, layout=ALL):
     """Taylor series of the field at ``point`` (shape (8,) or (8, B)).
 
-    The field is compiled into its series program on first use; the
-    program lives on the field and is reused by every later call.
+    The series is expanded in ``layout``, a sorted tuple of chart
+    variables that holds every variable the field uses.  The field is
+    compiled into its series program on first use; the program lives on
+    the field and is reused by every later call.
     """
     if not 0 <= order <= 4:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
-    return field._tape.run(np.asarray(point, dtype=float), order)
+    return field._tape.run(np.asarray(point, dtype=float), order, tuple(layout))
 
 
 def eval_jet(field, point, order):
-    """Exact derivatives of the closed form up to total ``order`` (<= 4)."""
-    s = eval_series(field, np.asarray(point, dtype=float), order)
+    """Exact derivatives of the closed form up to total ``order`` (<= 4).
+
+    The series runs over the field's own variables only; partials by any
+    other variable are zero.
+    """
+    layout = tuple(sorted(field.variables()))
+    s = eval_series(field, np.asarray(point, dtype=float), order, layout).lift(ALL)
     partials = {}
     for i in range(1, NTERMS[order]):
         partials[TERMS[i]] = float(s.coeffs[i] * FACT[i])

@@ -49,6 +49,13 @@ class SpaceDef:
     def qc(self):
         return self.q / self.c
 
+    @cached_property
+    def layout(self):
+        """The chart variables every series of the space is expanded in:
+        y0..y3 and the x variables that F or L1 use."""
+        used = self.F.variables() | self.L1.variables()
+        return tuple(v for v in range(4) if v in used) + (4, 5, 6, 7)
+
 
 @dataclass
 class GeometrySample:
@@ -104,6 +111,7 @@ class Tower:
         self.batch = self.point.shape[1:]
         self.kf = order_f
         self.kl = order_l1
+        self.layout = space.layout
         # x-independent F means vanishing spray, connection and curvature
         self.flat_x = not any(v < 4 for v in space.F.variables())
         self.cache = {}
@@ -111,7 +119,7 @@ class Tower:
     # -- scalars -------------------------------------------------------
     @cached_property
     def f_series(self):
-        return expr.eval_series(self.space.F, self.point, self.kf)
+        return expr.eval_series(self.space.F, self.point, self.kf, self.layout)
 
     @cached_property
     def e(self):
@@ -123,10 +131,10 @@ class Tower:
         return self.f_series.value()
 
     def coord(self, var, order):
-        return TSeries.coordinate(var, self.point[var], order, self.batch)
+        return TSeries.coordinate(var, self.point[var], order, self.batch, self.layout)
 
     def zero(self, order):
-        return TSeries.constant(0.0, order, self.batch)
+        return TSeries.constant(0.0, order, self.batch, self.layout)
 
     # -- metric --------------------------------------------------------
     @cached_property
@@ -165,7 +173,8 @@ class Tower:
         g0inv = self.ginv_values
         if k == 0:
             return [
-                [TSeries(np.broadcast_to(g0inv[i, j], (1,) + self.batch).copy(), 0)
+                [TSeries(np.broadcast_to(g0inv[i, j], (1,) + self.batch).copy(), 0,
+                         self.layout)
                  for j in range(4)]
                 for i in range(4)
             ]

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr, geometry
+from .dynamics import MAX_RK4_STEPS
 from .errors import (
+    DomainError,
     FinslerEMError,
     HomogeneityViolationError,
     SceneParseError,
@@ -189,6 +191,11 @@ def parse_scene_text(text):
             v = getattr(integ, name)
             if not (math.isfinite(v) and v > 0):
                 raise SceneParseError(f"integrate.{name} must be finite and > 0, got {v!r}")
+        if integ.method == "rk4" and not integ.t_end / integ.dt <= MAX_RK4_STEPS:
+            raise SceneParseError(
+                f"integrate: rk4 t_end/dt = {integ.t_end / integ.dt:.3g} "
+                f"exceeds {MAX_RK4_STEPS} steps"
+            )
 
     sampling = SamplingSpec()
     if cp.has_section("sampling"):
@@ -215,16 +222,25 @@ def validate_space(scene, probes=8):
     xs, ys = geometry.draw_admissible(
         scene.space, rng, probes, scene.sampling.x_box, scene.sampling.y_box
     )
+    lams = (0.5, 1.7)
+    pts = np.concatenate([xs, ys])
+    # the probes, then the probes with y scaled by each lam, as one batch
+    stacked = np.concatenate(
+        [pts] + [np.concatenate([xs, lam * ys]) for lam in lams], axis=1
+    )
     for name, fld in (("F", scene.space.F), ("L1", scene.space.L1)):
         if fld.is_zero():
             continue
-        for k in range(xs.shape[1]):
-            pt = np.concatenate([xs[:, k], ys[:, k]])
-            for lam in (0.5, 1.7):
-                r = expr.check_homogeneity(fld, 1.0, pt, lam)
-                scale = max(1.0, abs(expr.eval_value(fld, pt)))
-                if r / scale > HOMOGENEITY_TOL:
-                    raise HomogeneityViolationError(name, r, point=pt)
+        vals = expr.eval_values(fld, stacked).reshape(1 + len(lams), -1)
+        # checked probe by probe, in the order the single-point checks ran
+        for k in range(pts.shape[1]):
+            f0 = vals[0, k]
+            for m, lam in enumerate(lams, start=1):
+                if not (np.isfinite(f0) and np.isfinite(vals[m, k])):
+                    raise DomainError("field not finite at point", fld.source())
+                r = abs(vals[m, k] - lam * f0)
+                if r / max(1.0, abs(f0)) > HOMOGENEITY_TOL:
+                    raise HomogeneityViolationError(name, r, point=pts[:, k])
     # signature check raises SignatureMismatchError / DegenerateMetricError
     geometry.metric(scene.space, xs, ys, check_signature=True)
 

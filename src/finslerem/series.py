@@ -1,4 +1,4 @@
-"""Truncated multivariate Taylor arithmetic over the 8 chart variables.
+"""Truncated multivariate Taylor arithmetic over a layout of chart variables.
 
 A :class:`TSeries` holds the Taylor coefficients of a smooth function of
 (x0..x3, y0..y3) around a base point, truncated at total degree ``order``
@@ -6,9 +6,22 @@ A :class:`TSeries` holds the Taylor coefficients of a smooth function of
 derivatives read off a series are exact derivatives of the closed-form
 expression, not numerical approximations.
 
+A series is expanded in a *layout*: the sorted tuple of chart variables
+it may depend on.  Terms in any other variable are exactly zero and are
+not stored.  The tables (terms, product triples, derivative maps) depend
+only on the number n of variables and the order, and are built with
+numpy on first use.  At order 4 a product runs 4845 index triples over
+all 8 variables, 1820 over 6, 1001 over 5 and 495 over 4.  The 8-variable
+layout ``ALL`` is the default and is the same code with every variable
+active.  Series in different layouts combine in the union of the two.
+The readers that take exponent multi-indices (``TSeries.partial``,
+``jet_tensor``) speak 8-tuples and read zero for a variable outside the
+layout.
+
 Terms are ordered by (total degree, lexicographic exponent tuple).  With
 that ordering the degree<=k terms are a prefix of the degree<=m list for
-k < m, so truncation is a slice and no reindexing is ever needed.
+k < m, so truncation is a slice and no reindexing is ever needed; the
+terms of a smaller layout keep their relative order in a larger one.
 
 Coefficient arrays have shape ``(nterms,)`` for a single base point or
 ``(nterms, B)`` for a batch of B points; every operation is agnostic to
@@ -29,62 +42,95 @@ MAX_ORDER = 4
 
 VAR_NAMES = ("x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
 
+#: the layout of every chart variable
+ALL = tuple(range(NVARS))
 
-def _build_terms():
-    terms = []
-    for deg in range(MAX_ORDER + 1):
-        block = [
-            t
-            for t in itertools.product(range(deg + 1), repeat=NVARS)
-            if sum(t) == deg
-        ]
-        block.sort()
-        terms.extend(block)
-    return terms
-
-
-#: all multi-indices with total degree <= MAX_ORDER, degree-major order
-TERMS = _build_terms()
-INDEX = {t: i for i, t in enumerate(TERMS)}
-DEGREE = np.array([sum(t) for t in TERMS])
-#: number of terms in the degree<=k prefix
-NTERMS = [int(np.sum(DEGREE <= k)) for k in range(MAX_ORDER + 1)]
-#: product of factorials of the exponents, converts coefficients to partials
-FACT = np.array([math.prod(math.factorial(e) for e in t) for t in TERMS], dtype=float)
+#: exponents are digits of a base-_BASE code, so adding codes adds exponents
+_BASE = MAX_ORDER + 1
+_FACTORIALS = np.array([math.factorial(e) for e in range(MAX_ORDER + 1)], dtype=float)
 
 #: largest gathered block of a product, in bytes (below malloc's mmap threshold)
 BLOCK_BYTES = 128 * 1024
 
-_mul_cache = {}
-_block_cache = {}
-_deriv_cache = {}
+
+def _codes(exps):
+    """Base-_BASE codes of exponent rows, first variable most significant."""
+    return exps @ (_BASE ** np.arange(exps.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def _compositions(deg, n):
+    """Exponent n-tuples of total degree ``deg`` in lexicographic order."""
+    if n == 0:
+        return [()] if deg == 0 else []
+    if n == 1:
+        return [(deg,)]
+    return [(e,) + rest for e in range(deg + 1) for rest in _compositions(deg - e, n - 1)]
+
+
+class _Terms:
+    """The monomials in n variables up to ``MAX_ORDER`` and their tables."""
+
+    def __init__(self, n):
+        rows = [t for deg in range(MAX_ORDER + 1) for t in _compositions(deg, n)]
+        self.rows = rows
+        self.terms = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        self.index = {t: i for i, t in enumerate(rows)}
+        self.degree = self.terms.sum(axis=1)
+        #: number of terms in the degree<=k prefix
+        self.nterms = [int(np.sum(self.degree <= k)) for k in range(MAX_ORDER + 1)]
+        #: product of factorials of the exponents, converts coefficients to partials
+        self.fact = np.prod(_FACTORIALS[self.terms], axis=1)
+        self.codes = _codes(self.terms)
+        self._sorter = np.argsort(self.codes)
+        self._sorted = self.codes[self._sorter]
+        self.mul = {}
+        self.blocks = {}
+        self.deriv = {}
+
+    def lookup(self, codes):
+        """Term indices of exponent codes (every code must be a term)."""
+        return self._sorter[np.searchsorted(self._sorted, codes)]
+
+
+_terms_cache = {}
+
+
+def _terms(n):
+    """The tables for layouts of n variables, built on first use."""
+    t = _terms_cache.get(n)
+    if t is None:
+        t = _terms_cache[n] = _Terms(n)
+    return t
+
+
+_T8 = _terms(NVARS)
+#: all 8-variable multi-indices with total degree <= MAX_ORDER, degree-major order
+TERMS = _T8.rows
+INDEX = _T8.index
+DEGREE = _T8.degree
+NTERMS = _T8.nterms
+FACT = _T8.fact
+
+_lift_cache = {}
 _jet_tensor_cache = {}
 
 
-def _mul_tables(k):
+def _mul_tables(k, n=NVARS):
     """(I, J, K-sorted starts) index arrays for products truncated at degree k."""
-    if k not in _mul_cache:
-        n = NTERMS[k]
-        triples = []
-        for i in range(n):
-            ti = TERMS[i]
-            di = DEGREE[i]
-            for j in range(n):
-                if di + DEGREE[j] > k:
-                    continue
-                tj = TERMS[j]
-                tk = tuple(a + b for a, b in zip(ti, tj))
-                triples.append((INDEX[tk], i, j))
-        triples.sort()
-        K = np.array([t[0] for t in triples])
-        I = np.array([t[1] for t in triples])
-        J = np.array([t[2] for t in triples])
-        starts = np.searchsorted(K, np.arange(n))
-        _mul_cache[k] = (I, J, starts)
-    return _mul_cache[k]
+    t = _terms(n)
+    if k not in t.mul:
+        size = t.nterms[k]
+        deg = t.degree[:size]
+        I, J = np.nonzero(deg[:, None] + deg[None, :] <= k)  # row-major: by I, then J
+        K = t.lookup(t.codes[I] + t.codes[J])
+        by_k = np.argsort(K, kind="stable")
+        I, J = I[by_k], J[by_k]
+        starts = np.searchsorted(K[by_k], np.arange(size))
+        t.mul[k] = (I, J, starts)
+    return t.mul[k]
 
 
-def _mul_blocks(k, width):
+def _mul_blocks(k, n, width):
     """The order-k product tables cut at output-term boundaries.
 
     Each block gathers at most ``BLOCK_BYTES`` per temporary for ``width``
@@ -92,9 +138,10 @@ def _mul_blocks(k, width):
     every term's segment is summed exactly as in one unblocked reduceat.
     Returns a list of ``(t0, t1, I, J, starts)`` with block-local starts.
     """
+    cache = _terms(n).blocks
     key = (k, width)
-    if key not in _block_cache:
-        I, J, starts = _mul_tables(k)
+    if key not in cache:
+        I, J, starts = _mul_tables(k, n)
         rows = BLOCK_BYTES // (8 * width)
         bounds = np.append(starts, len(I))
         blocks = []
@@ -106,99 +153,116 @@ def _mul_blocks(k, width):
             s0, s1 = bounds[t0], bounds[t1]
             blocks.append((t0, t1, I[s0:s1], J[s0:s1], starts[t0:t1] - s0))
             t0 = t1
-        _block_cache[key] = blocks
-    return _block_cache[key]
+        cache[key] = blocks
+    return cache[key]
 
 
-def _product(a, b, k):
+def _product(a, b, k, n=NVARS):
     """Coefficients of the truncated product of two coefficient arrays.
 
     Small products gather, multiply and reduce in one go.  Wide batches
     go block by block, so no temporary outgrows ``BLOCK_BYTES``; the
     blocks are bit-identical to the one-shot result.
     """
-    I, J, starts = _mul_tables(k)
+    I, J, starts = _mul_tables(k, n)
     width = max(a.size // len(a), b.size // len(b))
     if len(I) * width * 8 <= BLOCK_BYTES:
         return np.add.reduceat(a[I] * b[J], starts, axis=0)
     out = np.empty((len(starts),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    for t0, t1, I, J, starts in _mul_blocks(k, width):
+    for t0, t1, I, J, starts in _mul_blocks(k, n, width):
         np.add.reduceat(a[I] * b[J], starts, axis=0, out=out[t0:t1])
     return out
 
 
-def _deriv_tables(k, var):
-    """(src, fac): d/dvar maps the degree<=k space onto the degree<=k-1 space."""
-    if (k, var) not in _deriv_cache:
-        if k < 1:
-            raise ValueError("cannot differentiate an order-0 series")
-        nout = NTERMS[k - 1]
-        src = np.empty(nout, dtype=int)
-        fac = np.empty(nout)
-        for t in range(nout):
-            beta = list(TERMS[t])
-            fac[t] = beta[var] + 1
-            beta[var] += 1
-            src[t] = INDEX[tuple(beta)]
-        _deriv_cache[(k, var)] = (src, fac)
-    return _deriv_cache[(k, var)]
+def _deriv_tables(k, pos, n):
+    """(src, fac): d/d(variable ``pos``) maps degree<=k onto degree<=k-1."""
+    t = _terms(n)
+    key = (k, pos)
+    if key not in t.deriv:
+        nout = t.nterms[k - 1]
+        src = t.lookup(t.codes[:nout] + _BASE ** (n - 1 - pos))
+        fac = (t.terms[:nout, pos] + 1).astype(float)
+        t.deriv[key] = (src, fac)
+    return t.deriv[key]
+
+
+def _lift_index(small, large, order):
+    """Positions of the terms of layout ``small`` among those of ``large``."""
+    key = (small, large, order)
+    if key not in _lift_cache:
+        ts, tl = _terms(len(small)), _terms(len(large))
+        size = ts.nterms[order]
+        exps = np.zeros((size, len(large)), dtype=np.int64)
+        exps[:, [large.index(v) for v in small]] = ts.terms[:size]
+        _lift_cache[key] = tl.lookup(_codes(exps))
+    return _lift_cache[key]
 
 
 def jet_tensor(series, pattern):
     """Gather a partial-derivative tensor out of a series in one indexing op.
 
     ``pattern`` is a string over {'x', 'y'}; e.g. ``"yyx"`` returns
-    T[a, b, k] = d^3 f / dy^a dy^b dx^k with shape (4, 4, 4).
+    T[a, b, k] = d^3 f / dy^a dy^b dx^k with shape (4, 4, 4).  Entries
+    that differentiate by a variable outside the layout are zero.
     """
-    key = pattern
+    layout = series.layout
+    key = (layout, pattern)
     if key not in _jet_tensor_cache:
+        t = _terms(len(layout))
         axes = len(pattern)
-        idx = np.empty((4,) * axes, dtype=int)
-        fac = np.empty((4,) * axes)
+        idx = np.zeros((4,) * axes, dtype=int)
+        fac = np.zeros((4,) * axes)
+        inactive = np.zeros((4,) * axes, dtype=bool)
         for combo in itertools.product(range(4), repeat=axes):
-            alpha = [0] * NVARS
+            alpha = [0] * len(layout)
             for ch, ax in zip(pattern, combo):
-                alpha[ax + (4 if ch == "y" else 0)] += 1
-            i = INDEX[tuple(alpha)]
-            idx[combo] = i
-            fac[combo] = FACT[i]
-        _jet_tensor_cache[key] = (idx, fac)
-    idx, fac = _jet_tensor_cache[key]
+                var = ax + (4 if ch == "y" else 0)
+                if var not in layout:
+                    inactive[combo] = True
+                    break
+                alpha[layout.index(var)] += 1
+            else:
+                i = t.index[tuple(alpha)]
+                idx[combo] = i
+                fac[combo] = t.fact[i]
+        _jet_tensor_cache[key] = (idx, fac, inactive if inactive.any() else None)
+    idx, fac, inactive = _jet_tensor_cache[key]
     if len(pattern) > series.order:
         raise ValueError(f"pattern {pattern!r} beyond trusted order {series.order}")
     if series.coeffs.ndim > 1:
-        shaped = fac.reshape(fac.shape + (1,) * (series.coeffs.ndim - 1))
-        return series.coeffs[idx] * shaped
-    return series.coeffs[idx] * fac
+        fac = fac.reshape(fac.shape + (1,) * (series.coeffs.ndim - 1))
+    out = series.coeffs[idx] * fac
+    if inactive is not None:
+        out[inactive] = 0.0
+    return out
 
 
 class TSeries:
     """Taylor coefficients of one scalar quantity, trusted to ``order``."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs", "order", "layout")
 
-    def __init__(self, coeffs, order):
+    def __init__(self, coeffs, order, layout=ALL):
         self.coeffs = coeffs
         self.order = order
+        self.layout = layout
 
     # ------------------------------------------------------------------
     # constructors
     @staticmethod
-    def constant(value, order, batch=()):
-        c = np.zeros((NTERMS[order],) + tuple(batch))
+    def constant(value, order, batch=(), layout=ALL):
+        c = np.zeros((_terms(len(layout)).nterms[order],) + tuple(batch))
         c[0] = value
-        return TSeries(c, order)
+        return TSeries(c, order, layout)
 
     @staticmethod
-    def coordinate(var, value, order, batch=()):
+    def coordinate(var, value, order, batch=(), layout=ALL):
         """Series of the chart variable ``var`` with base-point value ``value``."""
-        c = np.zeros((NTERMS[order],) + tuple(batch))
-        c[0] = value
+        s = TSeries.constant(value, order, batch, layout)
         if order >= 1:
-            e = [0] * NVARS
-            e[var] = 1
-            c[INDEX[tuple(e)]] = 1.0
-        return TSeries(c, order)
+            # the degree-1 terms run from the last variable to the first
+            s.coeffs[len(layout) - layout.index(var)] = 1.0
+        return s
 
     @property
     def batch(self):
@@ -207,10 +271,20 @@ class TSeries:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TSeries(self.coeffs[: NTERMS[order]], order)
+        return TSeries(self.coeffs[: _terms(len(self.layout)).nterms[order]], order,
+                       self.layout)
+
+    def lift(self, layout):
+        """The same series expanded in ``layout``, a superset of its own."""
+        if layout == self.layout:
+            return self
+        t = _terms(len(layout))
+        c = np.zeros((t.nterms[self.order],) + self.batch)
+        c[_lift_index(self.layout, layout, self.order)] = self.coeffs
+        return TSeries(c, self.order, layout)
 
     def copy(self):
-        return TSeries(self.coeffs.copy(), self.order)
+        return TSeries(self.coeffs.copy(), self.order, self.layout)
 
     # ------------------------------------------------------------------
     # readers
@@ -219,56 +293,70 @@ class TSeries:
 
     def deriv(self, var):
         """Series of the partial derivative; drops one trusted order."""
-        src, fac = _deriv_tables(self.order, var)
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 series")
+        n = len(self.layout)
+        if var not in self.layout:
+            size = _terms(n).nterms[self.order - 1]
+            return TSeries(np.zeros((size,) + self.batch), self.order - 1, self.layout)
+        src, fac = _deriv_tables(self.order, self.layout.index(var), n)
         if self.coeffs.ndim > 1:
-            return TSeries(self.coeffs[src] * fac[:, None], self.order - 1)
-        return TSeries(self.coeffs[src] * fac, self.order - 1)
+            return TSeries(self.coeffs[src] * fac[:, None], self.order - 1, self.layout)
+        return TSeries(self.coeffs[src] * fac, self.order - 1, self.layout)
 
     def partial(self, alpha):
-        """Exact mixed partial for exponent tuple ``alpha`` (sum <= order)."""
-        i = INDEX[tuple(alpha)]
-        if DEGREE[i] > self.order:
+        """Exact mixed partial for an 8-tuple exponent ``alpha`` (sum <= order)."""
+        alpha = tuple(alpha)
+        if sum(alpha) > self.order:
             raise ValueError(f"partial {alpha} beyond trusted order {self.order}")
-        return self.coeffs[i] * FACT[i]
+        if any(e for v, e in enumerate(alpha) if v not in self.layout):
+            return np.zeros(self.batch)[()]
+        t = _terms(len(self.layout))
+        i = t.index[tuple(alpha[v] for v in self.layout)]
+        return self.coeffs[i] * t.fact[i]
 
     # ------------------------------------------------------------------
     # ring operations
     @staticmethod
     def _align(a, b):
         k = min(a.order, b.order)
-        return a.truncate(k), b.truncate(k), k
+        a, b = a.truncate(k), b.truncate(k)
+        if a.layout is not b.layout and a.layout != b.layout:
+            layout = tuple(sorted(set(a.layout) | set(b.layout)))
+            a, b = a.lift(layout), b.lift(layout)
+        return a, b, k
 
     def __add__(self, other):
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
-            return TSeries(a.coeffs + b.coeffs, k)
+            return TSeries(a.coeffs + b.coeffs, k, a.layout)
         c = self.coeffs.copy()
         c[0] = c[0] + other
-        return TSeries(c, self.order)
+        return TSeries(c, self.order, self.layout)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
-            return TSeries(a.coeffs - b.coeffs, k)
+            return TSeries(a.coeffs - b.coeffs, k, a.layout)
         c = self.coeffs.copy()
         c[0] = c[0] - other
-        return TSeries(c, self.order)
+        return TSeries(c, self.order, self.layout)
 
     def __rsub__(self, other):
         c = -self.coeffs
         c[0] = c[0] + other
-        return TSeries(c, self.order)
+        return TSeries(c, self.order, self.layout)
 
     def __neg__(self):
-        return TSeries(-self.coeffs, self.order)
+        return TSeries(-self.coeffs, self.order, self.layout)
 
     def __mul__(self, other):
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
-            return TSeries(_product(a.coeffs, b.coeffs, k), k)
-        return TSeries(self.coeffs * other, self.order)
+            return TSeries(_product(a.coeffs, b.coeffs, k, len(a.layout)), k, a.layout)
+        return TSeries(self.coeffs * other, self.order, self.layout)
 
     __rmul__ = __mul__
 
@@ -276,7 +364,7 @@ class TSeries:
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
             return a * b.reciprocal()
-        return TSeries(self.coeffs / other, self.order)
+        return TSeries(self.coeffs / other, self.order, self.layout)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -288,7 +376,7 @@ class TSeries:
 
     def ipow(self, p):
         if p == 0:
-            return TSeries.constant(1.0, self.order, self.batch)
+            return TSeries.constant(1.0, self.order, self.batch, self.layout)
         if p < 0:
             return self.reciprocal().ipow(-p)
         result = None
@@ -306,7 +394,7 @@ class TSeries:
     def _compose(self, cs):
         h = self.copy()
         h.coeffs[0] = 0.0
-        r = TSeries.constant(0.0, self.order, self.batch)
+        r = TSeries.constant(0.0, self.order, self.batch, self.layout)
         r.coeffs[0] = cs[-1]
         for m in range(len(cs) - 2, -1, -1):
             r = r * h

@@ -187,6 +187,34 @@ class TestIntegrate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
 
+    def test_rk4_step_bound(self):
+        """An rk4 run asking for more than MAX_RK4_STEPS steps is refused at once."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from finslerem.dynamics import MAX_RK4_STEPS, integrate
+            from finslerem.expr import parse
+            from finslerem.geometry import SpaceDef
+
+            space = SpaceDef(F=parse("sqrt(y0^2 - y1^2 - y2^2 - y3^2)"))
+            x0, y0 = np.zeros(4), np.array([1.0, 0.1, 0.0, 0.0])
+            for dt, t_end in [(1e-320, 1.0), (1e-9, 1.0), (1e-3, 1e4)]:
+                try:
+                    integrate(space, x0, y0, t_end, method="rk4", dt=dt)
+                except ValueError as e:
+                    assert str(MAX_RK4_STEPS) in str(e), e
+                    continue
+                raise SystemExit(f"accepted rk4 dt={dt} t_end={t_end}")
+            tr = integrate(space, x0, y0, 1e-3, method="rk45", dt=1e-9)
+            assert tr.states[-1].t == 1e-3
+            print("ok")
+        """)
+        src = str(pathlib.Path(finslerem.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
     def test_unknown_method(self, minkowski):
         with pytest.raises(ValueError):
             integrate(minkowski, X0, Y0, 1.0, method="euler")

@@ -331,9 +331,12 @@ class TestInputContract:
             [("integrate", "rel_tol", "-1e-8")],
             [("sampling", "count", "0")],
             [("sampling", "count", "-5")],
+            [("integrate", "dt", "1e-320")],
+            [("integrate", "dt", "1e-9")],
         ],
         ids=["rk45-dt-0", "rk4-dt-0", "dt-negative", "t_end-nan", "t_end-inf",
-             "abs_tol-0", "rel_tol-negative", "count-0", "count-negative"],
+             "abs_tol-0", "rel_tol-negative", "count-0", "count-negative",
+             "rk4-dt-denormal", "rk4-too-many-steps"],
     )
     def test_rejected_at_load(self, edits, tmp_path):
         text = (FIXTURES / "minkowski-efield.scene").read_text()
@@ -353,6 +356,96 @@ class TestInputContract:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("load error:")
+
+
+def test_rk4_step_bound_at_parse():
+    from finslerem.dynamics import MAX_RK4_STEPS
+
+    text = (FIXTURES / "minkowski-efield.scene").read_text()
+    text = _with_entry(text, "integrate", "t_end", "2")
+    at_bound = _with_entry(text, "integrate", "dt", repr(2.0 / MAX_RK4_STEPS))
+    assert parse_scene_text(at_bound).integrate.dt == 2.0 / MAX_RK4_STEPS
+    over = _with_entry(text, "integrate", "dt", repr(2.0 / (MAX_RK4_STEPS + 1)))
+    with pytest.raises(SceneParseError, match="rk4"):
+        parse_scene_text(over)
+    # rk45 takes its own steps; dt only seeds the first one
+    rk45 = _with_entry(_with_entry(text, "integrate", "dt", "1e-9"),
+                       "integrate", "method", "rk45")
+    assert parse_scene_text(rk45).integrate.method == "rk45"
+
+
+def _validate_space_reference(scene, probes=8):
+    """The single-point load checks, probe by probe, as they were first written."""
+    from finslerem import expr, geometry
+    from finslerem.scene import HOMOGENEITY_TOL
+
+    xs, ys = geometry.draw_admissible(
+        scene.space, scene.rng(), probes, scene.sampling.x_box, scene.sampling.y_box
+    )
+    for name, fld in (("F", scene.space.F), ("L1", scene.space.L1)):
+        if fld.is_zero():
+            continue
+        for k in range(xs.shape[1]):
+            pt = np.concatenate([xs[:, k], ys[:, k]])
+            for lam in (0.5, 1.7):
+                r = expr.check_homogeneity(fld, 1.0, pt, lam)
+                scale = max(1.0, abs(expr.eval_value(fld, pt)))
+                if r / scale > HOMOGENEITY_TOL:
+                    raise HomogeneityViolationError(name, r, point=pt)
+    geometry.metric(scene.space, xs, ys, check_signature=True)
+
+
+class TestBatchedLoadChecks:
+    """validate_space reports the first failing probe of the single-point checks."""
+
+    ROOT = "sqrt(y0^2 - y1^2 - y2^2 - y3^2)"
+
+    @pytest.mark.parametrize(
+        "F, L1",
+        [
+            (ROOT + " + 0.01*y1^2", None),
+            (ROOT + " + 0.01*(x1 + abs(x1))*y0^2", None),
+            (ROOT, "x1*y0^2"),
+            (ROOT, "log(x1)*y0"),
+            (ROOT, "0.3*y1^2/" + ROOT + " + 0.2*sin(x0)*y0"),
+        ],
+        ids=["F-quadratic-term", "F-fails-where-x1-positive", "L1-quadratic",
+             "L1-not-finite-where-x1-negative", "homogeneous"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_same_first_failure_as_single_point_checks(self, F, L1, seed):
+        from finslerem.errors import FinslerEMError
+        from finslerem.scene import validate_space
+
+        text = f'[space]\nF = "{F}"\n' + (f'L1 = "{L1}"\n' if L1 else "")
+        scene = parse_scene_text(text + f"[sampling]\nseed = {seed}\n")
+        errors = []
+        for check in (_validate_space_reference, validate_space):
+            try:
+                check(scene)
+                errors.append(None)
+            except FinslerEMError as e:
+                errors.append(e)
+        ref, got = errors
+        if ref is None:
+            assert got is None
+            return
+        assert type(got) is type(ref) and str(got) == str(ref)
+        if isinstance(ref, HomogeneityViolationError):
+            assert np.array_equal(got.point, ref.point)
+            assert got.field_name == ref.field_name
+
+    def test_every_failure_kind_is_covered(self):
+        from finslerem.errors import DomainError
+        from finslerem.scene import validate_space
+
+        root = self.ROOT
+        bad_f = parse_scene_text(f'[space]\nF = "{root} + 0.01*y1^2"\n')
+        with pytest.raises(HomogeneityViolationError, match="F violates"):
+            validate_space(bad_f)
+        nan_l1 = parse_scene_text(f'[space]\nF = "{root}"\nL1 = "log(x1)*y0"\n')
+        with pytest.raises(DomainError, match="not finite"):
+            validate_space(nan_l1)
 
 
 class TestSceneValueContract:
