@@ -1,7 +1,7 @@
 """Command-line front end: validate / trajectory / currents / compare.
 
 Exit codes are a stable contract: 0 all good, 1 identity failure or
-runtime error, 2 scene load error.  Output is deterministic for a fixed
+runtime error, 2 scene load error or bad flag value.  Output is deterministic for a fixed
 scene and seed; floats are printed with 17 significant digits so runs
 can be diffed byte for byte.
 """
@@ -12,14 +12,16 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import expr
 from .dynamics import integrate
-from .em import em_sample, isotropic_truncation, blend_anisotropy
+from .em import anisotropy_ensemble, em_sample
 from .errors import (
     DegenerateMetricError,
+    DomainError,
     FinslerEMError,
     HomogeneityViolationError,
     SceneParseError,
@@ -34,11 +36,50 @@ LOAD_ERRORS = (
     HomogeneityViolationError,
     SignatureMismatchError,
     DegenerateMetricError,
+    DomainError,
 )
 
 
 class _LoadFailure(Exception):
     """Wrapper distinguishing load-phase failures from run-phase ones."""
+
+
+class _FlagError(Exception):
+    """A command-line value out of range: exit 2 with one line."""
+
+
+def _flag(parse, name):
+    """An argparse type that reports a bad value of flag ``name`` as a _FlagError."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise _FlagError(f"{name}: {e}") from None
+    return convert
+
+
+def _count(text):
+    """An integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _finite_list(text):
+    """Comma-separated finite numbers."""
+    out = [float(part) for part in text.split(",")]
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"every entry must be finite, got {text!r}")
+    return out
+
+
+def _direction(text):
+    """Exactly four finite numbers y0,y1,y2,y3."""
+    v = _finite_list(text)
+    if len(v) != 4:
+        raise ValueError(f"needs 4 numbers y0,y1,y2,y3, got {len(v)}")
+    return np.array(v)
 
 
 def _load(path):
@@ -305,44 +346,76 @@ def cmd_currents(args):
 # anisotropy comparison
 
 
-def _endpoint(space, scene):
+def _run_members(scene, y_ref, members, xs, ys):
+    """(endpoint x, endpoint y, J_h, zeta, J_v) of each member, in order.
+
+    rk4 integrates every member in one batched worldline ensemble; rk45
+    runs them in turn.  The currents of all members come from one Tower
+    over the draws tiled once per member.
+    """
+    space = anisotropy_ensemble(scene.space, y_ref, members)
     it = scene.integrate
-    tr = integrate(
-        space, scene.particle.x0, scene.particle.y0, it.t_end,
-        method=it.method, dt=it.dt, abs_tol=it.abs_tol, rel_tol=it.rel_tol,
-    )
-    return tr.endpoint
+    nb = len(members)
+
+    def run(space, x0, y0):
+        return integrate(space, x0, y0, it.t_end, method=it.method, dt=it.dt,
+                         abs_tol=it.abs_tol, rel_tol=it.rel_tol).endpoint
+
+    x0, y0 = scene.particle.x0, scene.particle.y0
+    if it.method == "rk4":
+        xe, ye = run(space, np.tile(x0[:, None], nb), np.tile(y0[:, None], nb))
+        ends = [(xe[:, b], ye[:, b]) for b in range(nb)]
+    else:
+        ends = [run(replace(space, L1=replace(space.L1, kappas=(m,))), x0, y0)
+                for m in members]
+    n = xs.shape[1]
+    tiled = replace(space, L1=space.L1.tiled(n))
+    cur = current_sample(tiled, np.tile(xs, nb), np.tile(ys, nb))
+    cols = [slice(b * n, (b + 1) * n) for b in range(nb)]
+    return [(xk, vk, cur.J_h[:, c], cur.zeta[:, c], cur.J_v[:, c])
+            for (xk, vk), c in zip(ends, cols)]
+
+
+def _member_runs(scene, y_ref, members, xs, ys):
+    """Yield each member's run; one ensemble, or one member at a time if that fails.
+
+    The fallback reproduces a serial sweep exactly: every member before
+    the failing one, then the failing member's error.
+    """
+    try:
+        runs = _run_members(scene, y_ref, members, xs, ys)
+    except FinslerEMError:
+        runs = None
+    if runs is not None:
+        yield from runs
+        return
+    for m in members:
+        yield _run_members(scene, y_ref, [m], xs, ys)[0]
 
 
 def cmd_compare(args):
     scene = _load(args.scene)
-    y_ref = (
-        np.array([float(v) for v in args.ref.split(",")])
-        if args.ref
-        else scene.particle.y0
-    )
-    iso = isotropic_truncation(scene.space, y_ref)
-    kappas = (
-        [float(k) for k in args.kappa_sweep.split(",")] if args.kappa_sweep else [1.0]
-    )
-    x_iso, v_iso = _endpoint(iso, scene)
+    y_ref = args.ref if args.ref is not None else scene.particle.y0
+    f_ref = expr.eval_values(scene.space.F, np.concatenate([scene.particle.x0, y_ref]))
+    if not f_ref > 0:
+        raise _FlagError(f"--ref: F(x0, y_ref) = {_fmt(f_ref)} must be > 0")
+    kappas = args.kappa_sweep if args.kappa_sweep is not None else [1.0]
     n = min(scene.sampling.count, 16)
     xs, ys = draw_admissible(
         scene.space, scene.rng(), n, scene.sampling.x_box, scene.sampling.y_box
     )
-    cur_iso = current_sample(iso, xs, ys)
+    # member 0 is the isotropic truncation itself
+    runs = _member_runs(scene, y_ref, [None] + kappas, xs, ys)
+    x_iso, v_iso, jh_iso, zeta_iso, jv_iso = next(runs)
     print("reference direction: " + " ".join(_fmt(v) for v in y_ref))
     print("kappa,endpoint_delta,dJ_h,dzeta,dJ_v")
-    for kappa in kappas:
-        space_k = blend_anisotropy(scene.space, y_ref, kappa)
-        xk, vk = _endpoint(space_k, scene)
+    for kappa, (xk, vk, jh, zeta, jv) in zip(kappas, runs):
         de = float(np.linalg.norm(xk - x_iso) + np.linalg.norm(vk - v_iso))
-        cur_k = current_sample(space_k, xs, ys)
         print(",".join([
             _fmt(kappa), _fmt(de),
-            _fmt(np.abs(cur_k.J_h - cur_iso.J_h).max()),
-            _fmt(np.abs(cur_k.zeta - cur_iso.zeta).max()),
-            _fmt(np.abs(cur_k.J_v - cur_iso.J_v).max()),
+            _fmt(np.abs(jh - jh_iso).max()),
+            _fmt(np.abs(zeta - zeta_iso).max()),
+            _fmt(np.abs(jv - jv_iso).max()),
         ]))
     return 0
 
@@ -360,7 +433,7 @@ def build_parser():
 
     v = sub.add_parser("validate", help="run the identity suite on a scene")
     v.add_argument("scene")
-    v.add_argument("--samples", type=int, default=None)
+    v.add_argument("--samples", type=_flag(_count, "--samples"), default=None)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--tol", type=float, default=1e-8)
     v.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -381,18 +454,21 @@ def build_parser():
 
     m = sub.add_parser("compare", help="scene vs isotropic truncation")
     m.add_argument("scene")
-    m.add_argument("--kappa-sweep", default=None,
+    m.add_argument("--kappa-sweep", type=_flag(_finite_list, "--kappa-sweep"), default=None,
                    help="comma-separated anisotropy scales")
-    m.add_argument("--ref", default=None,
+    m.add_argument("--ref", type=_flag(_direction, "--ref"), default=None,
                    help="reference direction y0,y1,y2,y3 for the truncation")
     m.set_defaults(func=cmd_compare)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except _FlagError as e:
+        print(f"bad flag: {e}", file=sys.stderr)
+        return 2
     except _LoadFailure as e:
         print(f"load error: {e}", file=sys.stderr)
         return 2

@@ -11,6 +11,8 @@ exactly.  The coordinate acceleration is then dy/dt = a - 2 G.
 Per accepted step the integrator records the generating-function value
 and the two orthogonality monitors g(F, y) and g(Ft-correction, y),
 plus the residual of the 2-form writing of the equations of motion.
+The force call that records them also gives the next step its first
+stage, so rk4 makes 4 force calls per step and rk45 6 per attempt.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ MAX_RK4_STEPS = 10**6
 
 @dataclass
 class TrajectoryState:
+    """One recorded step; an ensemble's arrays have a trailing member axis."""
+
     t: float
     x: np.ndarray
     y: np.ndarray
@@ -66,17 +70,41 @@ class Trajectory:
         return s.x, s.y
 
     def max_monitor(self, name):
-        return max(abs(getattr(s, name)) for s in self.states)
+        return max(float(np.max(np.abs(getattr(s, name)))) for s in self.states)
 
     def column(self, name):
         return np.array([getattr(s, name) for s in self.states])
 
 
-class ForceEvaluator:
-    """Lean per-point force assembly straight from expression jets.
+def _stack(series, pattern):
+    """jet_tensor with the member axis first, each member's tensor C-ordered."""
+    t = jet_tensor(series, pattern)
+    if t.ndim == len(pattern):
+        return t
+    return np.ascontiguousarray(t.transpose((t.ndim - 1,) + tuple(range(t.ndim - 1))))
 
-    Avoids the full series tower in the hot loop; the geometry tower
-    cross-validates it in the test suite.
+
+def _check_det(det, what, error):
+    """Raise ``error`` for the first member whose |det| is below 1e-12."""
+    small = np.abs(det) < 1e-12
+    if small.any():
+        b = int(np.argmax(small))
+        member = f"member {b}: " if det.ndim else ""
+        raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}")
+
+
+class ForceEvaluator:
+    """Lean force assembly straight from expression jets.
+
+    Takes one point, x and y of shape (4,), or the member points of an
+    ensemble, shape (4, B).  The members run as (B, 4, 4) stacks with
+    batched det/inv/solve, and no step mixes members.  A batch of one runs
+    as a lone point, series included, so it rounds exactly as a (4,) call:
+    numpy's vectorized power may round a base value differently from its
+    scalar power.  A degenerate metric or singular force matrix raises for
+    the first failing member and names its index.  Avoids the full series
+    tower in the hot loop; the geometry tower cross-validates it in the
+    test suite.
     """
 
     def __init__(self, space):
@@ -86,68 +114,73 @@ class ForceEvaluator:
         self.flat_x = not any(v < 4 for v in space.F.variables())
 
     def __call__(self, x, y, monitors=False):
+        single = np.ndim(x) == 1
         pt = np.concatenate([x, y])
+        if not single and pt.shape[1] == 1:
+            pt = pt[:, 0]
+        # every array below is (..., 4, ...), with the member axis first
+        # when there is more than one member
+        yv = pt[4:, None] if pt.ndim == 1 else np.ascontiguousarray(pt[4:].T)[:, :, None]
+        space = self.space
         order = 2 if (self.flat_x or not self.has_em) else 3
-        fs = expr.eval_series(self.space.F, pt, order, self.space.layout)
+        fs = expr.eval_series(space.F, pt, order, space.layout)
         e = fs * fs
-        g = 0.5 * jet_tensor(e, "yy")
-        det = np.linalg.det(g)
-        if abs(det) < 1e-12:
-            raise DegenerateMetricError(f"|det g| = {abs(det):.3e}")
+        g = 0.5 * _stack(e, "yy")
+        _check_det(np.linalg.det(g), "det g", DegenerateMetricError)
         ginv = np.linalg.inv(g)
 
         if self.flat_x:
-            G = np.zeros(4)
-            N = np.zeros((4, 4))
+            G = np.zeros(yv.shape)
+            N = np.zeros(g.shape)
         else:
-            e_x = jet_tensor(e, "x")
-            e_yx = jet_tensor(e, "yx")
-            b = e_yx @ y - e_x
+            e_yx = _stack(e, "yx")
+            b = e_yx @ yv - _stack(e, "x")[..., None]
             G = 0.25 * (ginv @ b)
             if self.has_em:
-                e_yyy = jet_tensor(e, "yyy")
-                e_yyx = jet_tensor(e, "yyx")
-                db = np.einsum("ljk,k->lj", e_yyx, y) + e_yx - e_yx.T
-                dginv = -np.einsum("ia,abj,bl->ilj", ginv, 0.5 * e_yyy, ginv)
-                N = 0.25 * (np.einsum("ilj,l->ij", dginv, b) + ginv @ db)
+                db = (np.einsum("...ljk,...k->...lj", _stack(e, "yyx"), yv[..., 0])
+                      + e_yx - e_yx.mT)
+                dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * _stack(e, "yyy"),
+                                   ginv)
+                N = 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
             else:
                 N = None  # not needed: vacuum motion only uses N y^j = 2 G
 
         if self.has_em:
-            ls = expr.eval_series(self.space.L1, pt, 2, self.space.layout)
-            ay = jet_tensor(ls, "yy")           # ay[a, j] = dA_j/dy^a, symmetric
-            ax = jet_tensor(ls, "yx")           # ax[j, i] = dA_j/dx^i
-            if self.flat_x:
-                dA = ax.T
-            else:
-                dA = ax.T - np.einsum("ai,aj->ij", N, ay)  # delta_i A_j
-            F = dA - dA.T                        # F[i, j] = F_ij
+            ls = expr.eval_series(space.L1, pt, 2, space.layout)
+            ay = _stack(ls, "yy")                 # ay[a, j] = dA_j/dy^a, symmetric
+            dA = _stack(ls, "yx").mT              # dA[i, j] = dA_j/dx^i
+            if not self.flat_x:
+                dA = dA - np.einsum("...ai,...aj->...ij", N, ay)  # delta_i A_j
+            F = dA - dA.mT                       # F[i, j] = F_ij
             Ft = -ay                             # Ft[i, a] = -A_{i.a}
             F_mix_h = ginv @ F
             F_mix_v = ginv @ Ft
             M = np.eye(4) - self.qc * F_mix_v
-            det_m = np.linalg.det(M)
-            if abs(det_m) < 1e-12:
-                raise SingularForceMatrixError(f"|det(I - (q/c)Ft)| = {abs(det_m):.3e}")
-            a = np.linalg.solve(M, self.qc * (F_mix_h @ y))
+            _check_det(np.linalg.det(M), "det(I - (q/c)Ft)", SingularForceMatrixError)
+            a = np.linalg.solve(M, self.qc * (F_mix_h @ yv))
         else:
-            F = Ft = np.zeros((4, 4))
-            F_mix_h = F_mix_v = np.zeros((4, 4))
-            a = np.zeros(4)
+            F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
+            a = np.zeros(yv.shape)
 
         dydt = a - 2.0 * G
+        a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
+        if not single:
+            a_out, dydt_out = a_out.reshape(4, -1), dydt_out.reshape(4, -1)
         if not monitors:
-            return a, dydt
-        force_h = F_mix_h @ y
-        force_v = F_mix_v @ a
+            return a_out, dydt_out
+        force_h = (F_mix_h @ yv).mT
+        force_v = (F_mix_v @ a).mT
         qc = self.qc
-        res = qc * (F @ y) + (qc * Ft - g) @ a
-        return a, dydt, {
-            "F_value": float(fs.value()),
-            "ortho_F": float(force_h @ g @ y),
-            "ortho_Ftilde": float(force_v @ g @ y),
-            "eq_motion_residual": float(np.max(np.abs(res))),
+        res = qc * (F @ yv) + (qc * Ft - g) @ a
+        mon = {
+            "F_value": fs.value(),
+            "ortho_F": (force_h @ g @ yv)[..., 0, 0],
+            "ortho_Ftilde": (force_v @ g @ yv)[..., 0, 0],
+            "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),
         }
+        if single:
+            return a_out, dydt_out, {k: float(v) for k, v in mon.items()}
+        return a_out, dydt_out, {k: np.reshape(v, -1) for k, v in mon.items()}
 
 
 def _record(states, t, x, y, a, mon):
@@ -176,6 +209,11 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     finite and > 0, and rk4 takes at most MAX_RK4_STEPS steps.  An rk45
     step below 16 units in the last place of t no longer advances time
     reliably and raises StepRejectionLimitError.
+
+    rk4 also integrates an ensemble: x0 and y0 of shape (4, B) run B
+    worldlines in lockstep through one batched force, each member as it
+    would run alone.  rk45 takes one worldline, because a step size
+    shared by several would change every member's output.
     """
     for name, v in (("dt", dt), ("t_end", t_end)):
         if not (np.isfinite(v) and v > 0):
@@ -184,8 +222,10 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
         raise ValueError(
             f"rk4 t_end/dt = {t_end / dt:.3g} exceeds {MAX_RK4_STEPS} steps"
         )
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
+    y = np.array(y0, dtype=float)
+    if method == "rk45" and x.ndim > 1 and x.shape[1] > 1:
+        raise ValueError("rk45 integrates one worldline at a time")
     force = ForceEvaluator(space)
 
     def f(z):
@@ -195,34 +235,36 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     states = []
     t = 0.0
     try:
-        a0, _, mon = force(x, y, monitors=True)
+        a, dydt, mon = force(x, y, monitors=True)
     except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
         _wrap_err(e, t)
-    _record(states, t, x, y, a0, mon)
+    _record(states, t, x, y, a, mon)
+    z = np.concatenate([x, y])
+    k1 = np.concatenate([y, dydt])  # f(z), from the call that took the monitors
 
     if method == "rk4":
         nsteps = max(1, int(round(t_end / dt)))
         h = t_end / nsteps
-        z = np.concatenate([x, y])
         for n in range(nsteps):
             try:
-                k1 = f(z)
                 k2 = f(z + 0.5 * h * k1)
                 k3 = f(z + 0.5 * h * k2)
                 k4 = f(z + h * k3)
                 z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 t = (n + 1) * h
-                a, _, mon = force(z[:4], z[4:], monitors=True)
+                a, dydt, mon = force(z[:4], z[4:], monitors=True)
             except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
                 _wrap_err(e, t)
             _record(states, t, z[:4], z[4:], a, mon)
+            k1 = np.concatenate([z[4:], dydt])
         return Trajectory(states=states, method="rk4-fixed", dt=h)
 
     if method != "rk45":
         raise ValueError(f"unknown method {method!r}")
 
-    # Dormand-Prince 5(4) coefficients
-    C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+    # Dormand-Prince 5(4) coefficients.  The last stage point is the
+    # 5th-order solution (A[6] holds its weights, and its weight of k7 is
+    # 0), so stage 7 is the force at the new point: first same as last.
     A = [
         [],
         [1 / 5],
@@ -232,11 +274,9 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
         [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
     ]
-    B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
     B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
-    z = np.concatenate([x, y])
     h = min(dt, t_end)
     rejections = 0
     while t < t_end - 1e-14:
@@ -247,11 +287,13 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
             )
         h = min(h, t_end - t)
         try:
-            k = [f(z)]
-            for s in range(1, 7):
+            k = [k1]
+            for s in range(1, 6):
                 zs = z + h * sum(A[s][m] * k[m] for m in range(s))
                 k.append(f(zs))
-            z5 = z + h * sum(B5[m] * k[m] for m in range(7))
+            z5 = z + h * sum(A[6][m] * k[m] for m in range(6))
+            a5, dydt5, mon5 = force(z5[:4], z5[4:], monitors=True)
+            k.append(np.concatenate([z5[4:], dydt5]))
             z4 = z + h * sum(B4[m] * k[m] for m in range(7))
         except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
             _wrap_err(e, t)
@@ -260,11 +302,8 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
         if err <= 1.0:
             t += h
             z = z5
-            try:
-                a, _, mon = force(z[:4], z[4:], monitors=True)
-            except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
-                _wrap_err(e, t)
-            _record(states, t, z[:4], z[4:], a, mon)
+            k1 = k[6]
+            _record(states, t, z[:4], z[4:], a5, mon5)
             rejections = 0
         else:
             rejections += 1

@@ -20,6 +20,7 @@ import numpy as np
 from . import expr
 from .expr import BinOp, Num, ScalarField, Var, diff_ast, subst_ast
 from .geometry import SpaceDef, Tower
+from .series import TSeries
 
 
 @dataclass
@@ -191,3 +192,65 @@ def blend_anisotropy(space, y_ref, kappa):
     diff = BinOp("-", space.L1.ast, iso.L1.ast)
     blended = BinOp("+", iso.L1.ast, BinOp("*", Num(float(kappa)), diff))
     return replace(space, L1=ScalarField(blended))
+
+
+@dataclass(frozen=True)
+class AnisotropyBlend:
+    """The L1 generator of an ensemble that sweeps the anisotropy scale.
+
+    Batch column b of a point is member b.  Its series is the truncation's
+    ``s_iso`` when ``kappas[b]`` is None, the scene's ``s_full`` when it
+    is 1, and otherwise ``s_iso + kappa_b (s_full - s_iso)``, where
+    kappa_b is a constant series: the same series arithmetic that the
+    tape of ``blend_anisotropy(space, y_ref, kappa_b)`` runs, from one run
+    of each of the two tapes for every member.  When the scene's L1 is
+    zero, every member is the (zero) truncation.  Build it with
+    :func:`anisotropy_ensemble`.
+    """
+
+    iso: ScalarField
+    full: ScalarField
+    kappas: tuple
+
+    def __post_init__(self):
+        if not all(k is None or np.isfinite(k) for k in self.kappas):
+            raise ValueError(f"every kappa must be finite, got {self.kappas}")
+
+    @property
+    def ast(self):
+        """The scene's L1 expression, which every member blends toward."""
+        return self.full.ast
+
+    def variables(self):
+        return self.iso.variables() | self.full.variables()
+
+    def is_zero(self):
+        truncation_only = all(k is None for k in self.kappas)
+        return self.full.is_zero() or (truncation_only and self.iso.is_zero())
+
+    def series(self, point, order, layout):
+        s_iso = expr.eval_series(self.iso, point, order, layout)
+        if self.full.is_zero():
+            return s_iso
+        s_full = expr.eval_series(self.full, point, order, layout)
+        kappa = np.reshape([0.0 if k is None else k for k in self.kappas], point.shape[1:])
+        scale = np.zeros_like(s_iso.coeffs)
+        scale[0] = kappa
+        blend = s_iso + TSeries(scale, order, layout) * (s_full - s_iso)
+        iso = np.reshape([k is None for k in self.kappas], kappa.shape)
+        coeffs = np.where(iso, s_iso.coeffs, np.where(kappa == 1.0, s_full.coeffs, blend.coeffs))
+        return TSeries(coeffs, order, layout)
+
+    def tiled(self, n):
+        """The same members, each repeated over n consecutive batch columns."""
+        return replace(self, kappas=tuple(k for k in self.kappas for _ in range(n)))
+
+
+def anisotropy_ensemble(space, y_ref, kappas):
+    """``space`` with an L1 whose batch columns are its blends at ``kappas``.
+
+    A None in ``kappas`` is the isotropic truncation itself and a 1 the
+    scene; column b follows ``blend_anisotropy(space, y_ref, kappas[b])``.
+    """
+    iso = isotropic_truncation(space, y_ref)
+    return replace(space, L1=AnisotropyBlend(iso.L1, space.L1, tuple(kappas)))

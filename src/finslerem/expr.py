@@ -117,6 +117,10 @@ class ScalarField:
         # held by the field, so it is freed with it
         return _Tape(self.ast)
 
+    def series(self, point, order, layout):
+        """Taylor series at ``point`` in ``layout``; see :func:`eval_series`."""
+        return self._tape.run(point, order, layout)
+
 
 @dataclass
 class Jet:
@@ -487,13 +491,16 @@ def eval_series(field, point, order, layout=ALL):
     """Taylor series of the field at ``point`` (shape (8,) or (8, B)).
 
     The series is expanded in ``layout``, a sorted tuple of chart
-    variables that holds every variable the field uses.  The field is
+    variables that holds every variable the field uses.  A ScalarField is
     compiled into its series program on first use; the program lives on
-    the field and is reused by every later call.
+    the field and is reused by every later call.  ``field`` may also be
+    any generator with the ScalarField methods ``series(point, order,
+    layout)``, ``variables()`` and ``is_zero()``, such as
+    :class:`finslerem.em.AnisotropyBlend`.
     """
     if not 0 <= order <= 4:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
-    return field._tape.run(np.asarray(point, dtype=float), order, tuple(layout))
+    return field.series(np.asarray(point, dtype=float), order, tuple(layout))
 
 
 def eval_jet(field, point, order):

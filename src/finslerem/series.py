@@ -83,7 +83,6 @@ class _Terms:
         self.codes = _codes(self.terms)
         self._sorter = np.argsort(self.codes)
         self._sorted = self.codes[self._sorter]
-        self.mul = {}
         self.blocks = {}
         self.deriv = {}
 
@@ -113,12 +112,14 @@ FACT = _T8.fact
 
 _lift_cache = {}
 _jet_tensor_cache = {}
+_mul_cache = {}
 
 
 def _mul_tables(k, n=NVARS):
     """(I, J, K-sorted starts) index arrays for products truncated at degree k."""
-    t = _terms(n)
-    if k not in t.mul:
+    tables = _mul_cache.get((k, n))
+    if tables is None:
+        t = _terms(n)
         size = t.nterms[k]
         deg = t.degree[:size]
         I, J = np.nonzero(deg[:, None] + deg[None, :] <= k)  # row-major: by I, then J
@@ -126,8 +127,8 @@ def _mul_tables(k, n=NVARS):
         by_k = np.argsort(K, kind="stable")
         I, J = I[by_k], J[by_k]
         starts = np.searchsorted(K[by_k], np.arange(size))
-        t.mul[k] = (I, J, starts)
-    return t.mul[k]
+        tables = _mul_cache[(k, n)] = (I, J, starts)
+    return tables
 
 
 def _mul_blocks(k, n, width):
@@ -160,17 +161,21 @@ def _mul_blocks(k, n, width):
 def _product(a, b, k, n=NVARS):
     """Coefficients of the truncated product of two coefficient arrays.
 
-    Small products gather, multiply and reduce in one go.  Wide batches
+    Small products gather (``take``, which is much faster than fancy
+    indexing on a few batch columns), multiply and reduce in one go.  Wide batches
     go block by block, so no temporary outgrows ``BLOCK_BYTES``; the
     blocks are bit-identical to the one-shot result.
     """
     I, J, starts = _mul_tables(k, n)
+    if a.ndim == 1 and b.ndim == 1:
+        return np.add.reduceat(a.take(I) * b.take(J), starts)
     width = max(a.size // len(a), b.size // len(b))
     if len(I) * width * 8 <= BLOCK_BYTES:
-        return np.add.reduceat(a[I] * b[J], starts, axis=0)
+        return np.add.reduceat(a.take(I, axis=0) * b.take(J, axis=0), starts, axis=0)
     out = np.empty((len(starts),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
     for t0, t1, I, J, starts in _mul_blocks(k, n, width):
-        np.add.reduceat(a[I] * b[J], starts, axis=0, out=out[t0:t1])
+        np.add.reduceat(a.take(I, axis=0) * b.take(J, axis=0), starts, axis=0,
+                        out=out[t0:t1])
     return out
 
 
@@ -319,6 +324,8 @@ class TSeries:
     # ring operations
     @staticmethod
     def _align(a, b):
+        if a.order == b.order and a.layout is b.layout:
+            return a, b, a.order
         k = min(a.order, b.order)
         a, b = a.truncate(k), b.truncate(k)
         if a.layout is not b.layout and a.layout != b.layout:
@@ -406,7 +413,7 @@ class TSeries:
 
     def reciprocal(self):
         u0 = self._u0()
-        if np.any(u0 == 0.0):
+        if (u0 == 0.0).any():
             raise DomainError("division by zero")
         cs = [1.0 / u0]
         for _ in range(self.order):
@@ -415,7 +422,7 @@ class TSeries:
 
     def sqrt(self):
         u0 = self._u0()
-        if np.any(u0 <= 0.0):
+        if (u0 <= 0.0).any():
             raise DomainError("sqrt of a nonpositive value")
         cs = [np.sqrt(u0)]
         # d^m sqrt / m! = binom(1/2, m) u0^(1/2 - m)
@@ -432,7 +439,7 @@ class TSeries:
 
     def log(self):
         u0 = self._u0()
-        if np.any(u0 <= 0.0):
+        if (u0 <= 0.0).any():
             raise DomainError("log of a nonpositive value")
         cs = [np.log(u0)]
         for m in range(1, self.order + 1):
@@ -455,13 +462,13 @@ class TSeries:
 
     def abs(self):
         u0 = self._u0()
-        if self.order >= 1 and np.any(u0 == 0.0):
+        if self.order >= 1 and (u0 == 0.0).any():
             raise DomainError("abs is not differentiable at 0")
         return self * np.sign(u0)
 
     def powf(self, p):
         u0 = self._u0()
-        if np.any(u0 <= 0.0):
+        if (u0 <= 0.0).any():
             raise DomainError("non-integer power of a nonpositive value")
         cs = [u0**p]
         coef = 1.0

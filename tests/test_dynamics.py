@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 import finslerem
+from finslerem import dynamics
 from finslerem.dynamics import ForceEvaluator, integrate
-from finslerem.em import em_sample, gauge_shift, blend_anisotropy
+from finslerem.em import (
+    anisotropy_ensemble,
+    blend_anisotropy,
+    em_sample,
+    gauge_shift,
+    isotropic_truncation,
+)
 from finslerem.errors import SingularForceMatrixError, StepRejectionLimitError
 from finslerem.expr import eval_jet, parse
 from finslerem.geometry import SpaceDef, geometry_sample
@@ -88,6 +95,131 @@ class TestLorentzAcceleration:
         singular = replace(space, q=1.0 / real[0], c=1.0)
         with pytest.raises(SingularForceMatrixError):
             ForceEvaluator(singular)(x, y)
+
+
+class TestBatchedForce:
+    """(4, B) member points run as one batch without mixing members."""
+
+    @pytest.mark.parametrize(
+        "name", ["minkowski", "efield", "pr_curved", "randers", "randers_aniso",
+                 "curved_aniso", "aniso_wave"],
+    )
+    def test_batch_of_one_is_the_single_call(self, name, request, probe_point):
+        space = request.getfixturevalue(name)
+        x, y = probe_point
+        force = ForceEvaluator(space)
+        a, dydt, mon = force(x, y, monitors=True)
+        a1, dydt1, mon1 = force(x[:, None], y[:, None], monitors=True)
+        assert a1.shape == dydt1.shape == (4, 1)
+        assert np.array_equal(a1[:, 0], a) and np.array_equal(dydt1[:, 0], dydt)
+        assert mon1.keys() == mon.keys()
+        assert all(mon1[k].shape == (1,) and mon1[k][0] == mon[k] for k in mon)
+
+    def test_identical_members_give_identical_columns(self, curved_aniso, probe_point):
+        x, y = probe_point
+        other = np.array([1.05, -0.1, 0.05, 0.02])
+        xs = np.stack([x, x + 0.1, x], axis=1)
+        ys = np.stack([y, other, y], axis=1)
+        a, dydt, mon = ForceEvaluator(curved_aniso)(xs, ys, monitors=True)
+        assert np.array_equal(a[:, 0], a[:, 2]) and np.array_equal(dydt[:, 0], dydt[:, 2])
+        assert all(v[0] == v[2] for v in mon.values())
+        # and agree with the single calls to rounding
+        for b in range(3):
+            a1, dydt1 = ForceEvaluator(curved_aniso)(xs[:, b], ys[:, b])
+            assert np.allclose(a[:, b], a1, rtol=1e-12, atol=1e-15)
+            assert np.allclose(dydt[:, b], dydt1, rtol=1e-12, atol=1e-15)
+
+    def test_singular_member_is_named(self, probe_point):
+        x, y = probe_point
+        space = SpaceDef(
+            F=parse(MINKOWSKI_F),
+            L1=parse("0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)"),
+        )
+        s = em_sample(space, x, y)
+        eig = np.linalg.eigvals(s.F_mixed_up_v)
+        real = [v.real for v in eig if abs(v.imag) < 1e-12 and abs(v.real) > 1e-6]
+        from dataclasses import replace
+
+        singular = replace(space, q=1.0 / real[0], c=1.0)
+        xs = np.stack([x, x], axis=1)
+        ys = np.stack([np.array([1.0, 0.0, 0.0, 0.0]), y], axis=1)
+        with pytest.raises(SingularForceMatrixError, match=r"^member 1: \|det"):
+            ForceEvaluator(singular)(xs, ys)
+        with pytest.raises(SingularForceMatrixError, match=r"^\|det"):
+            ForceEvaluator(singular)(x, y)
+
+
+@pytest.fixture
+def force_calls(monkeypatch):
+    """Records the ``monitors`` flag of every ForceEvaluator call."""
+    calls = []
+    original = dynamics.ForceEvaluator.__call__
+
+    def counted(self, x, y, monitors=False):
+        calls.append(monitors)
+        return original(self, x, y, monitors=monitors)
+
+    monkeypatch.setattr(dynamics.ForceEvaluator, "__call__", counted)
+    return calls
+
+
+class TestForceCalls:
+    """The call that takes a step's monitors is the next step's first stage."""
+
+    def test_rk4_four_calls_per_step(self, curved_aniso, force_calls):
+        tr = integrate(curved_aniso, X0, Y0, 0.05, method="rk4", dt=0.01)
+        assert len(tr.states) == 6
+        assert len(force_calls) == 1 + 4 * 5
+        assert sum(force_calls) == 1 + 5
+
+    @pytest.mark.parametrize("members", [1, 2, 5])
+    def test_ensemble_four_calls_per_step(self, curved_aniso, force_calls, members):
+        ys = np.tile(Y0[:, None], members)
+        ys[1] += 0.01 * np.arange(members)
+        tr = integrate(curved_aniso, np.zeros((4, members)), ys, 0.05, method="rk4",
+                       dt=0.01)
+        assert tr.states[-1].x.shape == (4, members)
+        assert len(force_calls) == 1 + 4 * 5
+
+    def test_rk45_six_calls_per_attempt(self, curved_aniso, force_calls):
+        tr = integrate(curved_aniso, X0, Y0, 0.3, method="rk45", dt=0.2,
+                       abs_tol=1e-12, rel_tol=1e-12)
+        attempts = sum(force_calls) - 1    # stage 7 of every attempt takes monitors
+        accepted = len(tr.states) - 1
+        assert attempts > accepted > 0     # some steps were rejected
+        assert len(force_calls) == 1 + 6 * attempts
+
+    def test_rk45_one_worldline(self, curved_aniso):
+        with pytest.raises(ValueError, match="one worldline"):
+            integrate(curved_aniso, np.zeros((4, 2)), np.tile(Y0[:, None], 2), 0.1,
+                      method="rk45")
+
+
+class TestEnsemble:
+    """One rk4 ensemble gives every member's serial worldline."""
+
+    Y_REF = np.array([1.0, 0.1, 0.0, 0.0])
+
+    def test_members_follow_their_blends(self, curved_aniso):
+        members = [None, 0.0, 0.4, 1.0, 0.4]
+        space = anisotropy_ensemble(curved_aniso, self.Y_REF, members)
+        nb = len(members)
+        ens = integrate(space, np.zeros((4, nb)), np.tile(Y0[:, None], nb), 0.1, dt=5e-3)
+        x_ens, y_ens = ens.endpoint
+        for b, kappa in enumerate(members):
+            if kappa is None:
+                serial_space = isotropic_truncation(curved_aniso, self.Y_REF)
+            else:
+                serial_space = blend_anisotropy(curved_aniso, self.Y_REF, kappa)
+            xe, ye = integrate(serial_space, X0, Y0, 0.1, dt=5e-3).endpoint
+            assert np.allclose(x_ens[:, b], xe, rtol=1e-12, atol=1e-15)
+            assert np.allclose(y_ens[:, b], ye, rtol=1e-12, atol=1e-15)
+        # kappa = 0 reads s_iso + 0 (s_full - s_iso): the truncation's worldline
+        assert np.array_equal(x_ens[:, 1], x_ens[:, 0])
+        assert np.array_equal(y_ens[:, 1], y_ens[:, 0])
+        # equal members stay equal, bit for bit
+        assert np.array_equal(x_ens[:, 2], x_ens[:, 4])
+        assert np.array_equal(y_ens[:, 2], y_ens[:, 4])
 
 
 class TestIntegrate:
@@ -292,8 +424,6 @@ class TestMonitors:
 
     def test_isotropic_limit_linear_in_kappa(self, aniso_wave):
         """Endpoints converge linearly to the isotropic trajectory."""
-        from finslerem.em import isotropic_truncation
-
         iso = isotropic_truncation(aniso_wave, Y0)
         base = integrate(iso, X0, Y0, 1.0, method="rk4", dt=5e-3)
         xb, yb = base.endpoint

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from finslerem.em import (
+    AnisotropyBlend,
+    anisotropy_ensemble,
     blend_anisotropy,
     em_sample,
     gauge_shift,
     isotropic_truncation,
 )
-from finslerem.expr import eval_value, eval_values, parse
+from finslerem.expr import ScalarField, eval_series, eval_value, eval_values, parse
 from finslerem.geometry import SpaceDef, draw_admissible, metric
 
 from conftest import MINKOWSKI_F
@@ -225,3 +229,63 @@ class TestIsotropicTruncation:
         assert eval_value(zero.L1, pt) == pytest.approx(
             eval_value(iso.L1, pt), rel=1e-12
         )
+
+
+class TestAnisotropyBlend:
+    """The ensemble's L1 reads, column by column, the tapes of blend_anisotropy."""
+
+    Y_REF = np.array([1.0, 0.1, 0.0, 0.0])
+
+    @staticmethod
+    def points(n=5):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, (4, n))
+        y = np.vstack([rng.uniform(0.9, 1.1, (1, n)), rng.uniform(-0.15, 0.15, (3, n))])
+        return np.concatenate([x, y])
+
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    @pytest.mark.parametrize("kappa", [None, 0.0, 0.35, 1.0])
+    def test_columns_are_the_blend_tapes(self, curved_aniso, kappa, order):
+        pts = self.points()
+        ens = anisotropy_ensemble(curved_aniso, self.Y_REF, [kappa] * pts.shape[1])
+        assert ens.layout == curved_aniso.layout
+        got = eval_series(ens.L1, pts, order, ens.layout)
+        if kappa is None:
+            want_space = isotropic_truncation(curved_aniso, self.Y_REF)
+        else:
+            want_space = blend_anisotropy(curved_aniso, self.Y_REF, kappa)
+        want = eval_series(want_space.L1, pts, order, ens.layout)
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_mixed_members_do_not_mix(self, curved_aniso):
+        pts = self.points(1)
+        kappas = [None, 0.0, 0.35, 1.0]
+        ens = anisotropy_ensemble(curved_aniso, self.Y_REF, kappas)
+        got = eval_series(ens.L1, np.tile(pts, len(kappas)), 3, ens.layout)
+        for b, kappa in enumerate(kappas):
+            one = replace(ens.L1, kappas=(kappa,))
+            assert np.array_equal(got.coeffs[:, b:b + 1],
+                                  eval_series(one, pts, 3, ens.layout).coeffs)
+
+    def test_tiled_repeats_each_member(self, curved_aniso):
+        ens = anisotropy_ensemble(curved_aniso, self.Y_REF, [None, 0.5])
+        assert ens.L1.tiled(3).kappas == (None, None, None, 0.5, 0.5, 0.5)
+
+    def test_zero_potential(self):
+        space = SpaceDef(F=parse(MINKOWSKI_F))
+        ens = anisotropy_ensemble(space, self.Y_REF, [None, 0.5, 1.0])
+        assert ens.L1.is_zero()
+        s = eval_series(ens.L1, self.points(3), 2, ens.layout)
+        assert not s.coeffs.any()
+
+    def test_truncation_only_is_zero_when_the_truncation_is(self, aniso_wave):
+        blend = AnisotropyBlend(ScalarField.zero(), aniso_wave.L1, (None, None))
+        assert blend.is_zero()
+        assert not replace(blend, kappas=(None, 0.0)).is_zero()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_kappa(self, randers_aniso, bad):
+        with pytest.raises(ValueError, match="finite"):
+            anisotropy_ensemble(randers_aniso, self.Y_REF, [None, 0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            AnisotropyBlend(randers_aniso.L1, randers_aniso.L1, (bad,))

@@ -482,3 +482,137 @@ class TestSceneValueContract:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("load error:")
+
+
+def _run_cli(*argv):
+    src = str(pathlib.Path(finslerem.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "finslerem.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+class TestFlagContract:
+    """Bad flag values fail before any work: exit 2, one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "aniso-wave.scene", "--kappa-sweep", "nan"],
+            ["compare", "aniso-wave.scene", "--kappa-sweep", "0,inf"],
+            ["compare", "aniso-wave.scene", "--kappa-sweep", "0,,1"],
+            ["compare", "aniso-wave.scene", "--kappa-sweep", "0,a"],
+            ["compare", "aniso-wave.scene", "--ref", "1,2"],
+            ["compare", "aniso-wave.scene", "--ref", "1,0.1,0,nan"],
+            ["compare", "aniso-wave.scene", "--ref", "0,0,0,0"],
+            ["compare", "aniso-wave.scene", "--ref", "0.1,1,0,0"],
+            ["validate", "minkowski-vacuum.scene", "--samples", "0"],
+            ["validate", "minkowski-vacuum.scene", "--samples", "-5"],
+            ["validate", "minkowski-vacuum.scene", "--samples", "2.5"],
+        ],
+        ids=["kappa-nan", "kappa-inf", "kappa-empty", "kappa-not-a-number", "ref-two",
+             "ref-nan", "ref-zero", "ref-spacelike", "samples-0", "samples-negative",
+             "samples-not-an-integer"],
+    )
+    def test_rejected(self, argv):
+        argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bad flag:"), proc.stderr
+
+
+def test_potential_not_finite_at_load_probe_is_load_error(tmp_path):
+    text = (FIXTURES / "minkowski-vacuum.scene").read_text()
+    path = tmp_path / "log.scene"
+    path.write_text(_with_entry(text, "space", "L1", '"log(x1)*y0"'))
+    proc = _run_cli("validate", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("load error:"), proc.stderr
+    assert "not finite" in lines[0]
+
+
+def _serial_compare(path, kappas):
+    """Rows of a serial sweep: one blend_anisotropy worldline and Tower per kappa.
+
+    This is how ``compare`` ran before the ensemble, kept as its reference.
+    """
+    from finslerem.dynamics import integrate
+    from finslerem.em import blend_anisotropy, isotropic_truncation
+    from finslerem.geometry import draw_admissible
+    from finslerem.maxwell import current_sample
+
+    scene = load_scene(path)
+    y_ref = scene.particle.y0
+    it = scene.integrate
+
+    def endpoint(space):
+        return integrate(space, scene.particle.x0, scene.particle.y0, it.t_end,
+                         method=it.method, dt=it.dt, abs_tol=it.abs_tol,
+                         rel_tol=it.rel_tol).endpoint
+
+    iso = isotropic_truncation(scene.space, y_ref)
+    x_iso, v_iso = endpoint(iso)
+    xs, ys = draw_admissible(scene.space, scene.rng(), min(scene.sampling.count, 16),
+                             scene.sampling.x_box, scene.sampling.y_box)
+    cur_iso = current_sample(iso, xs, ys)
+    for kappa in kappas:
+        space = blend_anisotropy(scene.space, y_ref, kappa)
+        xk, vk = endpoint(space)
+        cur = current_sample(space, xs, ys)
+        yield [kappa, np.linalg.norm(xk - x_iso) + np.linalg.norm(vk - v_iso),
+               np.abs(cur.J_h - cur_iso.J_h).max(), np.abs(cur.zeta - cur_iso.zeta).max(),
+               np.abs(cur.J_v - cur_iso.J_v).max()]
+
+
+class TestCompareEnsemble:
+    """compare runs every kappa as one ensemble and prints the serial sweep's rows."""
+
+    @pytest.mark.parametrize(
+        "name, method, kappas",
+        [
+            ("curved-aniso.scene", "rk4", [0.0, 0.3, 1.0]),
+            ("curved-aniso.scene", "rk4", [0.7, 0.0, 0.2]),
+            ("aniso-wave.scene", "rk4", [1.0, 0.5, 0.0]),
+            ("randers-aniso.scene", "rk4", [0.25, 1.0]),
+            ("curved-aniso.scene", "rk45", [0.0, 0.6, 1.0]),
+        ],
+        ids=["zero-first", "zero-middle", "zero-last", "flat-randers", "rk45"],
+    )
+    def test_rows_match_serial_sweep(self, name, method, kappas, tmp_path, capsys):
+        path = coarse_copy(name, tmp_path, dt=5e-3, t_end=0.1)
+        if method == "rk45":
+            text = _with_entry(pathlib.Path(path).read_text(), "integrate", "method", "rk45")
+            pathlib.Path(path).write_text(text)
+        sweep = ",".join(repr(k) for k in kappas)
+        assert main(["compare", path, "--kappa-sweep", sweep]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "kappa,endpoint_delta,dJ_h,dzeta,dJ_v"
+        got = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        want = list(_serial_compare(path, kappas))
+        assert len(got) == len(want) == len(kappas)
+        for row, ref, line in zip(got, want, lines[2:]):
+            assert row[0] == ref[0]
+            # the currents come from one Tower, column by column
+            assert row[2:] == ref[2:]
+            # a member's series may round a power differently in a batch
+            assert row[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-300)
+            if row[0] == 0.0:
+                assert line == "0,0,0,0,0"
+
+    def test_failing_member_falls_back_to_serial(self, tmp_path, capsys):
+        # kappa = 5 drives the worldline onto the null cone at t = 0.46
+        path = coarse_copy("aniso-wave.scene", tmp_path)
+        kappas = [1.0, 5.0, 0.5]
+        assert main(["compare", path, "--kappa-sweep", "1,5,0.5"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        want = _serial_compare(path, kappas)
+        first = next(want)
+        assert lines[2:] == [",".join(f"{float(v):.17g}" for v in first)]
+        with pytest.raises(finslerem.FinslerEMError) as ei:
+            next(want)
+        assert err == f"error: {ei.value}\n"
+        assert "at t=0.46" in err
