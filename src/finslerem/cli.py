@@ -395,10 +395,12 @@ def _member_runs(scene, y_ref, members, xs, ys):
 
 def cmd_compare(args):
     scene = _load(args.scene)
-    y_ref = args.ref if args.ref is not None else scene.particle.y0
-    f_ref = expr.eval_values(scene.space.F, np.concatenate([scene.particle.x0, y_ref]))
-    if not f_ref > 0:
-        raise _FlagError(f"--ref: F(x0, y_ref) = {_fmt(f_ref)} must be > 0")
+    y_ref = scene.particle.y0
+    if args.ref is not None:
+        y_ref = args.ref
+        f_ref = expr.eval_values(scene.space.F, np.concatenate([scene.particle.x0, y_ref]))
+        if not f_ref > 0:
+            raise _FlagError(f"--ref: F(x0, y_ref) = {_fmt(f_ref)} must be > 0")
     kappas = args.kappa_sweep if args.kappa_sweep is not None else [1.0]
     n = min(scene.sampling.count, 16)
     xs, ys = draw_admissible(

@@ -218,8 +218,15 @@ class AnisotropyBlend:
 
     @property
     def ast(self):
-        """The scene's L1 expression, which every member blends toward."""
+        """The scene's L1 expression, which every member blends toward.
+
+        It is no member's value: the evaluators that walk an AST
+        (``expr.eval_values`` and those built on it) refuse a blend.
+        """
         return self.full.ast
+
+    def source(self):
+        raise TypeError("an AnisotropyBlend is one L1 per member and has no single source")
 
     def variables(self):
         return self.iso.variables() | self.full.variables()
@@ -229,8 +236,10 @@ class AnisotropyBlend:
         return self.full.is_zero() or (truncation_only and self.iso.is_zero())
 
     def series(self, point, order, layout):
+        if all(k == 1.0 for k in self.kappas):
+            return expr.eval_series(self.full, point, order, layout)
         s_iso = expr.eval_series(self.iso, point, order, layout)
-        if self.full.is_zero():
+        if self.full.is_zero() or all(k is None for k in self.kappas):
             return s_iso
         s_full = expr.eval_series(self.full, point, order, layout)
         kappa = np.reshape([0.0 if k is None else k for k in self.kappas], point.shape[1:])

@@ -548,6 +548,8 @@ def _np_eval(node, pts):
 
 def eval_values(field, points):
     """Plain vectorized evaluation; domain violations come back as NaN."""
+    if not isinstance(field, ScalarField):
+        raise TypeError(f"eval_values walks a ScalarField's AST, not a {type(field).__name__}")
     pts = np.asarray(points, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = _np_eval(field.ast, pts)

@@ -83,6 +83,7 @@ class _Terms:
         self.codes = _codes(self.terms)
         self._sorter = np.argsort(self.codes)
         self._sorted = self.codes[self._sorter]
+        self.mul = {}
         self.blocks = {}
         self.deriv = {}
 
@@ -112,14 +113,12 @@ FACT = _T8.fact
 
 _lift_cache = {}
 _jet_tensor_cache = {}
-_mul_cache = {}
 
 
 def _mul_tables(k, n=NVARS):
     """(I, J, K-sorted starts) index arrays for products truncated at degree k."""
-    tables = _mul_cache.get((k, n))
-    if tables is None:
-        t = _terms(n)
+    t = _terms(n)
+    if k not in t.mul:
         size = t.nterms[k]
         deg = t.degree[:size]
         I, J = np.nonzero(deg[:, None] + deg[None, :] <= k)  # row-major: by I, then J
@@ -127,8 +126,8 @@ def _mul_tables(k, n=NVARS):
         by_k = np.argsort(K, kind="stable")
         I, J = I[by_k], J[by_k]
         starts = np.searchsorted(K[by_k], np.arange(size))
-        tables = _mul_cache[(k, n)] = (I, J, starts)
-    return tables
+        t.mul[k] = (I, J, starts)
+    return t.mul[k]
 
 
 def _mul_blocks(k, n, width):
@@ -161,14 +160,12 @@ def _mul_blocks(k, n, width):
 def _product(a, b, k, n=NVARS):
     """Coefficients of the truncated product of two coefficient arrays.
 
-    Small products gather (``take``, which is much faster than fancy
-    indexing on a few batch columns), multiply and reduce in one go.  Wide batches
-    go block by block, so no temporary outgrows ``BLOCK_BYTES``; the
-    blocks are bit-identical to the one-shot result.
+    Small products gather (``take``, about twice as fast as fancy
+    indexing on a few batch columns), multiply and reduce in one go.
+    Wide batches go block by block, so no temporary outgrows
+    ``BLOCK_BYTES``; the blocks are bit-identical to the one-shot result.
     """
     I, J, starts = _mul_tables(k, n)
-    if a.ndim == 1 and b.ndim == 1:
-        return np.add.reduceat(a.take(I) * b.take(J), starts)
     width = max(a.size // len(a), b.size // len(b))
     if len(I) * width * 8 <= BLOCK_BYTES:
         return np.add.reduceat(a.take(I, axis=0) * b.take(J, axis=0), starts, axis=0)

@@ -283,6 +283,28 @@ class TestAnisotropyBlend:
         assert blend.is_zero()
         assert not replace(blend, kappas=(None, 0.0)).is_zero()
 
+    @pytest.mark.parametrize("kappa, tapes", [(None, "iso"), (1.0, "full"), (0.5, "both")])
+    def test_uniform_members_run_one_tape(self, curved_aniso, kappa, tapes, monkeypatch):
+        ran = []
+        run = ScalarField.series
+        monkeypatch.setattr(ScalarField, "series",
+                            lambda field, *args: ran.append(field) or run(field, *args))
+        ens = anisotropy_ensemble(curved_aniso, self.Y_REF, [kappa] * 3)
+        eval_series(ens.L1, self.points(3), 2, ens.layout)
+        want = {"iso": [ens.L1.iso], "full": [ens.L1.full],
+                "both": [ens.L1.iso, ens.L1.full]}[tapes]
+        assert [id(f) for f in ran] == [id(f) for f in want]
+
+    def test_ast_evaluators_refuse_a_blend(self, curved_aniso):
+        ens = anisotropy_ensemble(curved_aniso, self.Y_REF, [None, 1.0])
+        pts = self.points(2)
+        with pytest.raises(TypeError, match="ScalarField"):
+            eval_values(ens.L1, pts)
+        with pytest.raises(TypeError, match="ScalarField"):
+            eval_value(ens.L1, pts[:, 0])
+        with pytest.raises(TypeError, match="no single source"):
+            ens.L1.source()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_kappa(self, randers_aniso, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -522,6 +522,18 @@ class TestFlagContract:
         assert len(lines) == 1 and lines[0].startswith("bad flag:"), proc.stderr
 
 
+def test_spacelike_particle_without_ref_fails_at_t0(tmp_path):
+    # only a given --ref is checked at parse; the particle's y0 fails in the run
+    text = (FIXTURES / "aniso-wave.scene").read_text()
+    path = tmp_path / "spacelike.scene"
+    path.write_text(_with_entry(text, "particle", "y0", "0.1 1 0 0"))
+    proc = _run_cli("compare", str(path), "--kappa-sweep", "0.5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: at t=0: sqrt of a nonpositive value in "
+                           "'sqrt(y0^2 - y1^2 - y2^2 - y3^2)'\n")
+
+
 def test_potential_not_finite_at_load_probe_is_load_error(tmp_path):
     text = (FIXTURES / "minkowski-vacuum.scene").read_text()
     path = tmp_path / "log.scene"
