@@ -66,6 +66,16 @@ def _count(text):
     return n
 
 
+def _finite(rule, ok):
+    """A parser of one finite number v with ok(v); ``rule`` words ok."""
+    def parse(text):
+        v = float(text)
+        if not (np.isfinite(v) and ok(v)):
+            raise ValueError(f"must be finite and {rule}, got {text!r}")
+        return v
+    return parse
+
+
 def _finite_list(text):
     """Comma-separated finite numbers."""
     out = [float(part) for part in text.split(",")]
@@ -284,27 +294,28 @@ def cmd_trajectory(args):
 # currents
 
 
-def _parse_grid(spec):
+def _grid(spec):
+    """8 comma-separated min:max:count entries: finite bounds, counts >= 1."""
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 8:
-        raise SceneParseError(
-            f"grid spec needs 8 entries (x0..x3,y0..y3), got {len(parts)}"
-        )
+        raise ValueError(f"needs 8 entries (x0..x3,y0..y3), got {len(parts)}")
     axes = []
     for p in parts:
         bits = p.split(":")
         if len(bits) != 3:
-            raise SceneParseError(f"grid entry {p!r} is not min:max:count")
-        lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
-        if n < 1:
-            raise SceneParseError(f"grid count must be >= 1 in {p!r}")
+            raise ValueError(f"entry {p!r} is not min:max:count")
+        try:
+            lo, hi, n = float(bits[0]), float(bits[1]), _count(bits[2])
+        except ValueError as e:
+            raise ValueError(f"entry {p!r}: {e}") from None
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError(f"entry {p!r}: bounds must be finite")
         axes.append(np.linspace(lo, hi, n))
     return axes
 
 
 def cmd_currents(args):
     scene = _load(args.scene)
-    axes = _parse_grid(args.grid)
     path = args.out if args.out is not None else scene.output.path
     out, close = _open_out(path)
     max_div = 0.0
@@ -316,21 +327,23 @@ def cmd_currents(args):
             + [f"zeta{i}" for i in range(4)] + ["divJ", "status"]
         )
         out.write(",".join(cols) + "\n")
-        for combo in itertools.product(*axes):
+        for combo in itertools.product(*args.grid):
             x = np.array(combo[:4])
             y = np.array(combo[4:])
             try:
                 cs = current_sample(
                     scene.space, x, y, with_continuity=True, step=args.step
                 )
+                vals = list(combo) + list(cs.J_h) + list(cs.J_v) + list(cs.zeta) \
+                    + [cs.continuity]
+                if not np.all(np.isfinite(vals)):
+                    raise DomainError("current not finite at grid point")
             except FinslerEMError as e:
                 n_err += 1
                 row = [_fmt(v) for v in combo] + ["nan"] * 13
                 out.write(",".join(row) + f",error:{type(e).__name__}\n")
                 continue
             max_div = max(max_div, abs(cs.continuity))
-            vals = list(combo) + list(cs.J_h) + list(cs.J_v) + list(cs.zeta) \
-                + [cs.continuity]
             out.write(",".join(_fmt(v) for v in vals) + ",ok\n")
     finally:
         if close:
@@ -437,7 +450,8 @@ def build_parser():
     v.add_argument("scene")
     v.add_argument("--samples", type=_flag(_count, "--samples"), default=None)
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--tol", type=_flag(_finite(">= 0", lambda v: v >= 0), "--tol"),
+                   default=1e-8)
     v.add_argument("--format", choices=("text", "csv", "json"), default="text")
     v.set_defaults(func=cmd_validate)
 
@@ -448,10 +462,11 @@ def build_parser():
 
     c = sub.add_parser("currents", help="currents and continuity on a grid")
     c.add_argument("scene")
-    c.add_argument("--grid", required=True,
+    c.add_argument("--grid", type=_flag(_grid, "--grid"), required=True,
                    help="8 comma-separated min:max:count entries (x0..x3,y0..y3)")
     c.add_argument("--out", default=None)
-    c.add_argument("--step", type=float, default=1e-3)
+    c.add_argument("--step", type=_flag(_finite("> 0", lambda v: v > 0), "--step"),
+                   default=1e-3)
     c.set_defaults(func=cmd_currents)
 
     m = sub.add_parser("compare", help="scene vs isotropic truncation")
@@ -472,9 +487,6 @@ def main(argv=None):
         print(f"bad flag: {e}", file=sys.stderr)
         return 2
     except _LoadFailure as e:
-        print(f"load error: {e}", file=sys.stderr)
-        return 2
-    except SceneParseError as e:
         print(f"load error: {e}", file=sys.stderr)
         return 2
     except FinslerEMError as e:

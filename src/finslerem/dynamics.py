@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr
 from .errors import (
     DegenerateMetricError,
     DomainError,
     SingularForceMatrixError,
     StepRejectionLimitError,
 )
-from .series import jet_tensor
+from .geometry import Tower, check_det
 
 __all__ = [
     "TrajectoryState",
@@ -40,6 +39,8 @@ __all__ = [
 
 #: most fixed steps an rk4 run may take (the fixture scenes take at most 1e4)
 MAX_RK4_STEPS = 10**6
+
+_EYE = np.eye(4)
 
 
 @dataclass
@@ -76,93 +77,45 @@ class Trajectory:
         return np.array([getattr(s, name) for s in self.states])
 
 
-def _stack(series, pattern):
-    """jet_tensor with the member axis first, each member's tensor C-ordered."""
-    t = jet_tensor(series, pattern)
-    if t.ndim == len(pattern):
-        return t
-    return np.ascontiguousarray(t.transpose((t.ndim - 1,) + tuple(range(t.ndim - 1))))
-
-
-def _check_det(det, what, error):
-    """Raise ``error`` for the first member whose |det| is below 1e-12."""
-    small = np.abs(det) < 1e-12
-    if small.any():
-        b = int(np.argmax(small))
-        member = f"member {b}: " if det.ndim else ""
-        raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}")
-
-
 class ForceEvaluator:
-    """Lean force assembly straight from expression jets.
+    """The Lorentz solve on the value stages of one low-order Tower.
 
     Takes one point, x and y of shape (4,), or the member points of an
-    ensemble, shape (4, B).  The members run as (B, 4, 4) stacks with
-    batched det/inv/solve, and no step mixes members.  A batch of one runs
-    as a lone point, series included, so it rounds exactly as a (4,) call:
-    numpy's vectorized power may round a base value differently from its
-    scalar power.  A degenerate metric or singular force matrix raises for
-    the first failing member and names its index.  Avoids the full series
-    tower in the hot loop; the geometry tower cross-validates it in the
-    test suite.
+    ensemble, shape (4, B).  The members run as the Tower's (B, 4, 4)
+    stacks with batched det/inv/solve, and no step mixes members.  A batch
+    of one runs as a lone point, series included, so it rounds exactly as
+    a (4,) call: numpy's vectorized power may round a base value
+    differently from its scalar power.  A degenerate metric or singular
+    force matrix raises for the first failing member and names its index.
     """
 
     def __init__(self, space):
         self.space = space
         self.qc = space.qc()
         self.has_em = not space.L1.is_zero()
-        self.flat_x = not any(v < 4 for v in space.F.variables())
+        # the connection, which needs F to order 3, enters only through the field
+        self.order_f = 3 if (self.has_em and not space.flat_x) else 2
 
     def __call__(self, x, y, monitors=False):
         single = np.ndim(x) == 1
-        pt = np.concatenate([x, y])
-        if not single and pt.shape[1] == 1:
-            pt = pt[:, 0]
+        if not single and np.shape(x)[1] == 1:
+            x, y = x[:, 0], y[:, 0]
+        t = Tower(self.space, x, y, order_f=self.order_f, order_l1=2)
         # every array below is (..., 4, ...), with the member axis first
         # when there is more than one member
-        yv = pt[4:, None] if pt.ndim == 1 else np.ascontiguousarray(pt[4:].T)[:, :, None]
-        space = self.space
-        order = 2 if (self.flat_x or not self.has_em) else 3
-        fs = expr.eval_series(space.F, pt, order, space.layout)
-        e = fs * fs
-        g = 0.5 * _stack(e, "yy")
-        _check_det(np.linalg.det(g), "det g", DegenerateMetricError)
-        ginv = np.linalg.inv(g)
-
-        if self.flat_x:
-            G = np.zeros(yv.shape)
-            N = np.zeros(g.shape)
-        else:
-            e_yx = _stack(e, "yx")
-            b = e_yx @ yv - _stack(e, "x")[..., None]
-            G = 0.25 * (ginv @ b)
-            if self.has_em:
-                db = (np.einsum("...ljk,...k->...lj", _stack(e, "yyx"), yv[..., 0])
-                      + e_yx - e_yx.mT)
-                dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * _stack(e, "yyy"),
-                                   ginv)
-                N = 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
-            else:
-                N = None  # not needed: vacuum motion only uses N y^j = 2 G
-
+        g, ginv, yv = t.g_stack, t.ginv_stack, t.y_stack
         if self.has_em:
-            ls = expr.eval_series(space.L1, pt, 2, space.layout)
-            ay = _stack(ls, "yy")                 # ay[a, j] = dA_j/dy^a, symmetric
-            dA = _stack(ls, "yx").mT              # dA[i, j] = dA_j/dx^i
-            if not self.flat_x:
-                dA = dA - np.einsum("...ai,...aj->...ij", N, ay)  # delta_i A_j
-            F = dA - dA.mT                       # F[i, j] = F_ij
-            Ft = -ay                             # Ft[i, a] = -A_{i.a}
+            F, Ft = t.field_stack
             F_mix_h = ginv @ F
             F_mix_v = ginv @ Ft
-            M = np.eye(4) - self.qc * F_mix_v
-            _check_det(np.linalg.det(M), "det(I - (q/c)Ft)", SingularForceMatrixError)
+            M = _EYE - self.qc * F_mix_v
+            check_det(np.linalg.det(M), "det(I - (q/c)Ft)", SingularForceMatrixError)
             a = np.linalg.solve(M, self.qc * (F_mix_h @ yv))
         else:
             F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
             a = np.zeros(yv.shape)
 
-        dydt = a - 2.0 * G
+        dydt = a - 2.0 * t.spray_stack[..., None]
         a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
         if not single:
             a_out, dydt_out = a_out.reshape(4, -1), dydt_out.reshape(4, -1)
@@ -173,7 +126,7 @@ class ForceEvaluator:
         qc = self.qc
         res = qc * (F @ yv) + (qc * Ft - g) @ a
         mon = {
-            "F_value": fs.value(),
+            "F_value": t.f_value,
             "ortho_F": (force_h @ g @ yv)[..., 0, 0],
             "ortho_Ftilde": (force_v @ g @ yv)[..., 0, 0],
             "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),

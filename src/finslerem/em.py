@@ -30,7 +30,6 @@ class EMSample:
     x: np.ndarray
     y: np.ndarray
     A: np.ndarray            # A_i
-    A_hderiv: np.ndarray     # [i, j] = A_{j|i}
     A_vderiv: np.ndarray     # [i, a] = A_{i.a}
     F_hh: np.ndarray         # [i, j] = F_ij, antisymmetric
     F_hv: np.ndarray         # [i, a] = Ft_ia
@@ -50,9 +49,7 @@ def em_series(tower):
     """
     if "em" in tower.cache:
         return tower.cache["em"]
-    space = tower.space
-    l1 = expr.eval_series(space.L1, tower.point, tower.kl, tower.layout)
-    A = [l1.deriv(4 + i) for i in range(4)]
+    A = [tower.l1_series.deriv(4 + i) for i in range(4)]
     dA = [[tower.delta(A[j], i) for j in range(4)] for i in range(4)]
     F_hh = [[None] * 4 for _ in range(4)]
     for i in range(4):
@@ -83,7 +80,7 @@ def em_series(tower):
         for i in range(4)
     ]
     out = {
-        "l1": l1, "A": A, "F_hh": F_hh, "F_hv": F_hv,
+        "A": A, "F_hh": F_hh, "F_hv": F_hv,
         "mix_h": mix_h, "mix_v": mix_v, "up_hh": up_hh, "up_hv": up_hv,
     }
     tower.cache["em"] = out
@@ -99,21 +96,6 @@ def em_sample(space, x, y, tower=None):
     t = tower if tower is not None else Tower(space, x, y, order_f=3, order_l1=2)
     em = em_series(t)
     A = np.array([em["A"][i].value() for i in range(4)])
-    A_v = np.array(
-        [[em["A"][i].deriv(4 + a).value() for a in range(4)] for i in range(4)]
-    )
-    L = t.chern_values
-    # A_{j|i} = delta_i A_j - L^m_{ji} A_m
-    A_h = np.array(
-        [
-            [
-                t.delta_value(em["A"][j], i)
-                - sum(L[m, j, i] * A[m] for m in range(4))
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-    )
     g = t.g_values
     qc = space.qc()
     F_hh = _mat(em["F_hh"])
@@ -122,8 +104,7 @@ def em_sample(space, x, y, tower=None):
         x=t.x,
         y=t.y,
         A=A,
-        A_hderiv=A_h,
-        A_vderiv=A_v,
+        A_vderiv=-F_hv,  # Ft_ia = -A_{i.a}
         F_hh=F_hh,
         F_hv=F_hv,
         F_mixed_up_h=_mat(em["mix_h"]),

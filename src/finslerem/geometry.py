@@ -20,7 +20,7 @@ import numpy as np
 from . import expr
 from .errors import DegenerateMetricError, DomainError, SignatureMismatchError
 from .expr import ScalarField
-from .series import TSeries
+from .series import TSeries, jet_tensor
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -56,6 +56,11 @@ class SpaceDef:
         used = self.F.variables() | self.L1.variables()
         return tuple(v for v in range(4) if v in used) + (4, 5, 6, 7)
 
+    @cached_property
+    def flat_x(self):
+        """True when F does not use x: spray, connection and curvature vanish."""
+        return not any(v < 4 for v in self.F.variables())
+
 
 @dataclass
 class GeometrySample:
@@ -74,25 +79,38 @@ class GeometrySample:
     N_trace_dot: np.ndarray  # dN^a_j/dy^a
 
 
-def _mat_values(m):
-    return np.array([[m[i][j].value() for j in range(4)] for i in range(4)])
+def _stack(series, pattern):
+    """jet_tensor with the member axis first, each member's tensor C-ordered."""
+    t = jet_tensor(series, pattern)
+    if t.ndim == len(pattern):
+        return t
+    return np.ascontiguousarray(t.transpose((t.ndim - 1,) + tuple(range(t.ndim - 1))))
 
 
-def _vec_values(v):
-    return np.array([v[i].value() for i in range(4)])
+def check_det(det, what, error):
+    """Raise ``error`` for the first member whose |det| is below the threshold."""
+    small = np.abs(det) < DEGENERACY_THRESHOLD
+    if small.any():
+        b = int(np.argmax(small))
+        member = f"member {b}: " if det.ndim else ""
+        raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}")
 
 
-def _batched_inv(g0):
-    if g0.ndim == 2:
-        return np.linalg.inv(g0)
-    moved = np.moveaxis(g0, (0, 1), (-2, -1))
-    return np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
+class _stage(cached_property):
+    """cached_property without the lock Python < 3.12 takes on a first access;
+    on Python 3.11 that lock cost a lone-point force call (one Tower, a dozen
+    stages) about 3%."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
-def _batched_det(g0):
-    if g0.ndim == 2:
-        return np.linalg.det(g0)
-    return np.linalg.det(np.moveaxis(g0, (0, 1), (-2, -1)))
+def _trailing(name):
+    """A cached view of the member-first value stage ``name``, batch axis last."""
+    return _stage(lambda t: np.moveaxis(getattr(t, name), 0, -1) if t.batch else getattr(t, name))
 
 
 class Tower:
@@ -109,26 +127,30 @@ class Tower:
         self.y = np.asarray(y, dtype=float)
         self.point = np.concatenate([self.x, self.y], axis=0)
         self.batch = self.point.shape[1:]
+        self.y_stack = self.y.T.copy()[..., None] if self.batch else self.y[:, None]
         self.kf = order_f
         self.kl = order_l1
         self.layout = space.layout
-        # x-independent F means vanishing spray, connection and curvature
-        self.flat_x = not any(v < 4 for v in space.F.variables())
+        self.flat_x = space.flat_x
         self.cache = {}
 
     # -- scalars -------------------------------------------------------
-    @cached_property
+    @_stage
     def f_series(self):
         return expr.eval_series(self.space.F, self.point, self.kf, self.layout)
 
-    @cached_property
+    @_stage
     def e(self):
         """Series of F^2, the quadratic generator of the metric."""
         return self.f_series * self.f_series
 
-    @cached_property
+    @_stage
     def f_value(self):
         return self.f_series.value()
+
+    @_stage
+    def l1_series(self):
+        return expr.eval_series(self.space.L1, self.point, self.kl, self.layout)
 
     def coord(self, var, order):
         return TSeries.coordinate(var, self.point[var], order, self.batch, self.layout)
@@ -136,8 +158,66 @@ class Tower:
     def zero(self, order):
         return TSeries.constant(0.0, order, self.batch, self.layout)
 
+    # -- value stages ----------------------------------------------------
+    # Gathered from the jets of e = F^2 and L1 as member-first stacks,
+    # (B, 4, 4) and y_stack (B, 4, 1) for a batch of B, which batched
+    # det/inv/solve take as they are; the *_values views have the batch
+    # axis trailing.
+    @_stage
+    def g_stack(self):
+        return 0.5 * _stack(self.e, "yy")
+
+    @_stage
+    def det_values(self):
+        return np.linalg.det(self.g_stack)
+
+    @_stage
+    def ginv_stack(self):
+        check_det(self.det_values, "det g", DegenerateMetricError)
+        return np.linalg.inv(self.g_stack)
+
+    @_stage
+    def _spray_rhs(self):
+        """(e_yx, b) with b_l = (F^2)_{.l,k} y^k - (F^2)_{,l}, so G = 1/4 g^{-1} b."""
+        e_yx = _stack(self.e, "yx")
+        return e_yx, e_yx @ self.y_stack - _stack(self.e, "x")[..., None]
+
+    @_stage
+    def spray_stack(self):
+        """G^i, (B, 4)."""
+        if self.flat_x:
+            return np.zeros(self.y_stack.shape[:-1])
+        return (0.25 * (self.ginv_stack @ self._spray_rhs[1]))[..., 0]
+
+    @_stage
+    def nonlinear_stack(self):
+        """N^a_j = dG^a/dy^j, with d(g^{-1})/dy = -g^{-1} (dg/dy) g^{-1}."""
+        if self.flat_x:
+            return np.zeros(self.g_stack.shape)
+        e_yx, b = self._spray_rhs
+        ginv = self.ginv_stack
+        db = (np.einsum("...ljk,...k->...lj", _stack(self.e, "yyx"), self.y_stack[..., 0])
+              + e_yx - e_yx.mT)
+        dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * _stack(self.e, "yyy"), ginv)
+        return 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
+
+    @_stage
+    def field_stack(self):
+        """(F_ij, Ft_ia) from A_j = L1_{.j}: delta_i A_j - delta_j A_i and -A_{i.a}."""
+        ls = self.l1_series
+        ay = _stack(ls, "yy")  # ay[a, j] = A_{j.a}, symmetric
+        dA = _stack(ls, "yx").mT  # dA[i, j] = dA_j/dx^i
+        if not self.flat_x:
+            dA = dA - np.einsum("...ai,...aj->...ij", self.nonlinear_stack, ay)  # delta_i A_j
+        return dA - dA.mT, -ay
+
+    g_values = _trailing("g_stack")
+    ginv_values = _trailing("ginv_stack")
+    spray_values = _trailing("spray_stack")
+    nonlinear_values = _trailing("nonlinear_stack")
+
     # -- metric --------------------------------------------------------
-    @cached_property
+    @_stage
     def g(self):
         e = self.e
         rows = [[None] * 4 for _ in range(4)]
@@ -149,23 +229,7 @@ class Tower:
                 rows[j][i] = gij
         return rows
 
-    @cached_property
-    def g_values(self):
-        return _mat_values(self.g)
-
-    @cached_property
-    def det_values(self):
-        return _batched_det(self.g_values)
-
-    @cached_property
-    def ginv_values(self):
-        if np.any(np.abs(self.det_values) < DEGENERACY_THRESHOLD):
-            raise DegenerateMetricError(
-                f"|det g| = {np.min(np.abs(self.det_values)):.3e} below threshold"
-            )
-        return _batched_inv(self.g_values)
-
-    @cached_property
+    @_stage
     def ginv(self):
         """Series inverse of g via the Neumann sum around the value inverse."""
         g = self.g
@@ -207,7 +271,7 @@ class Tower:
             for i in range(4)
         ]
 
-    @cached_property
+    @_stage
     def det_series(self):
         """det g as a series, by complementary 2x2 minors."""
         g = self.g
@@ -223,13 +287,13 @@ class Tower:
             + m01[(2, 3)] * m23[(0, 1)]
         )
 
-    @cached_property
+    @_stage
     def sqrt_g(self):
         """Volume factor of the lifted block metric: |det g| as a series."""
         return self.det_series * np.sign(self.det_values)
 
     # -- spray and nonlinear connection ---------------------------------
-    @cached_property
+    @_stage
     def spray(self):
         """G^i = 1/4 g^{il} ((F^2)_{.l,k} y^k - (F^2)_{,l})."""
         if self.flat_x:
@@ -249,22 +313,14 @@ class Tower:
             for i in range(4)
         ]
 
-    @cached_property
-    def spray_values(self):
-        return _vec_values(self.spray)
-
-    @cached_property
+    @_stage
     def nonlinear(self):
         """N[a][j] = dG^a/dy^j."""
         if self.flat_x:
             return [[self.zero(self.kf) for _ in range(4)] for _ in range(4)]
         return [[self.spray[a].deriv(4 + j) for j in range(4)] for a in range(4)]
 
-    @cached_property
-    def nonlinear_values(self):
-        return _mat_values(self.nonlinear)
-
-    @cached_property
+    @_stage
     def n_trace_dot_values(self):
         """dN^a_j/dy^a, the fibre-divergence trace of the connection."""
         if self.flat_x:
@@ -295,7 +351,7 @@ class Tower:
         return out
 
     # -- Chern coefficients and curvature --------------------------------
-    @cached_property
+    @_stage
     def chern(self):
         """L[i][j][k] = 1/2 g^{ih} (dg_hj;k + dg_hk;j - dg_jk;h), symmetric in jk."""
         if self.flat_x:
@@ -317,14 +373,14 @@ class Tower:
                     L[i][k][j] = Lijk
         return L
 
-    @cached_property
+    @_stage
     def chern_values(self):
         return np.array(
             [[[self.chern[i][j][k].value() for k in range(4)] for j in range(4)]
              for i in range(4)]
         )
 
-    @cached_property
+    @_stage
     def curvature_values(self):
         """R[a, j, k] = delta_k N^a_j - delta_j N^a_k, antisymmetric in (j, k)."""
         if self.flat_x:
@@ -340,7 +396,7 @@ class Tower:
         return R
 
     # -- Berwald coefficients (vertical-index transport in the identities)
-    @cached_property
+    @_stage
     def berwald_values(self):
         """B[a, j, b] = dN^a_j/dy^b = d^2 G^a/dy^j dy^b."""
         if self.flat_x:
@@ -356,25 +412,17 @@ class Tower:
 # public operations
 
 
-def _check_signature(space, g_values):
-    moved = g_values if g_values.ndim == 2 else np.moveaxis(g_values, (0, 1), (-2, -1))
-    eig = np.linalg.eigvalsh(moved)
-    want_pos = sum(1 for s in space.signature if s > 0)
-    n_pos = np.sum(eig > 0, axis=-1)
-    if np.any(n_pos != want_pos):
-        raise SignatureMismatchError(
-            f"metric eigenvalue signs do not match signature {space.signature}"
-        )
-
-
 def metric(space, x, y, check_signature=True):
     """Metric, its inverse and the F value at (x, y)."""
     t = Tower(space, x, y, order_f=2, order_l1=0)
-    g = t.g_values
     ginv = t.ginv_values  # raises DegenerateMetricError below threshold
     if check_signature:
-        _check_signature(space, g)
-    return g, ginv, t.f_value
+        n_pos = np.sum(np.linalg.eigvalsh(t.g_stack) > 0, axis=-1)
+        if np.any(n_pos != sum(1 for s in space.signature if s > 0)):
+            raise SignatureMismatchError(
+                f"metric eigenvalue signs do not match signature {space.signature}"
+            )
+    return t.g_values, ginv, t.f_value
 
 
 def geometry_sample(space, x, y, tower=None):

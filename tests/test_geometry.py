@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finslerem.em import em_series
 from finslerem.errors import DegenerateMetricError, SignatureMismatchError
 from finslerem.expr import ScalarField, eval_jet, eval_series, parse
 from finslerem.geometry import (
@@ -11,8 +12,9 @@ from finslerem.geometry import (
     geometry_sample,
     metric,
 )
+from finslerem.scene import load_scene
 
-from conftest import PR_F
+from conftest import FIXTURES, PR_F
 from oracles import (
     f_squared,
     pr_christoffel,
@@ -330,3 +332,43 @@ class TestDrawAdmissible:
         a = draw_admissible(randers_aniso, np.random.default_rng(9), 16)
         b = draw_admissible(randers_aniso, np.random.default_rng(9), 16)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestValueStages:
+    """Each value stage of the Tower equals the value of its series stage."""
+
+    @staticmethod
+    def _close(got, want):
+        scale = max(1.0, float(np.abs(want).max()))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("cols", [0, slice(1), slice(8)], ids=["lone", "b1", "b8"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.scene")))
+    def test_values_match_series(self, name, cols):
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        xs, ys = draw_admissible(scene.space, scene.rng(), 8, scene.sampling.x_box,
+                                 scene.sampling.y_box)
+        t = Tower(scene.space, xs[:, cols], ys[:, cols])
+
+        def values(m):
+            return np.array([[s.value() for s in row] for row in m])
+
+        self._close(t.g_values, values(t.g))
+        self._close(t.ginv_values, values(t.ginv))
+        self._close(t.det_values, t.det_series.value())
+        self._close(t.spray_values, np.array([s.value() for s in t.spray]))
+        self._close(t.nonlinear_values, values(t.nonlinear))
+        em = em_series(t)
+        for stack, block in zip(t.field_stack, ("F_hh", "F_hv")):
+            self._close(np.moveaxis(stack, 0, -1) if t.batch else stack, values(em[block]))
+
+    def test_degenerate_member_is_named(self):
+        # g_11 = -x1^2 vanishes at x1 = 0, so det g is exactly 0 there
+        space = SpaceDef(F=parse("sqrt(y0^2 - x1^2*y1^2 - y2^2 - y3^2)"))
+        xs = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        ys = np.tile([[1.0], [0.1], [0.0], [0.0]], 2)
+        with pytest.raises(DegenerateMetricError, match=r"^member 1: \|det g\| = 0\.000e\+00$"):
+            Tower(space, xs, ys).ginv_values
+        with pytest.raises(DegenerateMetricError, match=r"^\|det g\| = 0\.000e\+00$"):
+            Tower(space, xs[:, 1], ys[:, 1]).ginv_values

@@ -491,6 +491,9 @@ def _run_cli(*argv):
                           capture_output=True, text=True, timeout=120, env=env)
 
 
+README_GRID = "0:1:3,0:0:1,0:0:1,0:0:1,1:1.1:2,0.1:0.1:1,0:0:1,0:0:1"
+
+
 class TestFlagContract:
     """Bad flag values fail before any work: exit 2, one line, no traceback."""
 
@@ -508,10 +511,21 @@ class TestFlagContract:
             ["validate", "minkowski-vacuum.scene", "--samples", "0"],
             ["validate", "minkowski-vacuum.scene", "--samples", "-5"],
             ["validate", "minkowski-vacuum.scene", "--samples", "2.5"],
+            ["validate", "minkowski-vacuum.scene", "--tol", "nan"],
+            ["validate", "minkowski-vacuum.scene", "--tol", "-1"],
+            ["currents", "aniso-wave.scene", "--grid", README_GRID, "--step", "0"],
+            ["currents", "aniso-wave.scene", "--grid", README_GRID, "--step", "nan"],
+            ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "a:1:3")],
+            ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "0:1:x")],
+            ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "nan:1:3")],
+            ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "0:1:0")],
+            ["currents", "aniso-wave.scene", "--grid", "0:1:2"],
         ],
         ids=["kappa-nan", "kappa-inf", "kappa-empty", "kappa-not-a-number", "ref-two",
              "ref-nan", "ref-zero", "ref-spacelike", "samples-0", "samples-negative",
-             "samples-not-an-integer"],
+             "samples-not-an-integer", "tol-nan", "tol-negative", "step-0", "step-nan",
+             "grid-bound-not-a-number", "grid-count-not-an-integer", "grid-bound-nan",
+             "grid-count-0", "grid-too-few-entries"],
     )
     def test_rejected(self, argv):
         argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
@@ -520,6 +534,19 @@ class TestFlagContract:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("bad flag:"), proc.stderr
+
+
+@pytest.mark.parametrize("name", ["aniso-wave.scene", "curved-aniso.scene"])
+def test_non_finite_currents_row_is_an_error(name):
+    # finite flags, but y0 = 1e200 overflows F^2: no NaN may be written as ok
+    grid = "0:0:1,0:0:1,0:0:1,0:0:1,1e200:1e200:1,0:0:1,0:0:1,0:0:1"
+    proc = _run_cli("currents", str(FIXTURES / name), "--grid", grid)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 2
+    assert rows[1] == "0,0,0,0,9.9999999999999997e+199,0,0,0," + "nan," * 13 \
+        + "error:DomainError"
+    assert proc.stderr.splitlines()[-1] == "currents: max |div J| = 0  point errors: 1"
 
 
 def test_spacelike_particle_without_ref_fails_at_t0(tmp_path):
