@@ -9,7 +9,6 @@ from .dynamics import ForceEvaluator, Trajectory, TrajectoryState, integrate
 from .em import (
     EMSample,
     em_sample,
-    gauge_shift,
     isotropic_truncation,
 )
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     StepRejectionLimitError,
     UnknownIdentifierError,
 )
-from .expr import Jet, ScalarField, check_homogeneity, eval_jet, fd_jet, parse
+from .expr import Jet, ScalarField, check_homogeneity, eval_jet, parse
 from .geometry import (
     GeometrySample,
     SpaceDef,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -30,6 +31,10 @@ from .errors import (
 from .geometry import Tower, draw_admissible, geometry_sample
 from .maxwell import current_sample, homogeneous_residuals, horizontal_current
 from .scene import load_scene
+from .series import FIBRE_VARS
+
+#: most points a currents grid may have; a point costs tens of milliseconds
+MAX_GRID_POINTS = 10**5
 
 LOAD_ERRORS = (
     SceneParseError,
@@ -144,24 +149,16 @@ def identity_residuals(space, xs, ys):
         gs.R_curv + gs.R_curv.transpose(0, 2, 1, 3)
     ).max()
 
-    dg = np.array(
-        [[[t.delta_value(t.g[i][j], k) for k in range(4)] for j in range(4)]
-         for i in range(4)]
-    )  # dg[i, j, k] = delta_k g_ij
+    dg = t.delta_value(t.g)  # dg[i, j, k] = delta_k g_ij
     hmet = dg - np.einsum("mik...,mj...->ijk...", L, g) \
         - np.einsum("mjk...,im...->ijk...", L, g)
     out["h_metricity"] = np.abs(hmet).max()
 
-    y_low_series = [e.deriv(4 + i) * 0.5 for i in range(4)]
-    y_low = np.array([s.value() for s in y_low_series])
-    defl = np.array(
-        [[t.delta_value(y_low_series[i], j) for j in range(4)] for i in range(4)]
-    ) - np.einsum("mij...,m...->ij...", L, y_low)
+    y_low = e.grad(FIBRE_VARS) * 0.5
+    defl = t.delta_value(y_low) - np.einsum("mij...,m...->ij...", L, y_low.value())
     out["deflection"] = np.abs(defl).max()
 
-    out["adapted_f2"] = (
-        np.abs(np.array([t.delta_value(e, i) for i in range(4)])) / np.abs(f2)
-    ).max()
+    out["adapted_f2"] = (np.abs(t.delta_value(e)) / np.abs(f2)).max()
 
     t2 = Tower(space, xs, 2.0 * ys, order_f=2, order_l1=0)
     out["metric_y_homogeneity"] = (
@@ -295,11 +292,12 @@ def cmd_trajectory(args):
 
 
 def _grid(spec):
-    """8 comma-separated min:max:count entries: finite bounds, counts >= 1."""
+    """8 comma-separated min:max:count entries: finite bounds, counts >= 1,
+    at most MAX_GRID_POINTS points in all."""
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 8:
         raise ValueError(f"needs 8 entries (x0..x3,y0..y3), got {len(parts)}")
-    axes = []
+    entries = []
     for p in parts:
         bits = p.split(":")
         if len(bits) != 3:
@@ -310,8 +308,11 @@ def _grid(spec):
             raise ValueError(f"entry {p!r}: {e}") from None
         if not np.isfinite([lo, hi]).all():
             raise ValueError(f"entry {p!r}: bounds must be finite")
-        axes.append(np.linspace(lo, hi, n))
-    return axes
+        entries.append((lo, hi, n))
+    points = math.prod(n for _, _, n in entries)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{points} points exceed the limit of {MAX_GRID_POINTS}")
+    return [np.linspace(lo, hi, n) for lo, hi, n in entries]
 
 
 def cmd_currents(args):
@@ -331,9 +332,11 @@ def cmd_currents(args):
             x = np.array(combo[:4])
             y = np.array(combo[4:])
             try:
-                cs = current_sample(
-                    scene.space, x, y, with_continuity=True, step=args.step
-                )
+                # a point that overflows is this row's error, not a warning
+                with np.errstate(all="ignore"):
+                    cs = current_sample(
+                        scene.space, x, y, with_continuity=True, step=args.step
+                    )
                 vals = list(combo) + list(cs.J_h) + list(cs.J_v) + list(cs.zeta) \
                     + [cs.continuity]
                 if not np.all(np.isfinite(vals)):

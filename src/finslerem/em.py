@@ -20,7 +20,7 @@ import numpy as np
 from . import expr
 from .expr import BinOp, Num, ScalarField, Var, diff_ast, subst_ast
 from .geometry import SpaceDef, Tower
-from .series import TSeries
+from .series import FIBRE_VARS, TSeries, contract
 
 
 @dataclass
@@ -45,99 +45,46 @@ def em_series(tower):
     """Series of the potential and field blocks, cached on the tower.
 
     Orders (with the default tower): A to 2, all blocks to 1, which is
-    exactly what the identity residuals and currents read off.
+    exactly what the identity residuals and currents read off.  Each
+    block is one tensor series: A[i], F_hh[i, j], F_hv[i, a] and the
+    raised mix_h, mix_v, up_hh, up_hv.
     """
     if "em" in tower.cache:
         return tower.cache["em"]
-    A = [tower.l1_series.deriv(4 + i) for i in range(4)]
-    dA = [[tower.delta(A[j], i) for j in range(4)] for i in range(4)]
-    F_hh = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        F_hh[i][i] = tower.zero(dA[0][0].order)
-        for j in range(i + 1, 4):
-            fij = dA[i][j] - dA[j][i]
-            F_hh[i][j] = fij
-            F_hh[j][i] = -fij
-    F_hv = [[-A[i].deriv(4 + a) for a in range(4)] for i in range(4)]
-
+    A = tower.l1_series.grad(FIBRE_VARS)
+    dA = tower.delta(A)  # dA[j, i] = delta_i A_j
+    F_hh = dA.transpose(1, 0) - dA
+    F_hv = -A.grad(FIBRE_VARS)
     ginv = tower.ginv
-    k = F_hh[0][1].order
-    z = tower.zero(k)
-    mix_h = [
-        [sum((ginv[i][m] * F_hh[m][h] for m in range(4)), z) for h in range(4)]
-        for i in range(4)
-    ]
-    mix_v = [
-        [sum((ginv[i][m] * F_hv[m][a] for m in range(4)), z) for a in range(4)]
-        for i in range(4)
-    ]
-    up_hh = [
-        [sum((mix_h[i][m] * ginv[j][m] for m in range(4)), z) for j in range(4)]
-        for i in range(4)
-    ]
-    up_hv = [
-        [sum((mix_v[i][m] * ginv[a][m] for m in range(4)), z) for a in range(4)]
-        for i in range(4)
-    ]
+    mix = contract("im,smh->sih", ginv, TSeries.stack([F_hh, F_hv]))
+    up = contract("sim,jm->sij", mix, ginv)
     out = {
         "A": A, "F_hh": F_hh, "F_hv": F_hv,
-        "mix_h": mix_h, "mix_v": mix_v, "up_hh": up_hh, "up_hv": up_hv,
+        "mix_h": mix[0], "mix_v": mix[1], "up_hh": up[0], "up_hv": up[1],
     }
     tower.cache["em"] = out
     return out
 
 
-def _mat(series_mat):
-    return np.array([[series_mat[i][j].value() for j in range(4)] for i in range(4)])
-
-
 def em_sample(space, x, y, tower=None):
     """Field blocks, raised variants and the 2-form blocks at (x, y)."""
     t = tower if tower is not None else Tower(space, x, y, order_f=3, order_l1=2)
-    em = em_series(t)
-    A = np.array([em["A"][i].value() for i in range(4)])
-    g = t.g_values
+    em = {name: s.value() for name, s in em_series(t).items()}
     qc = space.qc()
-    F_hh = _mat(em["F_hh"])
-    F_hv = _mat(em["F_hv"])
     return EMSample(
         x=t.x,
         y=t.y,
-        A=A,
-        A_vderiv=-F_hv,  # Ft_ia = -A_{i.a}
-        F_hh=F_hh,
-        F_hv=F_hv,
-        F_mixed_up_h=_mat(em["mix_h"]),
-        F_mixed_up_v=_mat(em["mix_v"]),
-        F_up_hh=_mat(em["up_hh"]),
-        F_up_hv=_mat(em["up_hv"]),
-        omega_hh=qc * F_hh,
-        omega_hv=qc * F_hv - g,
+        A=em["A"],
+        A_vderiv=-em["F_hv"],  # Ft_ia = -A_{i.a}
+        F_hh=em["F_hh"],
+        F_hv=em["F_hv"],
+        F_mixed_up_h=em["mix_h"],
+        F_mixed_up_v=em["mix_v"],
+        F_up_hh=em["up_hh"],
+        F_up_hv=em["up_hv"],
+        omega_hh=qc * em["F_hh"],
+        omega_hv=qc * em["F_hv"] - t.g_values,
     )
-
-
-def gauge_shift(space, lam):
-    """New space with L1 shifted by the total derivative of lambda(x).
-
-    The shift adds lambda_{,i}(x) y^i, so the potential moves by an exact
-    form and every field block is unchanged.
-    """
-    if any(v >= 4 for v in lam.variables()):
-        raise ValueError("gauge function must depend on x only")
-    shift = None
-    for i in range(4):
-        d = diff_ast(lam.ast, i)
-        if isinstance(d, Num) and d.value == 0.0:
-            continue
-        term = BinOp("*", d, Var(4 + i))
-        shift = term if shift is None else BinOp("+", shift, term)
-    if shift is None:
-        return replace(space)
-    if space.L1.is_zero():
-        new_l1 = ScalarField(shift)
-    else:
-        new_l1 = ScalarField(BinOp("+", space.L1.ast, shift))
-    return replace(space, L1=new_l1)
 
 
 def isotropic_truncation(space, y_ref):

@@ -20,11 +20,14 @@ import numpy as np
 from . import expr
 from .errors import DegenerateMetricError, DomainError, SignatureMismatchError
 from .expr import ScalarField
-from .series import TSeries, jet_tensor
+from .series import BASE_VARS, FIBRE_VARS, TSeries, contract, jet_tensor
 
 DEGENERACY_THRESHOLD = 1e-12
 
 LORENTZ = (1, -1, -1, -1)
+
+#: einsum labels of a series' own tensor axes in the adapted derivative
+_INDICES = "bcdefghij"
 
 
 @dataclass(frozen=True)
@@ -152,12 +155,6 @@ class Tower:
     def l1_series(self):
         return expr.eval_series(self.space.L1, self.point, self.kl, self.layout)
 
-    def coord(self, var, order):
-        return TSeries.coordinate(var, self.point[var], order, self.batch, self.layout)
-
-    def zero(self, order):
-        return TSeries.constant(0.0, order, self.batch, self.layout)
-
     # -- value stages ----------------------------------------------------
     # Gathered from the jets of e = F^2 and L1 as member-first stacks,
     # (B, 4, 4) and y_stack (B, 4, 1) for a batch of B, which batched
@@ -216,184 +213,106 @@ class Tower:
     spray_values = _trailing("spray_stack")
     nonlinear_values = _trailing("nonlinear_stack")
 
-    # -- metric --------------------------------------------------------
+    # -- series stages ---------------------------------------------------
+    # Tensor series, (*tensor, nterms, *batch): a tensor stage is a few
+    # whole-array products and contractions.
     @_stage
     def g(self):
-        e = self.e
-        rows = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            dei = e.deriv(4 + i)
-            for j in range(i, 4):
-                gij = dei.deriv(4 + j) * 0.5
-                rows[i][j] = gij
-                rows[j][i] = gij
-        return rows
+        return self.e.grad(FIBRE_VARS).grad(FIBRE_VARS) * 0.5
 
     @_stage
     def ginv(self):
-        """Series inverse of g via the Neumann sum around the value inverse."""
-        g = self.g
-        k = g[0][0].order
+        """Series inverse of g: the Neumann sum (sum_m T^m) g0^{-1}, T = -g0^{-1} (g - g0)."""
         g0inv = self.ginv_values
-        if k == 0:
-            return [
-                [TSeries(np.broadcast_to(g0inv[i, j], (1,) + self.batch).copy(), 0,
-                         self.layout)
-                 for j in range(4)]
-                for i in range(4)
-            ]
-        # T = -g0inv (g - g0); entries of (g - g0) have zero constant term
-        h = [[g[i][j].copy() for j in range(4)] for i in range(4)]
-        for i in range(4):
-            for j in range(4):
-                h[i][j].coeffs[0] = 0.0
-        T = [
-            [sum((h[m][j] * (-g0inv[i, m]) for m in range(4)), self.zero(k))
-             for j in range(4)]
-            for i in range(4)
-        ]
-        acc = [[T[i][j].copy() for j in range(4)] for i in range(4)]
-        for i in range(4):
-            acc[i][i] = acc[i][i] + 1.0
-        power = T
-        for _ in range(2, k + 1):
-            power = [
-                [sum((power[i][m] * T[m][j] for m in range(4)), self.zero(k))
-                 for j in range(4)]
-                for i in range(4)
-            ]
-            for i in range(4):
-                for j in range(4):
-                    acc[i][j] = acc[i][j] + power[i][j]
-        return [
-            [sum((acc[i][m] * g0inv[m, j] for m in range(4)), self.zero(k))
-             for j in range(4)]
-            for i in range(4)
-        ]
+        h = self.g.copy()
+        h.value()[...] = 0.0
+        T = -contract("im,mj->ij", g0inv, h)
+        eye = np.eye(4).reshape((4, 4) + (1,) * len(self.batch))
+        acc = T + eye
+        for _ in range(1, self.g.order):
+            acc = contract("im,mj->ij", T, acc) + eye
+        return contract("im,mj->ij", acc, g0inv)
 
     @_stage
     def det_series(self):
-        """det g as a series, by complementary 2x2 minors."""
+        """det g as a series, by the Laplace expansion in complementary 2x2 minors."""
         g = self.g
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        m01 = {pq: g[0][pq[0]] * g[1][pq[1]] - g[0][pq[1]] * g[1][pq[0]] for pq in pairs}
-        m23 = {pq: g[2][pq[0]] * g[3][pq[1]] - g[2][pq[1]] * g[3][pq[0]] for pq in pairs}
-        return (
-            m01[(0, 1)] * m23[(2, 3)]
-            - m01[(0, 2)] * m23[(1, 3)]
-            + m01[(0, 3)] * m23[(1, 2)]
-            + m01[(1, 2)] * m23[(0, 3)]
-            - m01[(1, 3)] * m23[(0, 2)]
-            + m01[(2, 3)] * m23[(0, 1)]
-        )
+        p, q = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+        # the complementary pairs, each minus sign folded into a column swap
+        r, s = [2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]
+        m01 = g[0][p] * g[1][q] - g[0][q] * g[1][p]
+        m23 = g[2][r] * g[3][s] - g[2][s] * g[3][r]
+        return contract("m,m->", m01, m23)
 
     @_stage
     def sqrt_g(self):
         """Volume factor of the lifted block metric: |det g| as a series."""
         return self.det_series * np.sign(self.det_values)
 
-    # -- spray and nonlinear connection ---------------------------------
     @_stage
     def spray(self):
         """G^i = 1/4 g^{il} ((F^2)_{.l,k} y^k - (F^2)_{,l})."""
         if self.flat_x:
-            return [self.zero(self.kf) for _ in range(4)]
-        e = self.e
-        ginv = self.ginv
-        k_out = self.kf - 2
-        b = []
-        for l in range(4):
-            el = e.deriv(4 + l)
-            acc = self.zero(k_out)
-            for k in range(4):
-                acc = acc + el.deriv(k) * self.coord(4 + k, k_out)
-            b.append(acc - e.deriv(l))
-        return [
-            sum((ginv[i][l] * b[l] for l in range(4)), self.zero(k_out)) * 0.25
-            for i in range(4)
-        ]
+            return TSeries.zeros((4,), self.kf, self.batch, self.layout)
+        ey = self.e.grad(FIBRE_VARS)
+        y = TSeries.stack([TSeries.coordinate(v, self.point[v], self.kf - 2, self.batch,
+                                              self.layout) for v in FIBRE_VARS])
+        b = contract("lk,k->l", ey.grad(BASE_VARS), y) - self.e.grad(BASE_VARS)
+        return contract("il,l->i", self.ginv, b) * 0.25
 
     @_stage
     def nonlinear(self):
-        """N[a][j] = dG^a/dy^j."""
+        """N[a, j] = dG^a/dy^j."""
         if self.flat_x:
-            return [[self.zero(self.kf) for _ in range(4)] for _ in range(4)]
-        return [[self.spray[a].deriv(4 + j) for j in range(4)] for a in range(4)]
+            return TSeries.zeros((4, 4), self.kf, self.batch, self.layout)
+        return self.spray.grad(FIBRE_VARS)
 
+    # -- adapted derivative ---------------------------------------------
+    def delta(self, s):
+        """Series of the adapted derivatives delta_k s = s_{,k} - N^a_k s_{.a},
+        as a new last tensor axis k."""
+        out = s.grad(BASE_VARS)
+        if self.flat_x:
+            return out
+        idx = _INDICES[:s.rank]
+        return out - contract(f"{idx}a,ak->{idx}k", s.grad(FIBRE_VARS), self.nonlinear)
+
+    def delta_value(self, s, k=slice(None)):
+        """Values of delta_k s, the new last tensor axis k (all four by default)."""
+        out = jet_tensor(s, "x")
+        if not self.flat_x:
+            idx = _INDICES[:s.rank]
+            out = out - np.einsum(f"{idx}a...,ak...->{idx}k...", jet_tensor(s, "y"),
+                                  self.nonlinear_values)
+        return out[s._at(k)]
+
+    # -- value-only stages: coefficient reads of the series stages ---------
     @_stage
     def n_trace_dot_values(self):
         """dN^a_j/dy^a, the fibre-divergence trace of the connection."""
-        if self.flat_x:
-            return np.zeros((4,) + self.batch)
-        N = self.nonlinear
-        return np.array(
-            [sum(N[a][j].deriv(4 + a).value() for a in range(4)) for j in range(4)]
-        )
+        return np.einsum("aja...->j...", self.berwald_values)
 
-    # -- adapted derivative ---------------------------------------------
-    def delta(self, s, i):
-        """Series of the adapted derivative d/dx^i - N^a_i d/dy^a."""
-        out = s.deriv(i)
-        if self.flat_x:
-            return out
-        N = self.nonlinear
-        for a in range(4):
-            out = out - N[a][i] * s.deriv(4 + a)
-        return out
-
-    def delta_value(self, s, i):
-        out = s.deriv(i).value()
-        if self.flat_x:
-            return out
-        N = self.nonlinear_values
-        for a in range(4):
-            out = out - N[a, i] * s.deriv(4 + a).value()
-        return out
-
-    # -- Chern coefficients and curvature --------------------------------
     @_stage
     def chern(self):
-        """L[i][j][k] = 1/2 g^{ih} (dg_hj;k + dg_hk;j - dg_jk;h), symmetric in jk."""
+        """L[i, j, k] = 1/2 g^{ih} (dg_hj;k + dg_hk;j - dg_jk;h), symmetric in jk."""
         if self.flat_x:
-            z = self.zero(self.kf)
-            return [[[z for _ in range(4)] for _ in range(4)] for _ in range(4)]
-        g = self.g
-        ginv = self.ginv
-        dg = [[[self.delta(g[h][j], k) for k in range(4)] for j in range(4)] for h in range(4)]
-        k_out = dg[0][0][0].order
-        L = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-        for j in range(4):
-            for k in range(j, 4):
-                for i in range(4):
-                    acc = self.zero(k_out)
-                    for h in range(4):
-                        acc = acc + ginv[i][h] * (dg[h][j][k] + dg[h][k][j] - dg[j][k][h])
-                    Lijk = acc * 0.5
-                    L[i][j][k] = Lijk
-                    L[i][k][j] = Lijk
-        return L
+            return np.zeros((4, 4, 4) + self.batch)
+        dg = self.delta_value(self.g)  # dg[h, j, k] = delta_k g_hj
+        t = dg + dg.swapaxes(1, 2) - np.einsum("jkh...->hjk...", dg)
+        return 0.5 * np.einsum("ih...,hjk...->ijk...", self.ginv_values, t)
 
     @_stage
     def chern_values(self):
-        return np.array(
-            [[[self.chern[i][j][k].value() for k in range(4)] for j in range(4)]
-             for i in range(4)]
-        )
+        """The Chern values under the name the samples read."""
+        return self.chern
 
     @_stage
     def curvature_values(self):
         """R[a, j, k] = delta_k N^a_j - delta_j N^a_k, antisymmetric in (j, k)."""
         if self.flat_x:
             return np.zeros((4, 4, 4) + self.batch)
-        N = self.nonlinear
-        R = np.zeros((4, 4, 4) + self.batch)
-        for a in range(4):
-            for j in range(4):
-                for k in range(j + 1, 4):
-                    r = self.delta_value(N[a][j], k) - self.delta_value(N[a][k], j)
-                    R[a, j, k] = r
-                    R[a, k, j] = -r
-        return R
+        dn = self.delta_value(self.nonlinear)
+        return dn - dn.swapaxes(1, 2)
 
     # -- Berwald coefficients (vertical-index transport in the identities)
     @_stage
@@ -401,11 +320,7 @@ class Tower:
         """B[a, j, b] = dN^a_j/dy^b = d^2 G^a/dy^j dy^b."""
         if self.flat_x:
             return np.zeros((4, 4, 4) + self.batch)
-        N = self.nonlinear
-        return np.array(
-            [[[N[a][j].deriv(4 + b).value() for b in range(4)] for j in range(4)]
-             for a in range(4)]
-        )
+        return jet_tensor(self.nonlinear, "y")
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +373,6 @@ def divergence(space, v_horizontal, v_vertical, x, y, step=1e-3):
     S = t.sqrt_g
     s0 = S.value()
     ntr = t.n_trace_dot_values
-    nvals = t.nonlinear_values
 
     def is_fields(comp):
         return comp is not None and not callable(comp) and all(
@@ -469,16 +383,14 @@ def divergence(space, v_horizontal, v_vertical, x, y, step=1e-3):
         v_vertical is None or is_fields(v_vertical)
     )
     if exact_ok:
+        S = S.truncate(1)
         total = 0.0
         if v_horizontal is not None:
-            for i in range(4):
-                vi = expr.eval_series(v_horizontal[i], t.point, 1)
-                total += t.delta_value(vi * S.truncate(1), i) / s0
-                total -= ntr[i] * vi.value()
+            vh = TSeries.stack([expr.eval_series(c, t.point, 1) for c in v_horizontal])
+            total += np.trace(t.delta_value(vh * S)) / s0 - ntr @ vh.value()
         if v_vertical is not None:
-            for a in range(4):
-                va = expr.eval_series(v_vertical[a], t.point, 1)
-                total += (va * S.truncate(1)).deriv(4 + a).value() / s0
+            vv = TSeries.stack([expr.eval_series(c, t.point, 1) for c in v_vertical])
+            total += np.trace(jet_tensor(vv * S, "y")) / s0
         return float(total)
 
     # callable path: central differences of the component*volume products;
@@ -506,15 +418,9 @@ def divergence(space, v_horizontal, v_vertical, x, y, step=1e-3):
     dh = ((hs[:, :8] - hs[:, 8:]) / (2 * step)).T  # dh[d, i] = d(V^i S)/dz^d
     dv = ((vs[:, :8] - vs[:, 8:]) / (2 * step)).T
 
-    total = 0.0
-    h_vals = fh(t.x, t.y)
-    for i in range(4):
-        delta_i = dh[i, i] - sum(nvals[a, i] * dh[4 + a, i] for a in range(4))
-        total += delta_i / s0
-        total -= ntr[i] * h_vals[i]
-    for a in range(4):
-        total += dv[4 + a, a] / s0
-    return float(total)
+    # sum_i delta_i(V^i S) = sum_i d_i(V^i S) - N^a_i d_a(V^i S)
+    delta = np.trace(dh[:4]) - np.einsum("ai,ai->", t.nonlinear_values, dh[4:])
+    return float((delta + np.trace(dv[4:])) / s0 - ntr @ fh(t.x, t.y))
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 
 from .em import em_series
 from .geometry import Tower, divergence
+from .series import jet_tensor
 
 
 @dataclass
@@ -57,72 +58,42 @@ def homogeneous_residuals(space, x, y, tower=None):
     t = tower if tower is not None else _fibre_tower(space, x, y)
     em = em_series(t)
     F_hh, F_hv = em["F_hh"], em["F_hv"]
-
-    Fv = np.array([[F_hh[i][j].value() for j in range(4)] for i in range(4)])
-    Ftv = np.array([[F_hv[i][a].value() for a in range(4)] for i in range(4)])
-    DF = np.array(
-        [[[t.delta_value(F_hh[i][j], k) for k in range(4)] for j in range(4)]
-         for i in range(4)]
-    )  # DF[i, j, k] = delta_k F_ij
-    DFt = np.array(
-        [[[t.delta_value(F_hv[i][a], k) for k in range(4)] for a in range(4)]
-         for i in range(4)]
-    )  # DFt[i, a, k] = delta_k Ft_ia
-    Fdot = np.array(
-        [[[F_hh[i][j].deriv(4 + a).value() for a in range(4)] for j in range(4)]
-         for i in range(4)]
-    )  # Fdot[i, j, a] = F_{ij.a}
-    Ftdot = np.array(
-        [[[F_hv[i][a].deriv(4 + b).value() for b in range(4)] for a in range(4)]
-         for i in range(4)]
-    )  # Ftdot[i, a, b] = Ft_{ia.b}
+    Fv, Ftv = F_hh.value(), F_hv.value()
+    DF = t.delta_value(F_hh)  # DF[i, j, k] = delta_k F_ij
+    DFt = t.delta_value(F_hv)  # DFt[i, a, k] = delta_k Ft_ia
+    Fdot = jet_tensor(F_hh, "y")  # Fdot[i, j, a] = F_{ij.a}
+    Ftdot = jet_tensor(F_hv, "y")  # Ftdot[i, a, b] = Ft_{ia.b}
     L = t.chern_values
     R = t.curvature_values
     B = t.berwald_values  # B[m, j, a] = dN^m_j/dy^a, symmetric in (j, a)
 
-    def F_cov(i, j, k):
-        # F_{ij|k} = delta_k F_ij - L^m_ik F_mj - L^m_jk F_im
-        out = DF[i, j, k]
-        for m in range(4):
-            out = out - L[m, i, k] * Fv[m, j] - L[m, j, k] * Fv[i, m]
-        return out
-
-    def Ft_vh_cov(a, j, k):
-        # Ft_{aj|k}, vertical index transported by the Berwald coefficients
-        out = -DFt[j, a, k]
-        for m in range(4):
-            out = out + B[m, a, k] * Ftv[j, m] + L[m, j, k] * Ftv[m, a]
-        return out
-
-    def Ft_hv_cov(k, a, j):
-        # Ft_{ka|j}
-        out = DFt[k, a, j]
-        for m in range(4):
-            out = out - L[m, k, j] * Ftv[m, a] - B[m, a, j] * Ftv[k, m]
-        return out
-
-    batch = t.batch
-    hhh = np.zeros((4, 4, 4) + batch)
-    hhv = np.zeros((4, 4, 4) + batch)
-    hvv = np.zeros((4, 4, 4) + batch)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                r = F_cov(i, j, k) + F_cov(k, i, j) + F_cov(j, k, i)
-                for b in range(4):
-                    r = r + R[b, j, k] * Ftv[i, b] + R[b, k, i] * Ftv[j, b] \
-                        + R[b, i, j] * Ftv[k, b]
-                hhh[i, j, k] = r
-    for a in range(4):
-        for j in range(4):
-            for k in range(4):
-                hhv[a, j, k] = Ft_vh_cov(a, j, k) + Ft_hv_cov(k, a, j) + Fdot[j, k, a]
-    for k in range(4):
-        for a in range(4):
-            for b in range(4):
-                hvv[k, a, b] = Ftdot[k, a, b] - Ftdot[k, b, a]
+    # C[i, j, k] = F_{ij|k} + R^b_jk Ft_ib, with
+    # F_{ij|k} = delta_k F_ij - L^m_ik F_mj - L^m_jk F_im
+    C = (DF - np.einsum("mik...,mj...->ijk...", L, Fv)
+         - np.einsum("mjk...,im...->ijk...", L, Fv)
+         + np.einsum("bjk...,ib...->ijk...", R, Ftv))
+    hhh = C + np.einsum("kij...->ijk...", C) + np.einsum("jki...->ijk...", C)
+    # Ft_{aj|k} (vertical index transported by the Berwald coefficients)
+    # + Ft_{ka|j} + F_{jk.a}
+    hhv = (-np.einsum("jak...->ajk...", DFt)
+           + np.einsum("mak...,jm...->ajk...", B, Ftv)
+           + np.einsum("mjk...,ma...->ajk...", L, Ftv)
+           + np.einsum("kaj...->ajk...", DFt)
+           - np.einsum("mkj...,ma...->ajk...", L, Ftv)
+           - np.einsum("maj...,km...->ajk...", B, Ftv)
+           + np.einsum("jka...->ajk...", Fdot))
+    hvv = Ftdot - Ftdot.swapaxes(1, 2)
     max_abs = float(max(np.max(np.abs(hhh)), np.max(np.abs(hhv)), np.max(np.abs(hvv))))
     return MaxwellResiduals(hhh=hhh, hhv=hhv, hvv=hvv, max_abs=max_abs)
+
+
+def _densities(t):
+    """(up_hh S, up_hv S, S value): the raised blocks times the volume factor."""
+    if "densities" not in t.cache:
+        em = em_series(t)
+        S = t.sqrt_g.truncate(1)
+        t.cache["densities"] = em["up_hh"] * S, em["up_hv"] * S, S.value()
+    return t.cache["densities"]
 
 
 def horizontal_current(space, x, y, tower=None):
@@ -134,21 +105,11 @@ def horizontal_current(space, x, y, tower=None):
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
     t = tower if tower is not None else _fibre_tower(space, x, y)
-    em = em_series(t)
-    S = t.sqrt_g.truncate(1)
-    s0 = S.value()
-    ntr = t.n_trace_dot_values
-    up_hh, up_hv = em["up_hh"], em["up_hv"]
-
-    zeta = np.zeros((4,) + t.batch)
-    classical = np.zeros((4,) + t.batch)
-    for i in range(4):
-        for a in range(4):
-            zeta[i] += (up_hv[i][a] * S).deriv(4 + a).value()
-        zeta[i] /= s0
-        for j in range(4):
-            classical[i] += t.delta_value(up_hh[i][j] * S, j) / s0
-            classical[i] -= up_hh[i][j].value() * ntr[j]
+    up_hh_s, up_hv_s, s0 = _densities(t)
+    zeta = np.einsum("iaa...->i...", jet_tensor(up_hv_s, "y")) / s0
+    classical = (np.einsum("ijj...->i...", t.delta_value(up_hh_s)) / s0
+                 - np.einsum("ij...,j...->i...", em_series(t)["up_hh"].value(),
+                             t.n_trace_dot_values))
     J_h = (classical + zeta) / space.coupling
     return J_h, zeta
 
@@ -158,16 +119,8 @@ def vertical_current(space, x, y, tower=None):
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
     t = tower if tower is not None else _fibre_tower(space, x, y)
-    em = em_series(t)
-    S = t.sqrt_g.truncate(1)
-    s0 = S.value()
-    up_hv = em["up_hv"]
-    J_v = np.zeros((4,) + t.batch)
-    for a in range(4):
-        for i in range(4):
-            J_v[a] -= t.delta_value(up_hv[i][a] * S, i)
-        J_v[a] /= s0 * space.coupling
-    return J_v
+    _, up_hv_s, s0 = _densities(t)
+    return -np.einsum("iai...->a...", t.delta_value(up_hv_s)) / (s0 * space.coupling)
 
 
 def continuity_residual(space, x, y, step=1e-3):

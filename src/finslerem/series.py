@@ -23,13 +23,19 @@ that ordering the degree<=k terms are a prefix of the degree<=m list for
 k < m, so truncation is a slice and no reindexing is ever needed; the
 terms of a smaller layout keep their relative order in a larger one.
 
-Coefficient arrays have shape ``(nterms,)`` for a single base point or
-``(nterms, B)`` for a batch of B points; every operation is agnostic to
-the trailing batch axis.
+Coefficient arrays have shape ``(*tensor, nterms, *batch)``: ``rank``
+leading tensor axes (none for a scalar quantity), the term axis, then no
+batch axis for a single base point or one of B points.  Every operation
+is agnostic to the trailing batch axis, and a 4x4 block of series is one
+rank-2 series, so a tensor stage is a few whole-array calls.  Products
+gather both factors along the term axis, multiply (elementwise, or
+summed over a contracted tensor index in :func:`contract`) and
+``reduceat`` each output term's segment.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -44,6 +50,9 @@ VAR_NAMES = ("x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
 
 #: the layout of every chart variable
 ALL = tuple(range(NVARS))
+#: the base (x) and fibre (y) chart variables
+BASE_VARS = (0, 1, 2, 3)
+FIBRE_VARS = (4, 5, 6, 7)
 
 #: exponents are digits of a base-_BASE code, so adding codes adds exponents
 _BASE = MAX_ORDER + 1
@@ -51,6 +60,9 @@ _FACTORIALS = np.array([math.factorial(e) for e in range(MAX_ORDER + 1)], dtype=
 
 #: largest gathered block of a product, in bytes (below malloc's mmap threshold)
 BLOCK_BYTES = 128 * 1024
+#: columns (tensor entries times batch) from which a product sums its
+#: segments with whole-array adds rather than one reduceat loop per column
+WIDE = 32
 
 
 def _codes(exps):
@@ -134,46 +146,122 @@ def _mul_blocks(k, n, width):
     """The order-k product tables cut at output-term boundaries.
 
     Each block gathers at most ``BLOCK_BYTES`` per temporary for ``width``
-    batch columns (but always holds at least one whole output term), so
-    every term's segment is summed exactly as in one unblocked reduceat.
-    Returns a list of ``(t0, t1, I, J, starts)`` with block-local starts.
+    columns (but always holds at least one whole output term), so every
+    term's segment is summed exactly as in one unblocked reduceat.
+    Returns a list of ``(t0, t1, I, J, starts)`` with block-local starts,
+    or from ``WIDE`` columns on ``(t0, t1, positions, counts, inverse)``,
+    the :func:`_sum_plan` of a block of at most that many output terms.
     """
     cache = _terms(n).blocks
     key = (k, width)
     if key not in cache:
         I, J, starts = _mul_tables(k, n)
-        rows = BLOCK_BYTES // (8 * width)
         bounds = np.append(starts, len(I))
+        wide = width >= WIDE
+        rows = BLOCK_BYTES // (8 * width)
         blocks = []
         t0 = 0
         while t0 < len(starts):
             t1 = t0 + 1
-            while t1 < len(starts) and bounds[t1 + 1] - bounds[t0] <= rows:
+            while t1 < len(starts) and (
+                    t1 + 1 - t0 if wide else bounds[t1 + 1] - bounds[t0]) <= rows:
                 t1 += 1
             s0, s1 = bounds[t0], bounds[t1]
-            blocks.append((t0, t1, I[s0:s1], J[s0:s1], starts[t0:t1] - s0))
+            block = I[s0:s1], J[s0:s1], starts[t0:t1] - s0
+            blocks.append((t0, t1) + (_sum_plan(*block) if wide else block))
             t0 = t1
         cache[key] = blocks
     return cache[key]
 
 
-def _product(a, b, k, n=NVARS):
+def _sum_plan(I, J, starts):
+    """The product rows of ``reduceat`` segments, regrouped to sum them across columns.
+
+    ``np.add.reduceat`` runs one inner loop per segment and column, which
+    dominates a product over many columns.  It sums a segment x0..xm as
+    x0 + pairwise(x1..xm), and numpy's pairwise sum adds fewer than 8
+    terms left to right, and 8 to 15 terms as a tree over the first 8
+    followed by the rest left to right.  The plan orders the segments by
+    falling length and groups their rows by position, so each step of
+    that sum is one add over a prefix of the segments.  Returns
+    ``(positions, counts, inverse)``: the (I, J) rows of each position,
+    the number of segments that reach it, and the permutation back to
+    term order.
+    """
+    length = np.diff(np.append(starts, len(I)))
+    if length.max() > 16:
+        raise ValueError("pairwise sums beyond 16 terms are not planned")
+    by_length = np.argsort(-length, kind="stable")
+    counts = [int(np.sum(length > r)) for r in range(int(length.max()))]
+    positions = [(I[starts[by_length[:c]] + r], J[starts[by_length[:c]] + r])
+                 for r, c in enumerate(counts)]
+    return positions, counts, np.argsort(by_length)
+
+
+def _planned_sums(x, counts, inverse):
+    """The segment sums of ``reduceat`` from the rows ``x[r]`` of each
+    position r (term axis first), bit for bit."""
+    acc = x[0]
+    if len(x) > 1:
+        rest = x[1]
+        if len(x) > 8:
+            p = [x[r][:counts[8]] for r in range(1, 9)]
+            tree = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+        for r in range(2, min(len(x), 8)):
+            rest[:counts[r]] += x[r]
+        if len(x) > 8:
+            rest[:counts[8]] = tree
+            for r in range(9, len(x)):
+                rest[:counts[r]] += x[r]
+        acc[:counts[1]] += rest
+    return acc[inverse]
+
+
+def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply):
     """Coefficients of the truncated product of two coefficient arrays.
 
-    Small products gather (``take``, about twice as fast as fancy
-    indexing on a few batch columns), multiply and reduce in one go.
-    Wide batches go block by block, so no temporary outgrows
-    ``BLOCK_BYTES``; the blocks are bit-identical to the one-shot result.
+    The term axes of ``a`` and ``b`` follow their ``ranks`` tensor axes.
+    ``combine`` multiplies the two gathered arrays into one whose term
+    axis follows the ``out_tensor`` axes: elementwise with broadcasting
+    by default, an einsum in :func:`contract`.  Small products gather
+    (``take``, about twice as fast as fancy indexing on a few batch
+    columns), multiply and reduce in one go.  Wide ones go block by
+    block, the width counting tensor and batch axes, so no temporary
+    outgrows ``BLOCK_BYTES``; the blocks are bit-identical to the
+    one-shot result.
     """
     I, J, starts = _mul_tables(k, n)
-    width = max(a.size // len(a), b.size // len(b))
-    if len(I) * width * 8 <= BLOCK_BYTES:
-        return np.add.reduceat(a.take(I, axis=0) * b.take(J, axis=0), starts, axis=0)
-    out = np.empty((len(starts),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    for t0, t1, I, J, starts in _mul_blocks(k, n, width):
-        np.add.reduceat(a.take(I, axis=0) * b.take(J, axis=0), starts, axis=0,
-                        out=out[t0:t1])
+    ra, rb = ranks
+    axis = len(out_tensor)
+    width = max(a.size // a.shape[ra], b.size // b.shape[rb])
+    if axis:
+        batch = max(a.size // math.prod(a.shape[:ra + 1]), b.size // math.prod(b.shape[:rb + 1]))
+        width = max(width, batch * math.prod(out_tensor))
+    if width < WIDE and len(I) * width * 8 <= BLOCK_BYTES:
+        return np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
+                               axis=axis)
+    batch = np.broadcast_shapes(a.shape[ra + 1:], b.shape[rb + 1:])
+    out = np.empty(out_tensor + (len(starts),) + batch)
+    head = (slice(None),) * axis
+    for t0, t1, *block in _mul_blocks(k, n, width):
+        dest = out[head + (slice(t0, t1),)]
+        if width >= WIDE:
+            positions, counts, inverse = block
+            x = [_term_axis_first(combine(a.take(I, axis=ra), b.take(J, axis=rb)), axis)
+                 for I, J in positions]
+            _term_axis_first(dest, axis)[...] = _planned_sums(x, counts, inverse)
+        else:
+            I, J, starts = block
+            np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
+                            axis=axis, out=dest)
     return out
+
+
+def _term_axis_first(x, axis):
+    """A view of ``x`` with axis ``axis`` moved to the front."""
+    if not axis:
+        return x
+    return x.transpose((axis,) + tuple(range(axis)) + tuple(range(axis + 1, x.ndim)))
 
 
 def _deriv_tables(k, pos, n):
@@ -186,6 +274,25 @@ def _deriv_tables(k, pos, n):
         fac = (t.terms[:nout, pos] + 1).astype(float)
         t.deriv[key] = (src, fac)
     return t.deriv[key]
+
+
+def _grad_tables(k, variables, layout):
+    """(src, fac, absent): :func:`_deriv_tables` stacked for each of
+    ``variables``; ``absent`` lists those outside the layout, whose
+    partials are zero, or is None."""
+    key = (k, variables, layout)
+    if key not in _grad_cache:
+        n = len(layout)
+        nout = _terms(n).nterms[k - 1]
+        rows = [_deriv_tables(k, layout.index(v), n) if v in layout
+                else (np.zeros(nout, dtype=np.int64), np.zeros(nout)) for v in variables]
+        absent = [r for r, v in enumerate(variables) if v not in layout]
+        _grad_cache[key] = (np.stack([src for src, _ in rows]),
+                            np.stack([fac for _, fac in rows]), absent or None)
+    return _grad_cache[key]
+
+
+_grad_cache = {}
 
 
 def _lift_index(small, large, order):
@@ -204,8 +311,9 @@ def jet_tensor(series, pattern):
     """Gather a partial-derivative tensor out of a series in one indexing op.
 
     ``pattern`` is a string over {'x', 'y'}; e.g. ``"yyx"`` returns
-    T[a, b, k] = d^3 f / dy^a dy^b dx^k with shape (4, 4, 4).  Entries
-    that differentiate by a variable outside the layout are zero.
+    T[a, b, k] = d^3 f / dy^a dy^b dx^k with shape (4, 4, 4), after the
+    series' own tensor axes and before its batch axes.  Entries that
+    differentiate by a variable outside the layout are zero.
     """
     layout = series.layout
     key = (layout, pattern)
@@ -231,23 +339,56 @@ def jet_tensor(series, pattern):
     idx, fac, inactive = _jet_tensor_cache[key]
     if len(pattern) > series.order:
         raise ValueError(f"pattern {pattern!r} beyond trusted order {series.order}")
-    if series.coeffs.ndim > 1:
-        fac = fac.reshape(fac.shape + (1,) * (series.coeffs.ndim - 1))
-    out = series.coeffs[idx] * fac
+    fac = fac.reshape(fac.shape + (1,) * len(series.batch))
+    out = series.coeffs.take(idx, axis=series.rank) * fac
     if inactive is not None:
-        out[inactive] = 0.0
+        out[series._at(inactive)] = 0.0
     return out
 
 
+def contract(spec, a, b):
+    """The series of ``einsum(spec, a, b)``: products summed over tensor indices.
+
+    ``spec`` names the tensor axes only, e.g. ``"im,mj->ij"`` for the
+    matrix product of two rank-2 series.  Either factor may instead be an
+    array of values shaped ``(*tensor, *batch)``: a series with only a
+    constant term, which needs no product table.
+    """
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    full, ranks = f"{sa}...,{sb}...->{out}...", (len(sa), len(sb))
+    if not (isinstance(a, TSeries) and isinstance(b, TSeries)):
+        # einsum runs several times faster on a C-ordered constant
+        s = a if isinstance(a, TSeries) else b
+        ca = a.coeffs if a is s else np.expand_dims(np.ascontiguousarray(a), ranks[0])
+        cb = b.coeffs if b is s else np.expand_dims(np.ascontiguousarray(b), ranks[1])
+        return TSeries(np.einsum(full, ca, cb), s.order, s.layout, len(out))
+    a, b, k = TSeries._align(a, b)
+    dims = dict(zip(sa + sb, a.shape + b.shape))
+    out_tensor = tuple(dims[c] for c in out)
+    coeffs = _product(a.coeffs, b.coeffs, k, len(a.layout), ranks, out_tensor,
+                      functools.partial(np.einsum, full))
+    return TSeries(coeffs, k, a.layout, len(out))
+
+
 class TSeries:
-    """Taylor coefficients of one scalar quantity, trusted to ``order``."""
+    """Taylor coefficients of a scalar or tensor quantity, trusted to ``order``.
 
-    __slots__ = ("coeffs", "order", "layout")
+    ``rank`` counts the leading tensor axes of ``coeffs``.  ``s[i]`` is
+    the series of the components with first index i, so ``g[i][j]`` reads
+    one entry of a rank-2 series, and ``value()`` is shaped
+    ``(*tensor, *batch)``.  Sums and ``*`` broadcast the tensor axes like
+    numpy arrays (a scalar series scales every component);
+    :func:`contract` sums over an index.
+    """
 
-    def __init__(self, coeffs, order, layout=ALL):
+    __slots__ = ("coeffs", "order", "layout", "rank")
+
+    def __init__(self, coeffs, order, layout=ALL, rank=0):
         self.coeffs = coeffs
         self.order = order
         self.layout = layout
+        self.rank = rank
 
     # ------------------------------------------------------------------
     # constructors
@@ -258,6 +399,12 @@ class TSeries:
         return TSeries(c, order, layout)
 
     @staticmethod
+    def zeros(shape, order, batch=(), layout=ALL):
+        """The zero series of a tensor of the given shape."""
+        size = _terms(len(layout)).nterms[order]
+        return TSeries(np.zeros(tuple(shape) + (size,) + tuple(batch)), order, layout, len(shape))
+
+    @staticmethod
     def coordinate(var, value, order, batch=(), layout=ALL):
         """Series of the chart variable ``var`` with base-point value ``value``."""
         s = TSeries.constant(value, order, batch, layout)
@@ -266,45 +413,76 @@ class TSeries:
             s.coeffs[len(layout) - layout.index(var)] = 1.0
         return s
 
+    @staticmethod
+    def stack(series):
+        """The tensor series whose first-index components are ``series``."""
+        k = min(s.order for s in series)
+        return TSeries(np.stack([s.truncate(k).coeffs for s in series]), k,
+                       series[0].layout, series[0].rank + 1)
+
+    @property
+    def shape(self):
+        """The tensor shape; () for a scalar series."""
+        return self.coeffs.shape[:self.rank]
+
     @property
     def batch(self):
-        return self.coeffs.shape[1:]
+        return self.coeffs.shape[self.rank + 1:]
+
+    def _at(self, term):
+        """Index of one term (or a slice or mask of terms) in every component."""
+        return (slice(None),) * self.rank + (term,)
+
+    def __getitem__(self, index):
+        """The components at ``index`` of the tensor axes, as a series."""
+        if not self.rank:
+            raise TypeError("a scalar series has no components")
+        c = self.coeffs[index]
+        return TSeries(c, self.order, self.layout, self.rank - self.coeffs.ndim + c.ndim)
+
+    def transpose(self, *axes):
+        """The series with its tensor axes permuted (numpy's ``transpose``)."""
+        rest = tuple(range(self.rank, self.coeffs.ndim))
+        return TSeries(self.coeffs.transpose(axes + rest), self.order, self.layout, self.rank)
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TSeries(self.coeffs[: _terms(len(self.layout)).nterms[order]], order,
-                       self.layout)
+        size = _terms(len(self.layout)).nterms[order]
+        return TSeries(self.coeffs[self._at(slice(size))], order, self.layout, self.rank)
 
     def lift(self, layout):
         """The same series expanded in ``layout``, a superset of its own."""
         if layout == self.layout:
             return self
         t = _terms(len(layout))
-        c = np.zeros((t.nterms[self.order],) + self.batch)
-        c[_lift_index(self.layout, layout, self.order)] = self.coeffs
-        return TSeries(c, self.order, layout)
+        c = np.zeros(self.shape + (t.nterms[self.order],) + self.batch)
+        c[self._at(_lift_index(self.layout, layout, self.order))] = self.coeffs
+        return TSeries(c, self.order, layout, self.rank)
 
     def copy(self):
-        return TSeries(self.coeffs.copy(), self.order, self.layout)
+        return TSeries(self.coeffs.copy(), self.order, self.layout, self.rank)
 
     # ------------------------------------------------------------------
     # readers
     def value(self):
-        return self.coeffs[0]
+        return self.coeffs[self._at(0)]
+
+    def grad(self, variables):
+        """Series of the partials by each of ``variables``, stacked as a new
+        last tensor axis; drops one trusted order."""
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 series")
+        src, fac, absent = _grad_tables(self.order, tuple(variables), self.layout)
+        c = self.coeffs.take(src, axis=self.rank) * fac.reshape(fac.shape + (1,) * len(self.batch))
+        if absent is not None:
+            c[self._at(absent)] = 0.0
+        return TSeries(c, self.order - 1, self.layout, self.rank + 1)
 
     def deriv(self, var):
         """Series of the partial derivative; drops one trusted order."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 series")
-        n = len(self.layout)
-        if var not in self.layout:
-            size = _terms(n).nterms[self.order - 1]
-            return TSeries(np.zeros((size,) + self.batch), self.order - 1, self.layout)
-        src, fac = _deriv_tables(self.order, self.layout.index(var), n)
-        if self.coeffs.ndim > 1:
-            return TSeries(self.coeffs[src] * fac[:, None], self.order - 1, self.layout)
-        return TSeries(self.coeffs[src] * fac, self.order - 1, self.layout)
+        d = self.grad((var,))
+        return TSeries(d.coeffs[self._at(0)], d.order, d.layout, self.rank)
 
     def partial(self, alpha):
         """Exact mixed partial for an 8-tuple exponent ``alpha`` (sum <= order)."""
@@ -312,10 +490,10 @@ class TSeries:
         if sum(alpha) > self.order:
             raise ValueError(f"partial {alpha} beyond trusted order {self.order}")
         if any(e for v, e in enumerate(alpha) if v not in self.layout):
-            return np.zeros(self.batch)[()]
+            return np.zeros(self.shape + self.batch)[()]
         t = _terms(len(self.layout))
         i = t.index[tuple(alpha[v] for v in self.layout)]
-        return self.coeffs[i] * t.fact[i]
+        return self.coeffs[self._at(i)] * t.fact[i]
 
     # ------------------------------------------------------------------
     # ring operations
@@ -333,34 +511,41 @@ class TSeries:
     def __add__(self, other):
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
-            return TSeries(a.coeffs + b.coeffs, k, a.layout)
+            return TSeries(a.coeffs + b.coeffs, k, a.layout, max(a.rank, b.rank))
         c = self.coeffs.copy()
-        c[0] = c[0] + other
-        return TSeries(c, self.order, self.layout)
+        i = self._at(0)
+        c[i] = c[i] + other
+        return TSeries(c, self.order, self.layout, self.rank)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
-            return TSeries(a.coeffs - b.coeffs, k, a.layout)
+            return TSeries(a.coeffs - b.coeffs, k, a.layout, max(a.rank, b.rank))
         c = self.coeffs.copy()
-        c[0] = c[0] - other
-        return TSeries(c, self.order, self.layout)
+        i = self._at(0)
+        c[i] = c[i] - other
+        return TSeries(c, self.order, self.layout, self.rank)
 
     def __rsub__(self, other):
         c = -self.coeffs
-        c[0] = c[0] + other
-        return TSeries(c, self.order, self.layout)
+        i = self._at(0)
+        c[i] = c[i] + other
+        return TSeries(c, self.order, self.layout, self.rank)
 
     def __neg__(self):
-        return TSeries(-self.coeffs, self.order, self.layout)
+        return TSeries(-self.coeffs, self.order, self.layout, self.rank)
 
     def __mul__(self, other):
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
-            return TSeries(_product(a.coeffs, b.coeffs, k, len(a.layout)), k, a.layout)
-        return TSeries(self.coeffs * other, self.order, self.layout)
+            tensor = ()
+            if a.rank or b.rank:
+                tensor = ((a.rank, b.rank), np.broadcast_shapes(a.shape, b.shape))
+            return TSeries(_product(a.coeffs, b.coeffs, k, len(a.layout), *tensor), k,
+                           a.layout, max(a.rank, b.rank))
+        return TSeries(self.coeffs * other, self.order, self.layout, self.rank)
 
     __rmul__ = __mul__
 
@@ -368,7 +553,7 @@ class TSeries:
         if isinstance(other, TSeries):
             a, b, k = TSeries._align(self, other)
             return a * b.reciprocal()
-        return TSeries(self.coeffs / other, self.order, self.layout)
+        return TSeries(self.coeffs / other, self.order, self.layout, self.rank)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -380,7 +565,9 @@ class TSeries:
 
     def ipow(self, p):
         if p == 0:
-            return TSeries.constant(1.0, self.order, self.batch, self.layout)
+            c = np.zeros(self.coeffs.shape)
+            c[self._at(0)] = 1.0
+            return TSeries(c, self.order, self.layout, self.rank)
         if p < 0:
             return self.reciprocal().ipow(-p)
         result = None
@@ -396,17 +583,18 @@ class TSeries:
     # ------------------------------------------------------------------
     # analytic functions via univariate composition (Horner in h = u - u0)
     def _compose(self, cs):
+        i = self._at(0)
         h = self.copy()
-        h.coeffs[0] = 0.0
-        r = TSeries.constant(0.0, self.order, self.batch, self.layout)
-        r.coeffs[0] = cs[-1]
+        h.coeffs[i] = 0.0
+        r = TSeries(np.zeros(self.coeffs.shape), self.order, self.layout, self.rank)
+        r.coeffs[i] = cs[-1]
         for m in range(len(cs) - 2, -1, -1):
             r = r * h
-            r.coeffs[0] = r.coeffs[0] + cs[m]
+            r.coeffs[i] = r.coeffs[i] + cs[m]
         return r
 
     def _u0(self):
-        return self.coeffs[0]
+        return self.value()
 
     def reciprocal(self):
         u0 = self._u0()
@@ -461,7 +649,8 @@ class TSeries:
         u0 = self._u0()
         if self.order >= 1 and (u0 == 0.0).any():
             raise DomainError("abs is not differentiable at 0")
-        return self * np.sign(u0)
+        return TSeries(self.coeffs * np.expand_dims(np.sign(u0), self.rank), self.order,
+                       self.layout, self.rank)
 
     def powf(self, p):
         u0 = self._u0()

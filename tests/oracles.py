@@ -1,14 +1,114 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here deliberately avoids the package's Taylor tower: values
-come from plain finite differences of the raw expressions or from
-hand-derived closed forms, so agreement with the tower is a two-sided
-check.
+The jets, gauge shift and closed forms here avoid the package's Taylor
+tower: values come from plain finite differences of the raw expressions,
+symbolic differentiation or hand-derived closed forms, so agreement with
+the tower is a two-sided check.  The scalar identity oracle at the end
+reads the tower entry by entry, in the order of evaluation that its
+whole-tensor contractions replaced.
 """
+
+import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 
-from finslerem.expr import BinOp, ScalarField, eval_values, fd_jet
+from finslerem.errors import DomainError
+from finslerem.expr import (
+    BinOp,
+    Jet,
+    Num,
+    ScalarField,
+    Var,
+    diff_ast,
+    eval_value,
+    eval_values,
+)
+from finslerem.series import NTERMS, TERMS
+
+
+# central stencils per differentiation order: (offset, weight), divide by h^m
+_STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+}
+
+
+def _multi_indices(order):
+    return TERMS[1:NTERMS[order]]
+
+
+def fd_jet(field, point, order, step=1e-3):
+    """Central-difference jet; truncation is O(step^2) per differentiation level.
+
+    Independent of the Taylor engine: uses only plain evaluations of the
+    field on tensor-product stencils.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not 0 <= order <= 4:
+        raise ValueError(f"derivative order must be in 0..4, got {order}")
+    point = np.asarray(point, dtype=float)
+    alphas = _multi_indices(order)
+
+    # build one flat batch of sample points covering all stencils
+    offsets = []
+    weights = []
+    slices = []
+    for alpha in alphas:
+        grids = [_STENCILS[a] if a else ((0, 1.0),) for a in alpha]
+        combo_off = []
+        combo_w = []
+        for combo in itertools.product(*grids):
+            off = np.array([c[0] for c in combo], dtype=float)
+            w = math.prod(c[1] for c in combo)
+            combo_off.append(off)
+            combo_w.append(w)
+        start = len(offsets)
+        offsets.extend(combo_off)
+        weights.extend(combo_w)
+        slices.append((start, len(offsets)))
+
+    if offsets:
+        pts = point[:, None] + step * np.array(offsets).T
+        vals = eval_values(field, pts)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("stencil left the field domain", field.source())
+    value = eval_value(field, point)
+
+    partials = {}
+    for alpha, (a, b) in zip(alphas, slices):
+        h_pow = step ** sum(alpha)
+        acc = float(np.dot(np.array(weights[a:b]), vals[a:b])) / h_pow
+        partials[alpha] = acc
+    return Jet(value=value, partials=partials, order=order)
+
+
+def gauge_shift(space, lam):
+    """New space with L1 shifted by the total derivative of lambda(x).
+
+    The shift adds lambda_{,i}(x) y^i, so the potential moves by an exact
+    form and every field block is unchanged.
+    """
+    if any(v >= 4 for v in lam.variables()):
+        raise ValueError("gauge function must depend on x only")
+    shift = None
+    for i in range(4):
+        d = diff_ast(lam.ast, i)
+        if isinstance(d, Num) and d.value == 0.0:
+            continue
+        term = BinOp("*", d, Var(4 + i))
+        shift = term if shift is None else BinOp("+", shift, term)
+    if shift is None:
+        return replace(space)
+    if space.L1.is_zero():
+        new_l1 = ScalarField(shift)
+    else:
+        new_l1 = ScalarField(BinOp("+", space.L1.ast, shift))
+    return replace(space, L1=new_l1)
 
 
 def f_squared(space):
@@ -219,3 +319,100 @@ def plain_coordinate_currents(space, x, y, step=1e-3):
     S0 = abs(np.linalg.det(g0))
     J = np.array([sum(dP[B, A, B] for B in range(8)) for A in range(8)]) / S0
     return J[:4], J[4:]
+
+
+# ----------------------------------------------------------------------
+# scalar identity suite: the entry-by-entry loops the tensor stages replaced
+
+
+def _delta_value(t, s, k):
+    """delta_k s = s_{,k} - N^a_k s_{.a} at the Tower's point, one entry."""
+    out = s.deriv(k).value()
+    if t.flat_x:
+        return out
+    N = t.nonlinear_values
+    for a in range(4):
+        out = out - N[a, k] * s.deriv(4 + a).value()
+    return out
+
+
+def scalar_identity_oracle(t):
+    """Chern, curvature and Berwald values and the cyclic residuals, entry by entry.
+
+    Every entry is read off one component series of the Tower through
+    ``s[i][j]`` indexing and combined in scalar loops, the order of
+    evaluation the whole-tensor contractions of the package replaced.
+    Returns value arrays with the batch axis trailing.
+    """
+    from finslerem.em import em_series
+
+    batch = t.batch
+    L = np.zeros((4, 4, 4) + batch)
+    R = np.zeros((4, 4, 4) + batch)
+    B = np.zeros((4, 4, 4) + batch)
+    if not t.flat_x:
+        g, ginv, N = t.g, t.ginv, t.nonlinear
+        dg = [[[_delta_value(t, g[h][j], k) for k in range(4)] for j in range(4)]
+              for h in range(4)]
+        for i in range(4):
+            for j in range(4):
+                for k in range(4):
+                    acc = 0.0
+                    for h in range(4):
+                        acc = acc + ginv[i][h].value() * (dg[h][j][k] + dg[h][k][j]
+                                                          - dg[j][k][h])
+                    L[i, j, k] = 0.5 * acc
+        for a in range(4):
+            for j in range(4):
+                for k in range(4):
+                    R[a, j, k] = _delta_value(t, N[a][j], k) - _delta_value(t, N[a][k], j)
+                    B[a, j, k] = N[a][j].deriv(4 + k).value()
+
+    em = em_series(t)
+    F_hh, F_hv = em["F_hh"], em["F_hv"]
+    Fv = np.array([[F_hh[i][j].value() for j in range(4)] for i in range(4)])
+    Ftv = np.array([[F_hv[i][a].value() for a in range(4)] for i in range(4)])
+    DF = np.array([[[_delta_value(t, F_hh[i][j], k) for k in range(4)] for j in range(4)]
+                   for i in range(4)])  # DF[i, j, k] = delta_k F_ij
+    DFt = np.array([[[_delta_value(t, F_hv[i][a], k) for k in range(4)] for a in range(4)]
+                    for i in range(4)])  # DFt[i, a, k] = delta_k Ft_ia
+    Fdot = np.array([[[F_hh[i][j].deriv(4 + a).value() for a in range(4)] for j in range(4)]
+                     for i in range(4)])  # Fdot[i, j, a] = F_{ij.a}
+    Ftdot = np.array([[[F_hv[i][a].deriv(4 + b).value() for b in range(4)]
+                       for a in range(4)] for i in range(4)])  # Ftdot[i, a, b] = Ft_{ia.b}
+
+    def F_cov(i, j, k):
+        # F_{ij|k} = delta_k F_ij - L^m_ik F_mj - L^m_jk F_im
+        out = DF[i, j, k]
+        for m in range(4):
+            out = out - L[m, i, k] * Fv[m, j] - L[m, j, k] * Fv[i, m]
+        return out
+
+    def Ft_vh_cov(a, j, k):
+        # Ft_{aj|k}, vertical index transported by the Berwald coefficients
+        out = -DFt[j, a, k]
+        for m in range(4):
+            out = out + B[m, a, k] * Ftv[j, m] + L[m, j, k] * Ftv[m, a]
+        return out
+
+    def Ft_hv_cov(k, a, j):
+        # Ft_{ka|j}
+        out = DFt[k, a, j]
+        for m in range(4):
+            out = out - L[m, k, j] * Ftv[m, a] - B[m, a, j] * Ftv[k, m]
+        return out
+
+    hhh = np.zeros((4, 4, 4) + batch)
+    hhv = np.zeros((4, 4, 4) + batch)
+    hvv = np.zeros((4, 4, 4) + batch)
+    for i in range(4):
+        for j in range(4):
+            for k in range(4):
+                r = F_cov(i, j, k) + F_cov(k, i, j) + F_cov(j, k, i)
+                for b in range(4):
+                    r = r + R[b, j, k] * Ftv[i, b] + R[b, k, i] * Ftv[j, b] \
+                        + R[b, i, j] * Ftv[k, b]
+                hhh[i, j, k] = r
+                hhv[i, j, k] = Ft_vh_cov(i, j, k) + Ft_hv_cov(k, i, j) + Fdot[j, k, i]
+                hvv[i, j, k] = Ftdot[i, j, k] - Ftdot[i, k, j]
+    return {"chern": L, "curvature": R, "berwald": B, "hhh": hhh, "hhv": hhv, "hvv": hvv}

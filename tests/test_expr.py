@@ -19,7 +19,6 @@ from finslerem.expr import (
     eval_jet,
     eval_series,
     eval_values,
-    fd_jet,
     parse,
     subst_ast,
     to_source,
@@ -27,7 +26,7 @@ from finslerem.expr import (
 
 from finslerem.series import TSeries
 
-from oracles import richardson_jet
+from oracles import fd_jet, richardson_jet
 
 
 def mi(*vars_):

@@ -1,0 +1,130 @@
+"""Property test of the input contract over mutated scene text and flags.
+
+Whatever the scene file and flags, a run ends in exit 0, 1 or 2 without
+a traceback, and a run that exits 0 prints only finite numbers (rows of
+``currents`` marked ``error:`` excepted, which hold ``nan`` by design).
+Runs are in-process through ``cli.main``; the worldline of ``compare``
+and ``trajectory`` is cut to two steps so each example stays short.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from finslerem.cli import main
+
+from conftest import FIXTURES
+
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e-?\d+)?(?![\w.])")
+NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "abc", "", "2.5", "1e6"]
+EXPRESSIONS = [
+    '"y0"', '"log(x1)*y0"', '"sqrt(y0^2)"', '"1/0*y0"', '"sin("', '"y0^2"', '"x9*y0"',
+    '"0"', '"y0*y1/y2"', '"sqrt(y0^2 - y1^2 - y2^2 - y3^2)^3"', '"exp(x0)*y1"',
+]
+
+
+@st.composite
+def scene_texts(draw):
+    text = (FIXTURES / draw(st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.scene"))))
+            ).read_text()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["number", "expression", "drop", "repeat", "cut"]))
+        lines = text.splitlines(keepends=True)
+        if not lines:
+            break
+        if kind == "number":
+            spans = [m.span() for m in NUMBER.finditer(text)]
+            if spans:
+                a, b = draw(st.sampled_from(spans))
+                text = text[:a] + draw(st.sampled_from(NUMBERS)) + text[b:]
+        elif kind == "expression":
+            key = draw(st.sampled_from(["F", "L1"]))
+            value = draw(st.sampled_from(EXPRESSIONS))
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        elif kind == "drop":
+            del lines[draw(st.integers(0, len(lines) - 1))]
+            text = "".join(lines)
+        elif kind == "repeat":
+            i = draw(st.integers(0, len(lines) - 1))
+            text = "".join(lines[:i + 1] + lines[i:])
+        else:
+            text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def _short_worldline(text):
+    """The text with t_end and dt set so a worldline takes two steps."""
+    text = re.sub(r"^(t_end|dt) = .*\n", "", text, flags=re.M)
+    if "[integrate]\n" in text:
+        return text.replace("[integrate]\n", "[integrate]\nt_end = 0.01\ndt = 0.005\n")
+    return text + "\n[integrate]\nt_end = 0.01\ndt = 0.005\n"
+
+
+GOOD_GRID = "0:1:2,0:0:1,0:0:1,0:0:1,1:1.1:1,0.1:0.1:1,0:0:1,0:0:1"
+# good flag values come up most often, so most runs get past the parser
+COMMANDS = st.one_of(
+    st.tuples(st.just("validate"),
+              st.sampled_from([["--samples", v] for v in ("1", "2", "3", "3", "0", "x")]),
+              st.sampled_from([[], [], ["--tol", "1"], ["--tol", "nan"]]),
+              st.sampled_from([[], [], ["--format", "csv"], ["--format", "json"]])),
+    st.tuples(st.just("currents"),
+              st.sampled_from([
+                  ["--grid", GOOD_GRID], ["--grid", GOOD_GRID],
+                  ["--grid", "0:0:1,0:0:1,0:0:1,0:0:1,1e200:1e200:1,0:0:1,0:0:1,0:0:1"],
+                  ["--grid", "0:0:1,0:0:1,0:0:1,0:0:1,0.1:0.1:1,1:1:1,0:0:1,0:0:1"],
+                  ["--grid", "0:1:1000,0:1:1000,0:0:1,0:0:1,1:1:1,0:0:1,0:0:1,0:0:1"],
+                  ["--grid", "nan:1:2"],
+              ]),
+              st.sampled_from([[], [], ["--step", "0.1"], ["--step", "0"]]),
+              st.just(["--out", "-"])),
+    st.tuples(st.just("compare"),
+              st.sampled_from([["--kappa-sweep", v]
+                               for v in ("0,0.5", "0,0.5", "1", "1", "nan", "0,,1", "4")]),
+              st.sampled_from([[], [], [], ["--ref", "1,0.1,0,0"], ["--ref", "0,0,0,0"]]),
+              st.just([])),
+    st.tuples(st.just("trajectory"), st.just(["--out", "-"]), st.just([]), st.just([])),
+)
+
+
+def _finite_output(command, argv, stdout):
+    if "--format" in argv and "json" in argv:
+        values = [row["max_residual"] for row in json.loads(stdout)["identities"]]
+        return bool(np.all(np.isfinite(values)))
+    for line in stdout.splitlines():
+        if command == "currents" and ",error:" in line:
+            continue
+        for token in re.split(r"[\s,]+", line):
+            try:
+                v = float(token)
+            except ValueError:
+                continue
+            if not np.isfinite(v):
+                return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=scene_texts(), command=COMMANDS)
+def test_every_run_ends_in_a_contract_exit(text, command, tmp_path_factory):
+    name, *flag_groups = command
+    if name in ("compare", "trajectory"):
+        text = _short_worldline(text)
+    path = tmp_path_factory.mktemp("contract") / "mutated.scene"
+    path.write_text(text)
+    argv = [name, str(path)] + [f for group in flag_groups for f in group]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's own usage errors
+            code = e.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert _finite_output(name, argv, out.getvalue()), (argv, text, out.getvalue())

@@ -13,11 +13,29 @@ from finslerem.maxwell import (
     vertical_current,
 )
 
-from conftest import MINKOWSKI_F, PR_F
-from oracles import levi_civita_divergence, plain_coordinate_currents
+from finslerem.scene import load_scene
+
+from conftest import FIXTURES, MINKOWSKI_F, PR_F
+from oracles import levi_civita_divergence, plain_coordinate_currents, scalar_identity_oracle
 
 
 class TestHomogeneousResiduals:
+    @pytest.mark.parametrize("cols", [slice(1), slice(8)], ids=["b1", "b8"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.scene")))
+    def test_tensor_stages_match_scalar_oracle(self, name, cols):
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        xs, ys = draw_admissible(scene.space, scene.rng(), 8, scene.sampling.x_box,
+                                 scene.sampling.y_box)
+        t = Tower(scene.space, xs[:, cols], ys[:, cols])
+        want = scalar_identity_oracle(t)
+        r = homogeneous_residuals(scene.space, None, None, tower=t)
+        got = {"chern": t.chern_values, "curvature": t.curvature_values,
+               "berwald": t.berwald_values, "hhh": r.hhh, "hhv": r.hhv, "hvv": r.hvv}
+        for key, w in want.items():
+            assert got[key].shape == w.shape, key
+            scale = max(1.0, float(np.abs(w).max()))
+            assert np.abs(got[key] - w).max() <= 1e-14 * scale, key
+
     def test_closed_field_on_all_scene_families(
         self, minkowski, efield, pr_curved, randers, randers_aniso, curved_aniso
     ):

@@ -520,12 +520,14 @@ class TestFlagContract:
             ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "nan:1:3")],
             ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "0:1:0")],
             ["currents", "aniso-wave.scene", "--grid", "0:1:2"],
+            ["currents", "aniso-wave.scene", "--grid",
+             "0:1:100,0:1:100,0:1:100,0:1:100,1:1.1:2,0:0:1,0:0:1,0:0:1"],
         ],
         ids=["kappa-nan", "kappa-inf", "kappa-empty", "kappa-not-a-number", "ref-two",
              "ref-nan", "ref-zero", "ref-spacelike", "samples-0", "samples-negative",
              "samples-not-an-integer", "tol-nan", "tol-negative", "step-0", "step-nan",
              "grid-bound-not-a-number", "grid-count-not-an-integer", "grid-bound-nan",
-             "grid-count-0", "grid-too-few-entries"],
+             "grid-count-0", "grid-too-few-entries", "grid-too-many-points"],
     )
     def test_rejected(self, argv):
         argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
@@ -547,6 +549,15 @@ def test_non_finite_currents_row_is_an_error(name):
     assert rows[1] == "0,0,0,0,9.9999999999999997e+199,0,0,0," + "nan," * 13 \
         + "error:DomainError"
     assert proc.stderr.splitlines()[-1] == "currents: max |div J| = 0  point errors: 1"
+
+
+@pytest.mark.parametrize("name", ["aniso-wave.scene", "curved-aniso.scene"])
+def test_overflowing_currents_point_prints_only_the_summary(name):
+    # the overflow is the row's error:DomainError, and no numpy warning
+    grid = "0:0:1,0:0:1,0:0:1,0:0:1,1e200:1e200:1,0:0:1,0:0:1,0:0:1"
+    proc = _run_cli("currents", str(FIXTURES / name), "--grid", grid)
+    assert proc.returncode == 0
+    assert proc.stderr == "currents: max |div J| = 0  point errors: 1\n"
 
 
 def test_spacelike_particle_without_ref_fails_at_t0(tmp_path):
@@ -640,6 +651,29 @@ class TestCompareEnsemble:
             assert row[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-300)
             if row[0] == 0.0:
                 assert line == "0,0,0,0,0"
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", ["aniso-wave.scene", "curved-aniso.scene"])
+    def test_zero_member_is_exact_at_every_position(self, name, size, tmp_path, capsys):
+        # identical batch columns must round identically wherever they sit
+        path = coarse_copy(name, tmp_path, dt=5e-3, t_end=0.02)
+        others = [0.3, 1.0, 0.15, 0.7, 0.45][:size - 1]
+
+        def rows(kappas):
+            assert main(["compare", path, "--kappa-sweep", ",".join(map(repr, kappas))]) == 0
+            return capsys.readouterr().out.splitlines()[2:]
+
+        alone = {k: [float(v) for v in rows([k])[0].split(",")] for k in others}
+        for pos in range(size):
+            kappas = others[:pos] + [0.0] + others[pos:]
+            lines = rows(kappas)
+            assert len(lines) == size
+            for kappa, line in zip(kappas, lines):
+                if kappa == 0.0:
+                    assert line == "0,0,0,0,0"
+                else:
+                    got = [float(v) for v in line.split(",")]
+                    assert got == pytest.approx(alone[kappa], rel=1e-12, abs=1e-300)
 
     def test_failing_member_falls_back_to_serial(self, tmp_path, capsys):
         # kappa = 5 drives the worldline onto the null cone at t = 0.46

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finslerem import series
 from finslerem.errors import DomainError
 from finslerem.series import (
     DEGREE,
@@ -10,6 +11,7 @@ from finslerem.series import (
     TERMS,
     TSeries,
     _mul_tables,
+    contract,
     jet_tensor,
 )
 
@@ -180,3 +182,66 @@ class TestJetTensor:
         s = TSeries.coordinate(4, 1.0, 1)
         with pytest.raises(ValueError):
             jet_tensor(s, "yy")
+
+
+class TestTensorSeries:
+    LAYOUT = (1, 4, 5, 6, 7)
+
+    def _random(self, shape, order, batch, seed):
+        rng = np.random.default_rng(seed)
+        size = series._terms(len(self.LAYOUT)).nterms[order]
+        c = rng.standard_normal(shape + (size,) + batch) * np.exp(
+            rng.uniform(-8, 8, shape + (size,) + batch))
+        return TSeries(c, order, self.LAYOUT, len(shape))
+
+    def test_components_read_like_nested_lists(self):
+        s = self._random((4, 3), 2, (5,), 0)
+        assert s.shape == (4, 3) and s.batch == (5,)
+        assert s.value().shape == (4, 3, 5)
+        assert np.array_equal(s[2][1].coeffs, s.coeffs[2, 1])
+        assert s[2][1].rank == 0 and s[2].rank == 1
+        assert [row.rank for row in s] == [1] * 4
+        assert np.array_equal(s.transpose(1, 0)[1][2].coeffs, s[2][1].coeffs)
+        with pytest.raises(TypeError):
+            s[0][0][0]
+
+    def test_grad_stacks_the_partials(self):
+        s = self._random((2,), 3, (), 1)
+        d = s.grad((0, 1, 4, 7))  # x0 is outside the layout
+        assert d.shape == (2, 4) and d.order == 2
+        assert not d.coeffs[:, 0].any()
+        for slot, var in enumerate((1, 4, 7), start=1):
+            assert np.array_equal(d.coeffs[:, slot], s.deriv(var).coeffs)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (3,), (40,)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_contract_is_the_sum_of_component_products(self, order, batch):
+        a = self._random((4, 4), order, batch, 2)
+        b = self._random((4, 4), order, batch, 3)
+        got = contract("im,mj->ij", a, b)
+        for i, j in ((0, 0), (1, 3), (3, 2)):
+            want = sum((a[i][m] * b[m][j] for m in range(1, 4)), a[i][0] * b[0][j])
+            scale = np.abs(want.coeffs).max()
+            assert np.abs(got[i][j].coeffs - want.coeffs).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_batch_columns_round_as_lone_points(self, order):
+        """Narrow and wide products sum in the same order: no column depends
+        on the batch width or on its position in the batch."""
+        a = self._random((4, 4), order, (40,), 4)
+        b = self._random((4,), order, (40,), 5)
+        matrix = contract("im,m->i", a, b)
+        elementwise = a * b
+        for col in (0, 17, 39):
+            ac = TSeries(a.coeffs[..., col], order, self.LAYOUT, 2)
+            bc = TSeries(b.coeffs[..., col], order, self.LAYOUT, 1)
+            assert np.array_equal(contract("im,m->i", ac, bc).coeffs, matrix.coeffs[..., col])
+            assert np.array_equal((ac * bc).coeffs, elementwise.coeffs[..., col])
+
+    def test_constant_factor(self):
+        a = self._random((4, 4), 2, (3,), 6)
+        v = np.random.default_rng(7).standard_normal((4, 4, 3))
+        got = contract("im,mj->ij", v, a)
+        want = np.einsum("imb,mjtb->ijtb", v, a.coeffs)
+        assert np.allclose(got.coeffs, want, rtol=1e-14, atol=0)
+        assert got.order == 2 and got.rank == 2
