@@ -9,6 +9,7 @@ from .dynamics import ForceEvaluator, Trajectory, TrajectoryState, integrate
 from .em import (
     EMSample,
     em_sample,
+    gauge_shift,
     isotropic_truncation,
 )
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     StepRejectionLimitError,
     UnknownIdentifierError,
 )
-from .expr import Jet, ScalarField, check_homogeneity, eval_jet, parse
+from .expr import Jet, ScalarField, check_homogeneity, eval_jet, fd_jet, parse
 from .geometry import (
     GeometrySample,
     SpaceDef,

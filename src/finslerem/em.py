@@ -87,6 +87,30 @@ def em_sample(space, x, y, tower=None):
     )
 
 
+def gauge_shift(space, lam):
+    """New space with L1 shifted by the total derivative of lambda(x).
+
+    The shift adds lambda_{,i}(x) y^i, so the potential moves by an exact
+    form and every field block is unchanged.
+    """
+    if any(v >= 4 for v in lam.variables()):
+        raise ValueError("gauge function must depend on x only")
+    shift = None
+    for i in range(4):
+        d = diff_ast(lam.ast, i)
+        if isinstance(d, Num) and d.value == 0.0:
+            continue
+        term = BinOp("*", d, Var(4 + i))
+        shift = term if shift is None else BinOp("+", shift, term)
+    if shift is None:
+        return replace(space)
+    if space.L1.is_zero():
+        new_l1 = ScalarField(shift)
+    else:
+        new_l1 = ScalarField(BinOp("+", space.L1.ast, shift))
+    return replace(space, L1=new_l1)
+
+
 def isotropic_truncation(space, y_ref):
     """Replace L1 by its fibre linearization A_i(x, y_ref) y^i.
 

@@ -16,6 +16,7 @@ the two-argument pow.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -35,6 +36,7 @@ __all__ = [
     "eval_jet",
     "eval_series",
     "eval_values",
+    "fd_jet",
     "check_homogeneity",
 ]
 
@@ -563,6 +565,68 @@ def eval_value(field, point):
 
 
 # ----------------------------------------------------------------------
+# finite-difference oracle
+
+# central stencils per differentiation order: (offset, weight), divide by h^m
+_STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+}
+
+
+def _multi_indices(order):
+    return TERMS[1:NTERMS[order]]
+
+
+def fd_jet(field, point, order, step=1e-3):
+    """Central-difference jet; truncation is O(step^2) per differentiation level.
+
+    Independent of the Taylor engine: uses only plain evaluations of the
+    field on tensor-product stencils.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not 0 <= order <= 4:
+        raise ValueError(f"derivative order must be in 0..4, got {order}")
+    point = np.asarray(point, dtype=float)
+    alphas = _multi_indices(order)
+
+    # build one flat batch of sample points covering all stencils
+    offsets = []
+    weights = []
+    slices = []
+    for alpha in alphas:
+        grids = [_STENCILS[a] if a else ((0, 1.0),) for a in alpha]
+        combo_off = []
+        combo_w = []
+        for combo in itertools.product(*grids):
+            off = np.array([c[0] for c in combo], dtype=float)
+            w = math.prod(c[1] for c in combo)
+            combo_off.append(off)
+            combo_w.append(w)
+        start = len(offsets)
+        offsets.extend(combo_off)
+        weights.extend(combo_w)
+        slices.append((start, len(offsets)))
+
+    if offsets:
+        pts = point[:, None] + step * np.array(offsets).T
+        vals = eval_values(field, pts)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("stencil left the field domain", field.source())
+    value = eval_value(field, point)
+
+    partials = {}
+    for alpha, (a, b) in zip(alphas, slices):
+        h_pow = step ** sum(alpha)
+        acc = float(np.dot(np.array(weights[a:b]), vals[a:b])) / h_pow
+        partials[alpha] = acc
+    return Jet(value=value, partials=partials, order=order)
+
+
+# ----------------------------------------------------------------------
 # homogeneity probe
 
 def check_homogeneity(field, degree, point, scale):
@@ -578,7 +642,7 @@ def check_homogeneity(field, degree, point, scale):
 
 
 # ----------------------------------------------------------------------
-# symbolic helpers (used by the isotropic truncation)
+# symbolic helpers (used by gauge shifts and isotropic truncation)
 
 def _num(v):
     return Neg(Num(-v)) if v < 0 else Num(float(v))

@@ -60,9 +60,6 @@ _FACTORIALS = np.array([math.factorial(e) for e in range(MAX_ORDER + 1)], dtype=
 
 #: largest gathered block of a product, in bytes (below malloc's mmap threshold)
 BLOCK_BYTES = 128 * 1024
-#: columns (tensor entries times batch) from which a product sums its
-#: segments with whole-array adds rather than one reduceat loop per column
-WIDE = 32
 
 
 def _codes(exps):
@@ -148,73 +145,25 @@ def _mul_blocks(k, n, width):
     Each block gathers at most ``BLOCK_BYTES`` per temporary for ``width``
     columns (but always holds at least one whole output term), so every
     term's segment is summed exactly as in one unblocked reduceat.
-    Returns a list of ``(t0, t1, I, J, starts)`` with block-local starts,
-    or from ``WIDE`` columns on ``(t0, t1, positions, counts, inverse)``,
-    the :func:`_sum_plan` of a block of at most that many output terms.
+    Returns a list of ``(t0, t1, I, J, starts)`` with block-local starts.
     """
     cache = _terms(n).blocks
     key = (k, width)
     if key not in cache:
         I, J, starts = _mul_tables(k, n)
-        bounds = np.append(starts, len(I))
-        wide = width >= WIDE
         rows = BLOCK_BYTES // (8 * width)
+        bounds = np.append(starts, len(I))
         blocks = []
         t0 = 0
         while t0 < len(starts):
             t1 = t0 + 1
-            while t1 < len(starts) and (
-                    t1 + 1 - t0 if wide else bounds[t1 + 1] - bounds[t0]) <= rows:
+            while t1 < len(starts) and bounds[t1 + 1] - bounds[t0] <= rows:
                 t1 += 1
             s0, s1 = bounds[t0], bounds[t1]
-            block = I[s0:s1], J[s0:s1], starts[t0:t1] - s0
-            blocks.append((t0, t1) + (_sum_plan(*block) if wide else block))
+            blocks.append((t0, t1, I[s0:s1], J[s0:s1], starts[t0:t1] - s0))
             t0 = t1
         cache[key] = blocks
     return cache[key]
-
-
-def _sum_plan(I, J, starts):
-    """The product rows of ``reduceat`` segments, regrouped to sum them across columns.
-
-    ``np.add.reduceat`` runs one inner loop per segment and column, which
-    dominates a product over many columns.  It sums a segment x0..xm as
-    x0 + pairwise(x1..xm), and numpy's pairwise sum adds fewer than 8
-    terms left to right, and 8 to 15 terms as a tree over the first 8
-    followed by the rest left to right.  The plan orders the segments by
-    falling length and groups their rows by position, so each step of
-    that sum is one add over a prefix of the segments.  Returns
-    ``(positions, counts, inverse)``: the (I, J) rows of each position,
-    the number of segments that reach it, and the permutation back to
-    term order.
-    """
-    length = np.diff(np.append(starts, len(I)))
-    if length.max() > 16:
-        raise ValueError("pairwise sums beyond 16 terms are not planned")
-    by_length = np.argsort(-length, kind="stable")
-    counts = [int(np.sum(length > r)) for r in range(int(length.max()))]
-    positions = [(I[starts[by_length[:c]] + r], J[starts[by_length[:c]] + r])
-                 for r, c in enumerate(counts)]
-    return positions, counts, np.argsort(by_length)
-
-
-def _planned_sums(x, counts, inverse):
-    """The segment sums of ``reduceat`` from the rows ``x[r]`` of each
-    position r (term axis first), bit for bit."""
-    acc = x[0]
-    if len(x) > 1:
-        rest = x[1]
-        if len(x) > 8:
-            p = [x[r][:counts[8]] for r in range(1, 9)]
-            tree = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-        for r in range(2, min(len(x), 8)):
-            rest[:counts[r]] += x[r]
-        if len(x) > 8:
-            rest[:counts[8]] = tree
-            for r in range(9, len(x)):
-                rest[:counts[r]] += x[r]
-        acc[:counts[1]] += rest
-    return acc[inverse]
 
 
 def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply):
@@ -237,31 +186,16 @@ def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply)
     if axis:
         batch = max(a.size // math.prod(a.shape[:ra + 1]), b.size // math.prod(b.shape[:rb + 1]))
         width = max(width, batch * math.prod(out_tensor))
-    if width < WIDE and len(I) * width * 8 <= BLOCK_BYTES:
+    if len(I) * width * 8 <= BLOCK_BYTES:
         return np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
                                axis=axis)
     batch = np.broadcast_shapes(a.shape[ra + 1:], b.shape[rb + 1:])
     out = np.empty(out_tensor + (len(starts),) + batch)
     head = (slice(None),) * axis
-    for t0, t1, *block in _mul_blocks(k, n, width):
-        dest = out[head + (slice(t0, t1),)]
-        if width >= WIDE:
-            positions, counts, inverse = block
-            x = [_term_axis_first(combine(a.take(I, axis=ra), b.take(J, axis=rb)), axis)
-                 for I, J in positions]
-            _term_axis_first(dest, axis)[...] = _planned_sums(x, counts, inverse)
-        else:
-            I, J, starts = block
-            np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
-                            axis=axis, out=dest)
+    for t0, t1, I, J, starts in _mul_blocks(k, n, width):
+        np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
+                        axis=axis, out=out[head + (slice(t0, t1),)])
     return out
-
-
-def _term_axis_first(x, axis):
-    """A view of ``x`` with axis ``axis`` moved to the front."""
-    if not axis:
-        return x
-    return x.transpose((axis,) + tuple(range(axis)) + tuple(range(axis + 1, x.ndim)))
 
 
 def _deriv_tables(k, pos, n):

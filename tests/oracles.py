@@ -1,114 +1,16 @@
 """Independent numerical oracles used by the test suite.
 
-The jets, gauge shift and closed forms here avoid the package's Taylor
-tower: values come from plain finite differences of the raw expressions,
-symbolic differentiation or hand-derived closed forms, so agreement with
-the tower is a two-sided check.  The scalar identity oracle at the end
+Everything here deliberately avoids the package's Taylor tower: values
+come from plain finite differences of the raw expressions or from
+hand-derived closed forms, so agreement with the tower is a two-sided
+check.  The exception is the scalar identity oracle at the end, which
 reads the tower entry by entry, in the order of evaluation that its
 whole-tensor contractions replaced.
 """
 
-import itertools
-import math
-from dataclasses import replace
-
 import numpy as np
 
-from finslerem.errors import DomainError
-from finslerem.expr import (
-    BinOp,
-    Jet,
-    Num,
-    ScalarField,
-    Var,
-    diff_ast,
-    eval_value,
-    eval_values,
-)
-from finslerem.series import NTERMS, TERMS
-
-
-# central stencils per differentiation order: (offset, weight), divide by h^m
-_STENCILS = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
-
-
-def _multi_indices(order):
-    return TERMS[1:NTERMS[order]]
-
-
-def fd_jet(field, point, order, step=1e-3):
-    """Central-difference jet; truncation is O(step^2) per differentiation level.
-
-    Independent of the Taylor engine: uses only plain evaluations of the
-    field on tensor-product stencils.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not 0 <= order <= 4:
-        raise ValueError(f"derivative order must be in 0..4, got {order}")
-    point = np.asarray(point, dtype=float)
-    alphas = _multi_indices(order)
-
-    # build one flat batch of sample points covering all stencils
-    offsets = []
-    weights = []
-    slices = []
-    for alpha in alphas:
-        grids = [_STENCILS[a] if a else ((0, 1.0),) for a in alpha]
-        combo_off = []
-        combo_w = []
-        for combo in itertools.product(*grids):
-            off = np.array([c[0] for c in combo], dtype=float)
-            w = math.prod(c[1] for c in combo)
-            combo_off.append(off)
-            combo_w.append(w)
-        start = len(offsets)
-        offsets.extend(combo_off)
-        weights.extend(combo_w)
-        slices.append((start, len(offsets)))
-
-    if offsets:
-        pts = point[:, None] + step * np.array(offsets).T
-        vals = eval_values(field, pts)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("stencil left the field domain", field.source())
-    value = eval_value(field, point)
-
-    partials = {}
-    for alpha, (a, b) in zip(alphas, slices):
-        h_pow = step ** sum(alpha)
-        acc = float(np.dot(np.array(weights[a:b]), vals[a:b])) / h_pow
-        partials[alpha] = acc
-    return Jet(value=value, partials=partials, order=order)
-
-
-def gauge_shift(space, lam):
-    """New space with L1 shifted by the total derivative of lambda(x).
-
-    The shift adds lambda_{,i}(x) y^i, so the potential moves by an exact
-    form and every field block is unchanged.
-    """
-    if any(v >= 4 for v in lam.variables()):
-        raise ValueError("gauge function must depend on x only")
-    shift = None
-    for i in range(4):
-        d = diff_ast(lam.ast, i)
-        if isinstance(d, Num) and d.value == 0.0:
-            continue
-        term = BinOp("*", d, Var(4 + i))
-        shift = term if shift is None else BinOp("+", shift, term)
-    if shift is None:
-        return replace(space)
-    if space.L1.is_zero():
-        new_l1 = ScalarField(shift)
-    else:
-        new_l1 = ScalarField(BinOp("+", space.L1.ast, shift))
-    return replace(space, L1=new_l1)
+from finslerem.expr import BinOp, ScalarField, eval_values, fd_jet
 
 
 def f_squared(space):

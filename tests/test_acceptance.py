@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from finslerem.dynamics import integrate
-from finslerem.em import em_sample
+from finslerem.em import em_sample, gauge_shift
 from finslerem.expr import ScalarField, eval_jet, eval_values, parse
 from finslerem.geometry import SpaceDef, Tower, draw_admissible
 from finslerem.maxwell import (
@@ -23,7 +23,7 @@ from finslerem.maxwell import (
 from finslerem.scene import load_scene
 
 from conftest import FIXTURES, MINKOWSKI_F
-from oracles import f_squared, gauge_shift, levi_civita_divergence, richardson_jet
+from oracles import f_squared, levi_civita_divergence, richardson_jet
 from test_dynamics import efield_exact
 
 CORE_SCENES = [

@@ -14,6 +14,7 @@ from finslerem.em import (
     anisotropy_ensemble,
     blend_anisotropy,
     em_sample,
+    gauge_shift,
     isotropic_truncation,
 )
 from finslerem.errors import SingularForceMatrixError, StepRejectionLimitError
@@ -21,7 +22,7 @@ from finslerem.expr import eval_jet, parse
 from finslerem.geometry import SpaceDef, geometry_sample
 
 from conftest import MINKOWSKI_F
-from oracles import f_squared, gauge_shift
+from oracles import f_squared
 
 X0 = np.zeros(4)
 Y0 = np.array([1.0, 0.1, 0.0, 0.0])

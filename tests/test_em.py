@@ -8,13 +8,14 @@ from finslerem.em import (
     anisotropy_ensemble,
     blend_anisotropy,
     em_sample,
+    gauge_shift,
     isotropic_truncation,
 )
 from finslerem.expr import ScalarField, eval_series, eval_value, eval_values, parse
 from finslerem.geometry import SpaceDef, draw_admissible, metric
 
 from conftest import MINKOWSKI_F
-from oracles import gauge_shift, richardson_jet
+from oracles import richardson_jet
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 

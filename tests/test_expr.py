@@ -19,6 +19,7 @@ from finslerem.expr import (
     eval_jet,
     eval_series,
     eval_values,
+    fd_jet,
     parse,
     subst_ast,
     to_source,
@@ -26,7 +27,7 @@ from finslerem.expr import (
 
 from finslerem.series import TSeries
 
-from oracles import fd_jet, richardson_jet
+from oracles import richardson_jet
 
 
 def mi(*vars_):
