@@ -29,7 +29,13 @@ from .errors import (
     SignatureMismatchError,
 )
 from .geometry import Tower, draw_admissible, geometry_sample
-from .maxwell import current_sample, homogeneous_residuals, horizontal_current
+from .maxwell import (
+    current_sample,
+    fibre_tower,
+    homogeneous_residuals,
+    horizontal_current,
+    vertical_current,
+)
 from .scene import load_scene
 from .series import FIBRE_VARS
 
@@ -367,7 +373,8 @@ def _run_members(scene, y_ref, members, xs, ys):
 
     rk4 integrates every member in one batched worldline ensemble; rk45
     runs them in turn.  The currents of all members come from one Tower
-    over the draws tiled once per member.
+    over a copy of the draws per member, whose F-only stages are computed
+    once, over the draws alone (``Tower.tiled``).
     """
     space = anisotropy_ensemble(scene.space, y_ref, members)
     it = scene.integrate
@@ -385,11 +392,12 @@ def _run_members(scene, y_ref, members, xs, ys):
         ends = [run(replace(space, L1=replace(space.L1, kappas=(m,))), x0, y0)
                 for m in members]
     n = xs.shape[1]
-    tiled = replace(space, L1=space.L1.tiled(n))
-    cur = current_sample(tiled, np.tile(xs, nb), np.tile(ys, nb))
+    members = replace(space, L1=space.L1.tiled(n))
+    tower = fibre_tower(space, xs, ys).tiled(nb, members)
+    J_h, zeta = horizontal_current(members, None, None, tower=tower)
+    J_v = vertical_current(members, None, None, tower=tower)
     cols = [slice(b * n, (b + 1) * n) for b in range(nb)]
-    return [(xk, vk, cur.J_h[:, c], cur.zeta[:, c], cur.J_v[:, c])
-            for (xk, vk), c in zip(ends, cols)]
+    return [(xk, vk, J_h[:, c], zeta[:, c], J_v[:, c]) for (xk, vk), c in zip(ends, cols)]
 
 
 def _member_runs(scene, y_ref, members, xs, ys):

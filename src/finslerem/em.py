@@ -152,11 +152,11 @@ class AnisotropyBlend:
 
     Batch column b of a point is member b.  Its series is the truncation's
     ``s_iso`` when ``kappas[b]`` is None, the scene's ``s_full`` when it
-    is 1, and otherwise ``s_iso + kappa_b (s_full - s_iso)``, where
-    kappa_b is a constant series: the same series arithmetic that the
-    tape of ``blend_anisotropy(space, y_ref, kappa_b)`` runs, from one run
-    of each of the two tapes for every member.  When the scene's L1 is
-    zero, every member is the (zero) truncation.  Build it with
+    is 1, and otherwise ``s_iso + (s_full - s_iso) kappa_b``, from one run
+    of each of the two tapes for every member.  That is the series
+    arithmetic of the tape of ``blend_anisotropy(space, y_ref, kappa_b)``,
+    which scales by the number kappa_b as this does.  When the scene's L1
+    is zero, every member is the (zero) truncation.  Build it with
     :func:`anisotropy_ensemble`.
     """
 
@@ -195,9 +195,7 @@ class AnisotropyBlend:
             return s_iso
         s_full = expr.eval_series(self.full, point, order, layout)
         kappa = np.reshape([0.0 if k is None else k for k in self.kappas], point.shape[1:])
-        scale = np.zeros_like(s_iso.coeffs)
-        scale[0] = kappa
-        blend = s_iso + TSeries(scale, order, layout) * (s_full - s_iso)
+        blend = s_iso + (s_full - s_iso) * kappa
         iso = np.reshape([k is None for k in self.kappas], kappa.shape)
         coeffs = np.where(iso, s_iso.coeffs, np.where(kappa == 1.0, s_full.coeffs, blend.coeffs))
         return TSeries(coeffs, order, layout)

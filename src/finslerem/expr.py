@@ -351,8 +351,15 @@ class _Tape:
     the operation and its child slots, never on a whole subtree.  An
     operation whose leaves are all numbers is folded: it runs once per
     derivative order on batch-free series, with the same series arithmetic,
-    and its result is broadcast into every evaluation.  No algebraic
-    identity is applied, so the results are those of a plain tree walk.
+    and its result is broadcast into every evaluation.
+
+    One identity is applied: a product with a folded constant whose
+    coefficients beyond the value are all exactly 0 is a scaling of the
+    other factor by that value.  Each output term of the product sums
+    a_t c_0 and products with 0, so on finite coefficients the scaling is
+    the product, up to the sign of a zero.  A constant with a nonzero or
+    non-finite higher coefficient (``exp(1000)`` at order >= 1) keeps the
+    product.  Apart from that the results are those of a plain tree walk.
     """
 
     def __init__(self, ast):
@@ -446,6 +453,15 @@ class _Tape:
                 # raised in turn, after every step that comes before it
                 failure = (str(e), node)
                 break
+        # a product with a constant that is only a value scales the other factor
+        for i, (slot, fn, args) in enumerate(steps):
+            if fn is not operator.mul:
+                continue
+            for c, other in (args, args[::-1]):
+                if consts[c] is not None and not consts[c].coeffs[1:].any():
+                    scale = operator.methodcaller("__mul__", float(consts[c].coeffs[0]))
+                    steps[i] = (slot, scale, (other,))
+                    break
         # shared by every call: broadcast over the batch axes, read-only
         pad = (1,) * ndim
         for i, c in enumerate(consts):

@@ -137,6 +137,33 @@ class Tower:
         self.flat_x = space.flat_x
         self.cache = {}
 
+    #: the stages :meth:`tiled` repeats: those the field blocks and the
+    #: currents read that depend on F alone
+    _F_ONLY = ("det_values", "det_series", "ginv", "nonlinear_stack", "nonlinear")
+
+    def tiled(self, reps, space):
+        """The Tower of ``space`` at this batch of points repeated ``reps``
+        times along the batch axis.
+
+        ``space`` has this Tower's F and layout and may have another L1,
+        such as an ensemble's with one member per copy.  The F-only stages
+        in ``_F_ONLY`` (and the F tape, metric and inverse they come from)
+        are computed once, here, and every copy holds them bit for bit;
+        the L1 stages run over all the columns.
+        """
+        if space.F is not self.space.F or space.layout != self.layout:
+            raise ValueError("a tiled Tower keeps the F and the layout of its points")
+        t = Tower(space, np.tile(self.x, reps), np.tile(self.y, reps), self.kf, self.kl)
+        for name in self._F_ONLY:
+            v = getattr(self, name)
+            if isinstance(v, TSeries):
+                v = TSeries(np.tile(v.coeffs, (1,) * (v.coeffs.ndim - 1) + (reps,)),
+                            v.order, v.layout, v.rank)
+            else:  # a member-first stack
+                v = np.tile(v, (reps,) + (1,) * (v.ndim - 1))
+            t.__dict__[name] = v
+        return t
+
     # -- scalars -------------------------------------------------------
     @_stage
     def f_series(self):
@@ -235,8 +262,12 @@ class Tower:
 
     @_stage
     def det_series(self):
-        """det g as a series, by the Laplace expansion in complementary 2x2 minors."""
-        g = self.g
+        """det g to order 1, by the Laplace expansion in complementary 2x2 minors.
+
+        Its readers (the volume factor in the currents and ``divergence``)
+        use order 1 only, and a degree <= 1 term sums the same pairs in the
+        same order whatever the order of g."""
+        g = self.g.truncate(1)
         p, q = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
         # the complementary pairs, each minus sign folded into a column swap
         r, s = [2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]

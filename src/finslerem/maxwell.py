@@ -45,7 +45,7 @@ class CurrentSample:
     continuity: float     # div J, None when not requested
 
 
-def _fibre_tower(space, x, y, order_f=4, order_l1=3):
+def fibre_tower(space, x, y, order_f=4, order_l1=3):
     """Tower at (x, u) with u = y/H; identity when H == 1."""
     y = np.asarray(y, dtype=float)
     if space.H != 1.0:
@@ -55,7 +55,7 @@ def _fibre_tower(space, x, y, order_f=4, order_l1=3):
 
 def homogeneous_residuals(space, x, y, tower=None):
     """Cyclic residuals of the closed-field identities at (x, y)."""
-    t = tower if tower is not None else _fibre_tower(space, x, y)
+    t = tower if tower is not None else fibre_tower(space, x, y)
     em = em_series(t)
     F_hh, F_hv = em["F_hh"], em["F_hv"]
     Fv, Ftv = F_hh.value(), F_hv.value()
@@ -104,7 +104,7 @@ def horizontal_current(space, x, y, tower=None):
     """
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
-    t = tower if tower is not None else _fibre_tower(space, x, y)
+    t = tower if tower is not None else fibre_tower(space, x, y)
     up_hh_s, up_hv_s, s0 = _densities(t)
     zeta = np.einsum("iaa...->i...", jet_tensor(up_hv_s, "y")) / s0
     classical = (np.einsum("ijj...->i...", t.delta_value(up_hh_s)) / s0
@@ -118,7 +118,7 @@ def vertical_current(space, x, y, tower=None):
     """Jt^a = (1/(coupling S)) delta_i(Ft^{ai} S), with Ft^{ai} = -Ft^{ia}."""
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
-    t = tower if tower is not None else _fibre_tower(space, x, y)
+    t = tower if tower is not None else fibre_tower(space, x, y)
     _, up_hv_s, s0 = _densities(t)
     return -np.einsum("iai...->a...", t.delta_value(up_hv_s)) / (s0 * space.coupling)
 
@@ -156,7 +156,7 @@ def continuity_residual(space, x, y, step=1e-3):
 
 def current_sample(space, x, y, with_continuity=False, step=1e-3):
     """Currents (and optionally div J) at one point, from one shared Tower."""
-    t = _fibre_tower(space, x, y)
+    t = fibre_tower(space, x, y)
     J_h, zeta = horizontal_current(space, x, y, tower=t)
     J_v = vertical_current(space, x, y, tower=t)
     cont = continuity_residual(space, x, y, step=step) if with_continuity else None

@@ -3,14 +3,67 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  The exception is the scalar identity oracle at the end, which
-reads the tower entry by entry, in the order of evaluation that its
-whole-tensor contractions replaced.
+check.  There are two exceptions.  ``tree_series`` walks an expression
+with the package's series arithmetic but none of the compiled tape's
+sharing or rewriting.  The scalar identity oracle at the end reads the
+tower entry by entry, in the order of evaluation that its whole-tensor
+contractions replaced.
 """
 
 import numpy as np
 
-from finslerem.expr import BinOp, ScalarField, eval_values, fd_jet
+from finslerem.expr import BinOp, Call, Neg, Num, ScalarField, Var, eval_values, fd_jet
+from finslerem.series import TSeries
+
+
+def tree_series(node, point, order, layout):
+    """Taylor series of an AST by a plain recursive walk with TSeries arithmetic.
+
+    The reference for the compiled tape of ``eval_series``: no slot is
+    shared and no product is turned into a scaling.  It takes the tape's
+    operations: a quotient is a product with the reciprocal, an exponent
+    written as a number is ``TSeries ** p``, any other power is
+    ``exp(b log a)``, and a subtree of numbers only is evaluated without
+    the batch axes, which it gains (as size 1) where it meets a variable.
+    """
+    point = np.asarray(point, dtype=float)
+    batch = point.shape[1:]
+
+    def widen(*series):
+        return [s if s.coeffs.ndim > 1 or not batch else
+                TSeries(s.coeffs.reshape(s.coeffs.shape + (1,) * len(batch)), order, layout)
+                for s in series]
+
+    def power(a, exponent):
+        if isinstance(exponent, Num):
+            return a ** exponent.value
+        if isinstance(exponent, Neg) and isinstance(exponent.arg, Num):
+            return a ** -exponent.arg.value
+        b, log = widen(walk(exponent), a.log())
+        return (b * log).exp()
+
+    def walk(n):
+        if isinstance(n, Num):
+            return TSeries.constant(n.value, order, layout=layout)
+        if isinstance(n, Var):
+            return TSeries.coordinate(n.index, point[n.index], order, batch, layout)
+        if isinstance(n, Neg):
+            return -walk(n.arg)
+        if isinstance(n, Call):
+            if n.func == "pow":
+                return power(walk(n.args[0]), n.args[1])
+            return getattr(walk(n.args[0]), n.func)()
+        if n.op == "^":
+            return power(walk(n.left), n.right)
+        a, b = widen(walk(n.left), walk(n.right))
+        if n.op == "+":
+            return a + b
+        if n.op == "-":
+            return a - b
+        return a * b if n.op == "*" else a * b.reciprocal()
+
+    out, = widen(walk(node))
+    return TSeries(np.broadcast_to(out.coeffs, out.coeffs.shape[:1] + batch), order, layout)
 
 
 def f_squared(space):

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from finslerem.em import blend_anisotropy
+from finslerem.em import blend_anisotropy, isotropic_truncation
 
 from finslerem.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from finslerem.expr import (
@@ -25,9 +25,12 @@ from finslerem.expr import (
     to_source,
 )
 
-from finslerem.series import TSeries
+from finslerem.geometry import draw_admissible
+from finslerem.scene import load_scene
+from finslerem.series import ALL, TSeries
 
-from oracles import richardson_jet
+from conftest import FIXTURES
+from oracles import richardson_jet, tree_series
 
 
 def mi(*vars_):
@@ -385,10 +388,42 @@ class TestTape:
         eval_series(f, PT, 3)  # folds the constants at order 3
         calls = _count_products(monkeypatch)
         s = eval_series(f, PT, 3)
-        assert calls == [True]
+        assert calls == [False]  # one scaling by the folded value, no series product
         c = lambda v: TSeries.constant(v, 3)  # noqa: E731
         folded = c(2.0) * c(3.0) * c(5.0).sqrt() + c(1.0) / c(7.0)
         assert np.array_equal(s.coeffs, (TSeries.coordinate(4, PT[4], 3) * folded).coeffs)
+
+    def test_constant_with_a_non_finite_term_keeps_the_product(self, monkeypatch):
+        # (1e308*10)^2 folds to inf with NaN beyond the value; a scaling
+        # would turn the NaN of d/dy0 into inf
+        f = parse("y0*(1e308*10)^2")
+        with np.errstate(all="ignore"):
+            want = tree_series(f.ast, PT, 1, ALL)
+            eval_series(f, PT, 1)
+            calls = _count_products(monkeypatch)
+            s = eval_series(f, PT, 1)
+        assert calls == [True]
+        assert np.isnan(s.coeffs[1:]).all()
+        assert np.array_equal(s.coeffs, want.coeffs, equal_nan=True)
+
+    def test_truncation_tape_makes_no_product_with_a_constant(self, aniso_wave, monkeypatch):
+        iso = isotropic_truncation(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0])).L1
+        pts = np.random.default_rng(1).uniform(0.1, 0.3, (8, 7))
+        pts[4] += 1.0
+        eval_series(iso, pts, 2, aniso_wave.layout)
+        products = []
+        mul = TSeries.__mul__
+
+        def counting(a, b):
+            if isinstance(b, TSeries):
+                # the folded constants of a program are read-only
+                products.append(not (a.coeffs.flags.writeable and b.coeffs.flags.writeable))
+            return mul(a, b)
+
+        monkeypatch.setattr(TSeries, "__mul__", counting)
+        eval_series(iso, pts, 2, aniso_wave.layout)
+        # before constants scaled, 16 products, 10 of them with a folded constant
+        assert products == [False] * 6
 
     def test_blended_aniso_wave_tape_is_small(self, aniso_wave):
         blended = blend_anisotropy(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0]), 0.3).L1
@@ -426,6 +461,55 @@ class TestTape:
         with pytest.raises(DomainError) as ei:
             eval_series(f, PT, 1)
         assert "division by zero" in str(ei.value)
+
+
+class TestTapeOracle:
+    """eval_series is bit-equal to a plain tree walk (oracles.tree_series)
+    at orders 0-4, at batch 1 and 7, wherever the walk's series is finite."""
+
+    def check(self, field, pts, layout=ALL):
+        compared = 0
+        for order in range(5):
+            for p in (pts[:, :1], pts):
+                try:
+                    want = tree_series(field.ast, p, order, layout)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        eval_series(field, p, order, layout)
+                    continue
+                if not np.isfinite(want.coeffs).all():
+                    continue
+                got = eval_series(field, p, order, layout)
+                assert np.array_equal(got.coeffs, want.coeffs, equal_nan=True)
+                compared += 1
+        return compared
+
+    @staticmethod
+    def draws(space):
+        xs, ys = draw_admissible(space, np.random.default_rng(3), 7)
+        return np.concatenate([xs, ys])
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.scene")))
+    def test_fixture_generators(self, name):
+        space = load_scene(FIXTURES / name).space
+        pts = self.draws(space)
+        assert self.check(space.F, pts, space.layout) == 10
+        assert self.check(space.L1, pts, space.layout) == 10
+
+    @pytest.mark.parametrize("scene", ["aniso_wave", "curved_aniso"])
+    def test_isotropic_truncations(self, scene, request):
+        space = request.getfixturevalue(scene)
+        iso = isotropic_truncation(space, np.array([1.0, 0.1, 0.0, 0.0]))
+        assert self.check(iso.L1, self.draws(space), space.layout) == 10
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(17)
+        compared = 0
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                compared += self.check(ScalarField(random_ast(rng, depth=5)),
+                                       rng.uniform(0.4, 1.4, (8, 7)))
+        assert compared >= 500
 
 
 class TestSymbolicHelpers:

@@ -372,3 +372,28 @@ class TestValueStages:
             Tower(space, xs, ys).ginv_values
         with pytest.raises(DegenerateMetricError, match=r"^\|det g\| = 0\.000e\+00$"):
             Tower(space, xs[:, 1], ys[:, 1]).ginv_values
+
+
+class TestTiledTower:
+    @pytest.mark.parametrize("name", ["curved-aniso", "aniso-wave"])
+    def test_repeats_the_f_only_stages(self, name):
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        space = scene.space
+        xs, ys = draw_admissible(space, scene.rng(), 5, scene.sampling.x_box,
+                                 scene.sampling.y_box)
+        tiled = Tower(space, xs, ys).tiled(3, space)
+        whole = Tower(space, np.tile(xs, 3), np.tile(ys, 3))
+        for name in Tower._F_ONLY:
+            got, want = getattr(tiled, name), getattr(whole, name)
+            if hasattr(got, "coeffs"):
+                got, want = got.coeffs, want.coeffs
+            assert np.array_equal(got, want), name
+        em = em_series(tiled)
+        for block, s in em_series(whole).items():
+            assert np.array_equal(em[block].coeffs, s.coeffs), block
+        assert "f_series" not in tiled.__dict__  # the F tape ran once, on the 5 points
+
+    def test_keeps_f(self, curved_aniso, aniso_wave):
+        xs, ys = draw_admissible(curved_aniso, np.random.default_rng(0), 2)
+        with pytest.raises(ValueError, match="keeps the F"):
+            Tower(curved_aniso, xs, ys).tiled(2, aniso_wave)

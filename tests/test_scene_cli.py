@@ -652,6 +652,34 @@ class TestCompareEnsemble:
             if row[0] == 0.0:
                 assert line == "0,0,0,0,0"
 
+    @pytest.mark.parametrize("name, method", [("curved-aniso.scene", "rk4"),
+                                              ("aniso-wave.scene", "rk4"),
+                                              ("curved-aniso.scene", "rk45")])
+    def test_shared_geometry_currents_are_each_members_own(self, name, method, tmp_path):
+        # members share the draws' F-only stages; each one's currents are
+        # still those of its own Tower over the draws, bit for bit
+        from finslerem.cli import _run_members
+        from finslerem.em import anisotropy_ensemble
+        from finslerem.geometry import draw_admissible
+        from finslerem.maxwell import current_sample
+
+        path = coarse_copy(name, tmp_path, dt=5e-3, t_end=0.02)
+        if method == "rk45":
+            text = _with_entry(pathlib.Path(path).read_text(), "integrate", "method", "rk45")
+            pathlib.Path(path).write_text(text)
+        scene = load_scene(path)
+        y_ref = scene.particle.y0
+        xs, ys = draw_admissible(scene.space, scene.rng(), min(scene.sampling.count, 16),
+                                 scene.sampling.x_box, scene.sampling.y_box)
+        members = [None, 0.0, 0.35, 1.0]
+        runs = _run_members(scene, y_ref, members, xs, ys)
+        for m, (_, _, jh, zeta, jv) in zip(members, runs):
+            own = current_sample(anisotropy_ensemble(scene.space, y_ref, [m] * xs.shape[1]),
+                                 xs, ys)
+            assert np.array_equal(jh, own.J_h)
+            assert np.array_equal(zeta, own.zeta)
+            assert np.array_equal(jv, own.J_v)
+
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("name", ["aniso-wave.scene", "curved-aniso.scene"])
     def test_zero_member_is_exact_at_every_position(self, name, size, tmp_path, capsys):
