@@ -36,7 +36,7 @@ from .maxwell import (
     horizontal_current,
     vertical_current,
 )
-from .scene import load_scene
+from .scene import MAX_SAMPLES, load_scene
 from .series import FIBRE_VARS
 
 #: most points a currents grid may have; a point costs tens of milliseconds
@@ -69,12 +69,19 @@ def _flag(parse, name):
     return convert
 
 
-def _count(text):
-    """An integer >= 1."""
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
+def _integer(lo, hi=None):
+    """A parser of one integer n >= lo, and n <= hi if hi is given."""
+    def parse(text):
+        n = int(text)
+        if n < lo:
+            raise ValueError(f"must be >= {lo}, got {n}")
+        if hi is not None and n > hi:
+            raise ValueError(f"must be <= {hi}, got {n}")
+        return n
+    return parse
+
+
+_count = _integer(1)
 
 
 def _finite(rule, ok):
@@ -368,15 +375,32 @@ def cmd_currents(args):
 # anisotropy comparison
 
 
-def _run_members(scene, y_ref, members, xs, ys):
+#: members that ``compare`` integrates and takes currents of together; a
+#: sweep runs in chunks of this many, so its memory stays flat in the
+#: number of kappas
+MEMBER_CHUNK = 8
+
+
+def _chunks(members):
+    """``members`` cut into consecutive chunks of MEMBER_CHUNK, the last one
+    taking a lone leftover member: a lone member would run as a lone point,
+    which rounds a power differently from a batch column."""
+    bounds = list(range(0, len(members), MEMBER_CHUNK)) + [len(members)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [members[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_members(scene, space, members, draws):
     """(endpoint x, endpoint y, J_h, zeta, J_v) of each member, in order.
 
-    rk4 integrates every member in one batched worldline ensemble; rk45
-    runs them in turn.  The currents of all members come from one Tower
-    over a copy of the draws per member, whose F-only stages are computed
-    once, over the draws alone (``Tower.tiled``).
+    ``space`` is an ensemble of the scene (``anisotropy_ensemble``) and
+    ``draws`` the Tower of the scene at the draws.  rk4 integrates every
+    member in one batched worldline ensemble; rk45 runs them in turn.  The
+    currents of all members come from one Tower over a copy of the draws
+    per member, which holds the F-only stages of ``draws`` (``Tower.tiled``).
     """
-    space = anisotropy_ensemble(scene.space, y_ref, members)
+    space = replace(space, L1=replace(space.L1, kappas=tuple(members)))
     it = scene.integrate
     nb = len(members)
 
@@ -391,30 +415,34 @@ def _run_members(scene, y_ref, members, xs, ys):
     else:
         ends = [run(replace(space, L1=replace(space.L1, kappas=(m,))), x0, y0)
                 for m in members]
-    n = xs.shape[1]
-    members = replace(space, L1=space.L1.tiled(n))
-    tower = fibre_tower(space, xs, ys).tiled(nb, members)
-    J_h, zeta = horizontal_current(members, None, None, tower=tower)
-    J_v = vertical_current(members, None, None, tower=tower)
+    n = draws.x.shape[1]
+    tiled = replace(space, L1=space.L1.tiled(n))
+    tower = draws.tiled(nb, tiled)
+    J_h, zeta = horizontal_current(tiled, None, None, tower=tower)
+    J_v = vertical_current(tiled, None, None, tower=tower)
     cols = [slice(b * n, (b + 1) * n) for b in range(nb)]
     return [(xk, vk, J_h[:, c], zeta[:, c], J_v[:, c]) for (xk, vk), c in zip(ends, cols)]
 
 
 def _member_runs(scene, y_ref, members, xs, ys):
-    """Yield each member's run; one ensemble, or one member at a time if that fails.
+    """Yield each member's run, chunk by chunk (``_chunks``); each chunk is
+    one ensemble, or one member at a time if that fails.
 
-    The fallback reproduces a serial sweep exactly: every member before
-    the failing one, then the failing member's error.
+    The fallback reproduces a serial sweep: every member before the
+    failing one, then the failing member's error.
     """
-    try:
-        runs = _run_members(scene, y_ref, members, xs, ys)
-    except FinslerEMError:
-        runs = None
-    if runs is not None:
-        yield from runs
-        return
-    for m in members:
-        yield _run_members(scene, y_ref, [m], xs, ys)[0]
+    space = anisotropy_ensemble(scene.space, y_ref, members)
+    draws = fibre_tower(scene.space, xs, ys)
+    for chunk in _chunks(members):
+        try:
+            runs = _run_members(scene, space, chunk, draws)
+        except FinslerEMError:
+            runs = None
+        if runs is not None:
+            yield from runs
+            continue
+        for m in chunk:
+            yield _run_members(scene, space, [m], draws)[0]
 
 
 def cmd_compare(args):
@@ -459,8 +487,8 @@ def build_parser():
 
     v = sub.add_parser("validate", help="run the identity suite on a scene")
     v.add_argument("scene")
-    v.add_argument("--samples", type=_flag(_count, "--samples"), default=None)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--samples", type=_flag(_integer(1, MAX_SAMPLES), "--samples"), default=None)
+    v.add_argument("--seed", type=_flag(_integer(0), "--seed"), default=None)
     v.add_argument("--tol", type=_flag(_finite(">= 0", lambda v: v >= 0), "--tol"),
                    default=1e-8)
     v.add_argument("--format", choices=("text", "csv", "json"), default="text")

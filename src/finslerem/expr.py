@@ -21,12 +21,13 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from . import series
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
-from .series import ALL, FACT, NTERMS, TERMS, TSeries, VAR_NAMES
+from .series import ALL, FACT, NTERMS, TERMS, TSeries, VAR_NAMES, _deriv_tables
 
 __all__ = [
     "ScalarField",
@@ -353,13 +354,23 @@ class _Tape:
     derivative order on batch-free series, with the same series arithmetic,
     and its result is broadcast into every evaluation.
 
-    One identity is applied: a product with a folded constant whose
-    coefficients beyond the value are all exactly 0 is a scaling of the
-    other factor by that value.  Each output term of the product sums
-    a_t c_0 and products with 0, so on finite coefficients the scaling is
-    the product, up to the sign of a zero.  A constant with a nonzero or
-    non-finite higher coefficient (``exp(1000)`` at order >= 1) keeps the
-    product.  Apart from that the results are those of a plain tree walk.
+    Two identities turn a product into cheaper steps.  Both are exact
+    because ``reduceat`` adds a segment's exact zeros without rounding, in
+    whatever grouping it sums them, so a segment with at most two nonzero
+    summands gives their one rounded sum; they agree with the product on
+    finite coefficients, up to the sign of a zero.
+
+    - A product with a folded constant whose coefficients beyond the value
+      are all exactly 0 is a scaling of the other factor by that value:
+      each output term sums a_t c_0 and products with 0.  A constant with
+      a nonzero or non-finite higher coefficient (``exp(1000)`` at order
+      >= 1) keeps the product.
+    - Any other product with a chart coordinate is a shift and a scaling
+      (:func:`series._coordinate_product`): the coordinate's series is its
+      value v0 plus one degree-1 term of coefficient 1, so output term K
+      sums a_K v0, a_{K-e} and products with 0.
+
+    Apart from that the results are those of a plain tree walk.
     """
 
     def __init__(self, ast):
@@ -453,15 +464,21 @@ class _Tape:
                 # raised in turn, after every step that comes before it
                 failure = (str(e), node)
                 break
-        # a product with a constant that is only a value scales the other factor
+        # a product with a constant that is only a value scales the other
+        # factor, and any other product with a coordinate shifts and scales
+        # it; a step has at most one constant factor, else it would fold
+        var = dict(coords)
         for i, (slot, fn, args) in enumerate(steps):
             if fn is not operator.mul:
                 continue
-            for c, other in (args, args[::-1]):
-                if consts[c] is not None and not consts[c].coeffs[1:].any():
+            c, other = sorted(args, key=lambda a: (consts[a] is None, a not in var))
+            if consts[c] is not None:
+                if not consts[c].coeffs[1:].any():
                     scale = operator.methodcaller("__mul__", float(consts[c].coeffs[0]))
                     steps[i] = (slot, scale, (other,))
-                    break
+            elif c in var:
+                src = _deriv_tables(order, layout.index(var[c]), len(layout))[0]
+                steps[i] = (slot, partial(_times_coordinate, src), (other, c))
         # shared by every call: broadcast over the batch axes, read-only
         pad = (1,) * ndim
         for i, c in enumerate(consts):
@@ -501,6 +518,12 @@ class _Tape:
             shape = out.coeffs.shape[:1] + batch
             out = TSeries(np.broadcast_to(out.coeffs, shape).copy(), order, layout)
         return out
+
+
+def _times_coordinate(src, a, x):
+    """``a * x`` for the series ``x`` of a chart coordinate (``src`` as in
+    :func:`series._coordinate_product`)."""
+    return TSeries(series._coordinate_product(a.coeffs, x.coeffs[0], src), a.order, a.layout)
 
 
 def eval_series(field, point, order, layout=ALL):

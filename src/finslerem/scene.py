@@ -28,6 +28,8 @@ from .expr import ScalarField
 from .geometry import SpaceDef
 
 HOMOGENEITY_TOL = 1e-10
+#: most samples a validation may draw; peak memory grows about 25 KB per sample
+MAX_SAMPLES = 10**4
 
 
 @dataclass
@@ -200,9 +202,12 @@ def parse_scene_text(text):
     sampling = SamplingSpec()
     if cp.has_section("sampling"):
         sampling.seed = get_num("sampling", "seed", sampling.seed, conv=int)
+        if sampling.seed < 0:
+            raise SceneParseError(f"sampling.seed must be >= 0, got {sampling.seed}")
         sampling.count = get_num("sampling", "count", sampling.count, conv=int)
-        if sampling.count < 1:
-            raise SceneParseError(f"sampling.count must be >= 1, got {sampling.count}")
+        if not 1 <= sampling.count <= MAX_SAMPLES:
+            raise SceneParseError(
+                f"sampling.count must be in 1..{MAX_SAMPLES}, got {sampling.count}")
         if cp.has_option("sampling", "x_box"):
             sampling.x_box = _parse_box(cp.get("sampling", "x_box"), "sampling.x_box")
         if cp.has_option("sampling", "y_box"):

@@ -31,6 +31,16 @@ rank-2 series, so a tensor stage is a few whole-array calls.  Products
 gather both factors along the term axis, multiply (elementwise, or
 summed over a contracted tensor index in :func:`contract`) and
 ``reduceat`` each output term's segment.
+
+``np.add.reduceat`` sums a segment as its first summand plus a pairwise
+sum of the rest, whatever the array's shape.  Dropping exact zeros from
+a segment with three or more nonzero summands would regroup it and can
+move a rounding, so products are never pruned by degree.  A segment with
+at most two nonzero summands sums to the same value in any grouping (up
+to the sign of a zero), and two products have only such segments: a
+product with a chart coordinate (:func:`_coordinate_product`) and the
+first Horner step of a composition (``TSeries._compose``).  Both skip
+the product kernel.
 """
 
 from __future__ import annotations
@@ -198,12 +208,26 @@ def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply)
     return out
 
 
+def _coordinate_product(a, v0, src):
+    """Coefficients of the truncated product of ``a`` with a chart coordinate.
+
+    The coordinate's series is v0 plus one degree-1 term e of coefficient
+    1, so output term K is fl(a_K v0 + a_{K-e}), as in :func:`_product`
+    wherever ``a`` is finite.  ``src`` maps each term T of degree < k to
+    T + e (the ``src`` of :func:`_deriv_tables`).
+    """
+    c = a * v0
+    c[src] += a[:len(src)]
+    return c
+
+
 def _deriv_tables(k, pos, n):
-    """(src, fac): d/d(variable ``pos``) maps degree<=k onto degree<=k-1."""
+    """(src, fac): d/d(variable ``pos``) maps degree<=k onto degree<=k-1
+    (empty at k = 0)."""
     t = _terms(n)
     key = (k, pos)
     if key not in t.deriv:
-        nout = t.nterms[k - 1]
+        nout = t.nterms[k - 1] if k else 0
         src = t.lookup(t.codes[:nout] + _BASE ** (n - 1 - pos))
         fac = (t.terms[:nout, pos] + 1).astype(float)
         t.deriv[key] = (src, fac)
@@ -517,12 +541,17 @@ class TSeries:
     # ------------------------------------------------------------------
     # analytic functions via univariate composition (Horner in h = u - u0)
     def _compose(self, cs):
+        """sum_m cs[m] h^m for h = self - u0, by Horner's rule.
+
+        The first step is a scaling of h by c_k: each segment of the
+        product with the series of c_k holds c_k h_K and exact zeros.
+        """
         i = self._at(0)
         h = self.copy()
         h.coeffs[i] = 0.0
-        r = TSeries(np.zeros(self.coeffs.shape), self.order, self.layout, self.rank)
-        r.coeffs[i] = cs[-1]
-        for m in range(len(cs) - 2, -1, -1):
+        r = h * np.expand_dims(cs[-1], self.rank)
+        r.coeffs[i] = cs[-1] if len(cs) == 1 else r.coeffs[i] + cs[-2]
+        for m in range(len(cs) - 3, -1, -1):
             r = r * h
             r.coeffs[i] = r.coeffs[i] + cs[m]
         return r

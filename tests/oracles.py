@@ -3,11 +3,12 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are two exceptions.  ``tree_series`` walks an expression
+check.  There are three exceptions.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
-sharing or rewriting.  The scalar identity oracle at the end reads the
-tower entry by entry, in the order of evaluation that its whole-tensor
-contractions replaced.
+sharing or rewriting.  ``full_horner`` composes a series with a full
+product at every Horner step.  The scalar identity oracle at the end
+reads the tower entry by entry, in the order of evaluation that its
+whole-tensor contractions replaced.
 """
 
 import numpy as np
@@ -64,6 +65,21 @@ def tree_series(node, point, order, layout):
 
     out, = widen(walk(node))
     return TSeries(np.broadcast_to(out.coeffs, out.coeffs.shape[:1] + batch), order, layout)
+
+
+def full_horner(u, cs):
+    """sum_m cs[m] (u - u0)^m by Horner's rule with a full series product at
+    every step: the reference for ``TSeries._compose``, whose first step
+    is a scaling."""
+    i = u._at(0)
+    h = u.copy()
+    h.coeffs[i] = 0.0
+    r = TSeries(np.zeros(u.coeffs.shape), u.order, u.layout, u.rank)
+    r.coeffs[i] = cs[-1]
+    for m in range(len(cs) - 2, -1, -1):
+        r = r * h
+        r.coeffs[i] = r.coeffs[i] + cs[m]
+    return r
 
 
 def f_squared(space):

@@ -4,8 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
+from finslerem import series
 from finslerem.em import blend_anisotropy, isotropic_truncation
-
 from finslerem.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from finslerem.expr import (
     BinOp,
@@ -361,6 +361,24 @@ def _count_products(monkeypatch):
     return calls
 
 
+def _count_kernels(monkeypatch):
+    """Record every call of the two product kernels from here on: the full
+    product and the coordinate step, each with whether a factor is a
+    folded (read-only) constant."""
+    calls = []
+
+    def counting(name, kernel):
+        def run(a, b, *rest, **kw):
+            calls.append((name, not (a.flags.writeable and np.asarray(b).flags.writeable)))
+            return kernel(a, b, *rest, **kw)
+        return run
+
+    monkeypatch.setattr(series, "_product", counting("product", series._product))
+    monkeypatch.setattr(series, "_coordinate_product",
+                        counting("coordinate", series._coordinate_product))
+    return calls
+
+
 def _node_count(node):
     if isinstance(node, (Num, Var)):
         return 1
@@ -376,9 +394,11 @@ class TestTape:
 
     def test_repeated_subtree_evaluated_once(self, monkeypatch):
         f = parse("(y0*y1 + x0)*(y0*y1 + x0)")
-        calls = _count_products(monkeypatch)
+        calls = _count_kernels(monkeypatch)
         s = eval_series(f, PT, 2)
-        assert len(calls) == 2  # y0*y1 and the outer product; a tree walk makes 3
+        # y0*y1 and the outer product; a tree walk makes 3 (before coordinate
+        # steps, the tape made 2 full products)
+        assert [name for name, _ in calls] == ["coordinate", "product"]
         u = TSeries.coordinate(4, PT[4], 2) * TSeries.coordinate(5, PT[5], 2) \
             + TSeries.coordinate(0, PT[0], 2)
         assert np.array_equal(s.coeffs, (u * u).coeffs)
@@ -411,19 +431,12 @@ class TestTape:
         pts = np.random.default_rng(1).uniform(0.1, 0.3, (8, 7))
         pts[4] += 1.0
         eval_series(iso, pts, 2, aniso_wave.layout)
-        products = []
-        mul = TSeries.__mul__
-
-        def counting(a, b):
-            if isinstance(b, TSeries):
-                # the folded constants of a program are read-only
-                products.append(not (a.coeffs.flags.writeable and b.coeffs.flags.writeable))
-            return mul(a, b)
-
-        monkeypatch.setattr(TSeries, "__mul__", counting)
+        # the folded constants of a program are read-only
+        calls = _count_kernels(monkeypatch)
         eval_series(iso, pts, 2, aniso_wave.layout)
-        # before constants scaled, 16 products, 10 of them with a folded constant
-        assert products == [False] * 6
+        # before constants scaled, 16 products, 10 of them with a folded
+        # constant; before coordinate steps, 6 products
+        assert sorted(calls) == [("coordinate", False)] * 4 + [("product", False)]
 
     def test_blended_aniso_wave_tape_is_small(self, aniso_wave):
         blended = blend_anisotropy(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0]), 0.3).L1
@@ -465,12 +478,13 @@ class TestTape:
 
 class TestTapeOracle:
     """eval_series is bit-equal to a plain tree walk (oracles.tree_series)
-    at orders 0-4, at batch 1 and 7, wherever the walk's series is finite."""
+    at orders 0-4, at a lone point and at batch 1, 7 and 300 (a blocked
+    product), wherever the walk's series is finite."""
 
     def check(self, field, pts, layout=ALL):
         compared = 0
         for order in range(5):
-            for p in (pts[:, :1], pts):
+            for p in (pts[:, 0], pts[:, :1], pts[:, :7], pts):
                 try:
                     want = tree_series(field.ast, p, order, layout)
                 except DomainError:
@@ -486,30 +500,33 @@ class TestTapeOracle:
 
     @staticmethod
     def draws(space):
-        xs, ys = draw_admissible(space, np.random.default_rng(3), 7)
+        xs, ys = draw_admissible(space, np.random.default_rng(3), 300)
         return np.concatenate([xs, ys])
 
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.scene")))
     def test_fixture_generators(self, name):
         space = load_scene(FIXTURES / name).space
         pts = self.draws(space)
-        assert self.check(space.F, pts, space.layout) == 10
-        assert self.check(space.L1, pts, space.layout) == 10
+        assert self.check(space.F, pts, space.layout) == 20
+        assert self.check(space.L1, pts, space.layout) == 20
 
     @pytest.mark.parametrize("scene", ["aniso_wave", "curved_aniso"])
     def test_isotropic_truncations(self, scene, request):
         space = request.getfixturevalue(scene)
         iso = isotropic_truncation(space, np.array([1.0, 0.1, 0.0, 0.0]))
-        assert self.check(iso.L1, self.draws(space), space.layout) == 10
+        assert self.check(iso.L1, self.draws(space), space.layout) == 20
 
     def test_random_trees(self):
         rng = np.random.default_rng(17)
+        wide = np.random.default_rng(18)
         compared = 0
         with np.errstate(all="ignore"):
             for _ in range(60):
-                compared += self.check(ScalarField(random_ast(rng, depth=5)),
-                                       rng.uniform(0.4, 1.4, (8, 7)))
-        assert compared >= 500
+                field = ScalarField(random_ast(rng, depth=5))
+                pts = np.concatenate([rng.uniform(0.4, 1.4, (8, 7)),
+                                      wide.uniform(0.4, 1.4, (8, 293))], axis=1)
+                compared += self.check(field, pts)
+        assert compared >= 1000
 
 
 class TestSymbolicHelpers:

@@ -70,7 +70,7 @@ GOOD_GRID = "0:1:2,0:0:1,0:0:1,0:0:1,1:1.1:1,0.1:0.1:1,0:0:1,0:0:1"
 COMMANDS = st.one_of(
     st.tuples(st.just("validate"),
               st.sampled_from([["--samples", v] for v in ("1", "2", "3", "3", "0", "x")]),
-              st.sampled_from([[], [], ["--tol", "1"], ["--tol", "nan"]]),
+              st.sampled_from([[], [], ["--tol", "1"], ["--tol", "nan"], ["--seed", "-1"]]),
               st.sampled_from([[], [], ["--format", "csv"], ["--format", "json"]])),
     st.tuples(st.just("currents"),
               st.sampled_from([

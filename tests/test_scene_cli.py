@@ -461,9 +461,11 @@ class TestSceneValueContract:
             ("space", "c", "0"),
             ("space", "coupling", "0"),
             ("space", "H", "0"),
+            ("sampling", "seed", "-3"),
+            ("sampling", "count", "10001"),
         ],
         ids=["x_box-reversed", "x_box-not-a-number", "y0-nan", "literal-overflow",
-             "c-zero", "coupling-zero", "H-zero"],
+             "c-zero", "coupling-zero", "H-zero", "seed-negative", "count-above-limit"],
     )
     def test_rejected_at_load(self, section, key, value, tmp_path):
         text = _with_entry((FIXTURES / "aniso-wave.scene").read_text(), section, key, value)
@@ -511,6 +513,8 @@ class TestFlagContract:
             ["validate", "minkowski-vacuum.scene", "--samples", "0"],
             ["validate", "minkowski-vacuum.scene", "--samples", "-5"],
             ["validate", "minkowski-vacuum.scene", "--samples", "2.5"],
+            ["validate", "minkowski-vacuum.scene", "--samples", "10001"],
+            ["validate", "curved-aniso.scene", "--seed", "-1"],
             ["validate", "minkowski-vacuum.scene", "--tol", "nan"],
             ["validate", "minkowski-vacuum.scene", "--tol", "-1"],
             ["currents", "aniso-wave.scene", "--grid", README_GRID, "--step", "0"],
@@ -525,7 +529,7 @@ class TestFlagContract:
         ],
         ids=["kappa-nan", "kappa-inf", "kappa-empty", "kappa-not-a-number", "ref-two",
              "ref-nan", "ref-zero", "ref-spacelike", "samples-0", "samples-negative",
-             "samples-not-an-integer", "tol-nan", "tol-negative", "step-0", "step-nan",
+             "samples-not-an-integer", "samples-above-limit", "seed-negative", "tol-nan", "tol-negative", "step-0", "step-nan",
              "grid-bound-not-a-number", "grid-count-not-an-integer", "grid-bound-nan",
              "grid-count-0", "grid-too-few-entries", "grid-too-many-points"],
     )
@@ -628,8 +632,9 @@ class TestCompareEnsemble:
             ("aniso-wave.scene", "rk4", [1.0, 0.5, 0.0]),
             ("randers-aniso.scene", "rk4", [0.25, 1.0]),
             ("curved-aniso.scene", "rk45", [0.0, 0.6, 1.0]),
+            ("aniso-wave.scene", "rk4", [0.1 * i for i in range(9)]),
         ],
-        ids=["zero-first", "zero-middle", "zero-last", "flat-randers", "rk45"],
+        ids=["zero-first", "zero-middle", "zero-last", "flat-randers", "rk45", "two-chunks"],
     )
     def test_rows_match_serial_sweep(self, name, method, kappas, tmp_path, capsys):
         path = coarse_copy(name, tmp_path, dt=5e-3, t_end=0.1)
@@ -652,13 +657,22 @@ class TestCompareEnsemble:
             if row[0] == 0.0:
                 assert line == "0,0,0,0,0"
 
+    @pytest.mark.parametrize("size", [2, 7, 8, 9, 10, 16, 17, 25])
+    def test_chunks_keep_order_and_never_leave_a_member_alone(self, size):
+        from finslerem.cli import MEMBER_CHUNK, _chunks
+
+        members = list(range(size))
+        chunks = _chunks(members)
+        assert [m for c in chunks for m in c] == members
+        assert all(2 <= len(c) <= MEMBER_CHUNK + 1 for c in chunks)
+
     @pytest.mark.parametrize("name, method", [("curved-aniso.scene", "rk4"),
                                               ("aniso-wave.scene", "rk4"),
                                               ("curved-aniso.scene", "rk45")])
     def test_shared_geometry_currents_are_each_members_own(self, name, method, tmp_path):
         # members share the draws' F-only stages; each one's currents are
         # still those of its own Tower over the draws, bit for bit
-        from finslerem.cli import _run_members
+        from finslerem.cli import _member_runs
         from finslerem.em import anisotropy_ensemble
         from finslerem.geometry import draw_admissible
         from finslerem.maxwell import current_sample
@@ -672,7 +686,7 @@ class TestCompareEnsemble:
         xs, ys = draw_admissible(scene.space, scene.rng(), min(scene.sampling.count, 16),
                                  scene.sampling.x_box, scene.sampling.y_box)
         members = [None, 0.0, 0.35, 1.0]
-        runs = _run_members(scene, y_ref, members, xs, ys)
+        runs = _member_runs(scene, y_ref, members, xs, ys)
         for m, (_, _, jh, zeta, jv) in zip(members, runs):
             own = current_sample(anisotropy_ensemble(scene.space, y_ref, [m] * xs.shape[1]),
                                  xs, ys)

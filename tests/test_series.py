@@ -8,12 +8,18 @@ from finslerem.series import (
     INDEX,
     MAX_ORDER,
     NTERMS,
+    NVARS,
     TERMS,
     TSeries,
+    _deriv_tables,
     _mul_tables,
+    _product,
+    _terms,
     contract,
     jet_tensor,
 )
+
+from oracles import full_horner
 
 
 class TestTermTables:
@@ -130,6 +136,47 @@ class TestAnalyticFunctions:
         p = s.powf(0.5)
         ref = s.sqrt()
         assert np.allclose(p.coeffs, ref.coeffs, atol=1e-14)
+
+
+class TestComposeOracle:
+    """Each composition is bit-equal to Horner's rule with a full product at
+    every step (oracles.full_horner) on finite inputs."""
+
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (300,)])
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    @pytest.mark.parametrize("method, args", [
+        ("sqrt", ()), ("reciprocal", ()), ("log", ()), ("exp", ()), ("sin", ()),
+        ("cos", ()), ("powf", (0.3,)), ("powf", (-1.5,)),
+    ])
+    def test_matches_full_product_horner(self, method, args, order, batch, monkeypatch):
+        rng = np.random.default_rng(order * 1000 + sum(batch))
+        c = rng.uniform(-1.0, 1.0, (NTERMS[order],) + batch)
+        c[0] = rng.uniform(0.5, 2.0, batch)
+        u = TSeries(c, order)
+        seen = []
+        compose = TSeries._compose
+        monkeypatch.setattr(TSeries, "_compose",
+                            lambda s, cs: seen.append(cs) or compose(s, cs))
+        got = getattr(u, method)(*args)
+        assert np.isfinite(got.coeffs).all()
+        assert np.array_equal(got.coeffs, full_horner(u, seen[0]).coeffs)
+
+
+class TestCoordinateProduct:
+    @pytest.mark.parametrize("batch", [(), (7,)])
+    @pytest.mark.parametrize("n", range(1, NVARS + 1))
+    def test_equals_the_full_product(self, n, batch):
+        """A product with a coordinate's series is a shift and a scaling."""
+        rng = np.random.default_rng(n)
+        for order in range(MAX_ORDER + 1):
+            layout = tuple(range(n))
+            a = rng.standard_normal((_terms(n).nterms[order],) + batch)
+            for pos in range(n):
+                v0 = rng.standard_normal(batch)
+                x = TSeries.coordinate(pos, v0, order, batch, layout)
+                src = _deriv_tables(order, pos, n)[0]
+                got = series._coordinate_product(a, v0, src)
+                assert np.array_equal(got, _product(a, x.coeffs, order, n))
 
 
 class TestBatch:
