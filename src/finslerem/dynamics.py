@@ -87,12 +87,15 @@ class ForceEvaluator:
     a (4,) call: numpy's vectorized power may round a base value
     differently from its scalar power.  A degenerate metric or singular
     force matrix raises for the first failing member and names its index.
+
+    A flat F is expanded to order 2 like L1, so the Tower runs the two
+    generators as one program.
     """
 
     def __init__(self, space):
         self.space = space
         self.qc = space.qc()
-        self.has_em = not space.L1.is_zero()
+        self.has_em = space.has_field
         # the connection, which needs F to order 3, enters only through the field
         self.order_f = 3 if (self.has_em and not space.flat_x) else 2
 
@@ -104,30 +107,32 @@ class ForceEvaluator:
         # every array below is (..., 4, ...), with the member axis first
         # when there is more than one member
         g, ginv, yv = t.g_stack, t.ginv_stack, t.y_stack
+        qc = self.qc
         if self.has_em:
             F, Ft = t.field_stack
             F_mix_h = ginv @ F
             F_mix_v = ginv @ Ft
-            M = _EYE - self.qc * F_mix_v
+            M = _EYE - qc * F_mix_v
             check_det(np.linalg.det(M), "det(I - (q/c)Ft)", SingularForceMatrixError)
-            a = np.linalg.solve(M, self.qc * (F_mix_h @ yv))
+            force_h = F_mix_h @ yv
+            a = np.linalg.solve(M, qc * force_h)
         else:
             F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
+            force_h = F_mix_h @ yv
             a = np.zeros(yv.shape)
 
-        dydt = a - 2.0 * t.spray_stack[..., None]
+        # a flat F has no spray, and a - 2 * 0 is a, bit for bit
+        dydt = a.copy() if self.space.flat_x else a - 2.0 * t.spray_stack[..., None]
         a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
         if not single:
             a_out, dydt_out = a_out.reshape(4, -1), dydt_out.reshape(4, -1)
         if not monitors:
             return a_out, dydt_out
-        force_h = (F_mix_h @ yv).mT
         force_v = (F_mix_v @ a).mT
-        qc = self.qc
         res = qc * (F @ yv) + (qc * Ft - g) @ a
         mon = {
             "F_value": t.f_value,
-            "ortho_F": (force_h @ g @ yv)[..., 0, 0],
+            "ortho_F": (force_h.mT @ g @ yv)[..., 0, 0],
             "ortho_Ftilde": (force_v @ g @ yv)[..., 0, 0],
             "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),
         }

@@ -14,6 +14,7 @@ Euler-Lagrange reduction of the particle Lagrangian agree term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -152,8 +153,8 @@ class AnisotropyBlend:
 
     Batch column b of a point is member b.  Its series is the truncation's
     ``s_iso`` when ``kappas[b]`` is None, the scene's ``s_full`` when it
-    is 1, and otherwise ``s_iso + (s_full - s_iso) kappa_b``, from one run
-    of each of the two tapes for every member.  That is the series
+    is 1, and otherwise ``s_iso + (s_full - s_iso) kappa_b``, with both
+    series from one program (``expr.program``).  That is the series
     arithmetic of the tape of ``blend_anisotropy(space, y_ref, kappa_b)``,
     which scales by the number kappa_b as this does.  When the scene's L1
     is zero, every member is the (zero) truncation.  Build it with
@@ -187,18 +188,39 @@ class AnisotropyBlend:
         truncation_only = all(k is None for k in self.kappas)
         return self.full.is_zero() or (truncation_only and self.iso.is_zero())
 
-    def series(self, point, order, layout):
+    @cached_property
+    def parts(self):
+        """The fields the members read: the truncation, the scene's L1 or both."""
         if all(k == 1.0 for k in self.kappas):
-            return expr.eval_series(self.full, point, order, layout)
-        s_iso = expr.eval_series(self.iso, point, order, layout)
+            return (self.full,)
         if self.full.is_zero() or all(k is None for k in self.kappas):
-            return s_iso
-        s_full = expr.eval_series(self.full, point, order, layout)
-        kappa = np.reshape([0.0 if k is None else k for k in self.kappas], point.shape[1:])
-        blend = s_iso + (s_full - s_iso) * kappa
-        iso = np.reshape([k is None for k in self.kappas], kappa.shape)
-        coeffs = np.where(iso, s_iso.coeffs, np.where(kappa == 1.0, s_full.coeffs, blend.coeffs))
-        return TSeries(coeffs, order, layout)
+            return (self.iso,)
+        return (self.iso, self.full)
+
+    @cached_property
+    def _masks(self):
+        """kappa (0 for the truncation), the truncation's members, kappa == 1."""
+        kappa = np.array([0.0 if k is None else k for k in self.kappas])
+        return kappa, np.array([k is None for k in self.kappas]), kappa == 1.0
+
+    @cached_property
+    def _tape(self):
+        if len(self.parts) == 1:
+            return self.parts[0]._tape
+        return expr.program(*self.parts)
+
+    def combine(self, parts, batch):
+        """The members' series from the series of :attr:`parts`."""
+        if len(parts) == 1:
+            return parts[0]
+        s_iso, s_full = parts
+        kappa, iso, one = (m.reshape(batch) for m in self._masks)
+        blend = s_iso.coeffs + (s_full.coeffs - s_iso.coeffs) * kappa
+        coeffs = np.where(iso, s_iso.coeffs, np.where(one, s_full.coeffs, blend))
+        return TSeries(coeffs, s_iso.order, s_iso.layout)
+
+    def series(self, point, order, layout):
+        return self.combine(self._tape.run(point, order, layout), point.shape[1:])
 
     def tiled(self, n):
         """The same members, each repeated over n consecutive batch columns."""

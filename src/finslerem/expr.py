@@ -93,6 +93,10 @@ class ScalarField:
 
     def variables(self):
         """Set of chart-variable indices that occur in the tree."""
+        return self._variables
+
+    @cached_property
+    def _variables(self):
         out = set()
 
         def walk(n):
@@ -108,7 +112,7 @@ class ScalarField:
                     walk(a)
 
         walk(self.ast)
-        return out
+        return frozenset(out)
 
     def is_zero(self):
         return isinstance(self.ast, Num) and self.ast.value == 0.0
@@ -116,11 +120,21 @@ class ScalarField:
     @cached_property
     def _tape(self):
         # held by the field, so it is freed with it
-        return _Tape(self.ast)
+        return _Tape((self.ast,))
+
+    @property
+    def parts(self):
+        """The ScalarFields whose series make this generator's: itself."""
+        return (self,)
+
+    @staticmethod
+    def combine(parts, batch):
+        """This generator's series from the series of its ``parts``."""
+        return parts[0]
 
     def series(self, point, order, layout):
         """Taylor series at ``point`` in ``layout``; see :func:`eval_series`."""
-        return self._tape.run(point, order, layout)
+        return self._tape.run(point, order, layout)[0]
 
 
 @dataclass
@@ -331,9 +345,9 @@ def to_source(node):
 
 
 # ----------------------------------------------------------------------
-# evaluation: each field compiles once into a straight-line series program
+# evaluation: fields compile into straight-line programs on coefficient arrays
 
-_SERIES_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg}
+_ARRAY_OPS = {"+": operator.add, "-": operator.sub, "neg": operator.neg}
 
 
 def _literal(node):
@@ -345,14 +359,44 @@ def _literal(node):
     return None
 
 
-class _Tape:
-    """A field's unique series operations in the order they are first needed.
+def _array_fn(op, order, mul):
+    """The function of coefficient arrays that runs one operation at ``order``."""
+    name, arg = op
+    if name == "*":
+        return mul
+    if name in _ARRAY_OPS:
+        return _ARRAY_OPS[name]
+    fn = series.FUNCTIONS[name]
+    if arg is None:
+        return lambda a: fn(a, order, mul)
+    return lambda a: fn(a, order, mul, 0, arg)
 
-    Structurally equal subtrees share one slot: slots are hash-consed on
-    the operation and its child slots, never on a whole subtree.  An
-    operation whose leaves are all numbers is folded: it runs once per
-    derivative order on batch-free series, with the same series arithmetic,
-    and its result is broadcast into every evaluation.
+
+def _coordinate_step(src, a, v0):
+    """``a`` times a chart coordinate of value row ``v0`` (``src`` as in
+    :func:`series._coordinate_product`, which it looks up at each call)."""
+    return series._coordinate_product(a, v0, src)
+
+
+class _Tape:
+    """One program of series operations over a tuple of root expressions.
+
+    The unique operations of all the roots are listed in the order they
+    are first needed.  Structurally equal subtrees share one slot, within
+    a root and across roots: slots are hash-consed on the operation and
+    its child slots, never on a whole subtree, so a subexpression that
+    several roots hold runs once.  A ScalarField's tape has one root;
+    :func:`program` compiles several fields into one.
+
+    A program runs on bare coefficient arrays, shaped (nterms, *batch).
+    Each step is a function of arrays with its order, layout and
+    derivative tables bound when the program is built for an order, and
+    it runs the numpy operations of the TSeries arithmetic it stands for,
+    in the same order.  Only the roots come back as TSeries.
+
+    An operation whose leaves are all numbers is folded: it runs once per
+    derivative order on batch-free arrays, with the same arithmetic, and
+    its result is broadcast into every evaluation.
 
     Two identities turn a product into cheaper steps.  Both are exact
     because ``reduceat`` adds a segment's exact zeros without rounding, in
@@ -368,34 +412,54 @@ class _Tape:
     - Any other product with a chart coordinate is a shift and a scaling
       (:func:`series._coordinate_product`): the coordinate's series is its
       value v0 plus one degree-1 term of coefficient 1, so output term K
-      sums a_K v0, a_{K-e} and products with 0.
+      sums a_K v0, a_{K-e} and products with 0.  The step reads v0 from
+      the point, so a coordinate that only such steps read is never
+      expanded into a series.
 
     Apart from that the results are those of a plain tree walk.
     """
 
-    def __init__(self, ast):
-        self.code = []    # (fn, child slots, AST node); fn is None for a leaf
+    def __init__(self, asts, tapes=()):
+        self.asts = tuple(asts)
+        self.code = []    # (op, child slots, AST node); op is None for a leaf
         self.const = []   # the slot depends on numbers only
         self._index = {}
         self._programs = {}
-        self.root = self._compile(ast)
+        self.roots = tuple(self._compile(ast) for ast in self.asts)
+        for tape in tapes:
+            self.asts += tape.asts
+            self.roots += self._join(tape)
         del self._index
 
-    def _emit(self, key, fn, args, node):
+    def _join(self, tape):
+        """Emit a compiled tape's code into this one; returns its roots' slots.
+
+        The tape lists its slots in the order its own walk first needs
+        them, so this gives the code of walking its roots here."""
+        slots = []
+        for op, args, node in tape.code:
+            args = tuple(slots[a] for a in args)
+            if op is not None:
+                key = op + args
+            elif isinstance(node, Num):
+                key = ("num", node.value, math.copysign(1.0, node.value))
+            else:
+                key = ("var", node.index)
+            slots.append(self._emit(key, op, args, node))
+        return tuple(slots[r] for r in tape.roots)
+
+    def _emit(self, key, op, args, node):
         slot = self._index.get(key)
         if slot is None:
             slot = self._index[key] = len(self.code)
-            self.code.append((fn, args, node))
+            self.code.append((op, args, node))
             self.const.append(
-                isinstance(node, Num) if fn is None else all(self.const[a] for a in args)
+                isinstance(node, Num) if op is None else all(self.const[a] for a in args)
             )
         return slot
 
     def _op(self, name, args, node, arg=None):
-        fn = _SERIES_FNS.get(name) or operator.methodcaller(
-            name, *(() if arg is None else (arg,))
-        )
-        return self._emit((name, arg) + args, fn, args, node)
+        return self._emit((name, arg) + args, (name, arg), args, node)
 
     def _compile(self, node):
         if isinstance(node, Num):
@@ -443,67 +507,89 @@ class _Tape:
         return result
 
     def _build(self, order, ndim, layout):
-        """The constants folded at ``order`` and the steps left for each call."""
+        """The program at ``order``: folded constants, coordinate leaves and
+        steps, each step ``(slot, fn, a, b, dead)``."""
         outside = [VAR_NAMES[n.index] for _, _, n in self.code
                    if isinstance(n, Var) and n.index not in layout]
         if outside:
             raise ValueError(f"{', '.join(outside)} outside the series layout {layout}")
+        n = len(layout)
+        nterms = series._terms(n).nterms[order]
+        mul = series._mul_fn(order, n)
         consts = [None] * len(self.code)
         coords, steps, failure = [], [], None
-        for slot, (fn, args, node) in enumerate(self.code):
+        for slot, (op, args, node) in enumerate(self.code):
             if not self.const[slot]:
-                if fn is None:
+                if op is None:
                     coords.append((slot, node.index))
                 else:
-                    steps.append((slot, fn, args))
+                    steps.append((slot, _array_fn(op, order, mul), args))
                 continue
             try:
-                consts[slot] = (TSeries.constant(node.value, order, layout=layout)
-                                if fn is None else fn(*(consts[a] for a in args)))
+                if op is None:
+                    consts[slot] = np.zeros(nterms)
+                    consts[slot][0] = node.value
+                else:
+                    consts[slot] = _array_fn(op, order, mul)(*(consts[a] for a in args))
             except DomainError as e:
                 # raised in turn, after every step that comes before it
                 failure = (str(e), node)
                 break
         # a product with a constant that is only a value scales the other
         # factor, and any other product with a coordinate shifts and scales
-        # it; a step has at most one constant factor, else it would fold
+        # it by the coordinate's value row, which gets a slot of its own
+        # past the code; a step has at most one constant factor, else it
+        # would fold
         var = dict(coords)
+        value_slot = {}
         for i, (slot, fn, args) in enumerate(steps):
-            if fn is not operator.mul:
+            if fn is not mul:
                 continue
             c, other = sorted(args, key=lambda a: (consts[a] is None, a not in var))
             if consts[c] is not None:
-                if not consts[c].coeffs[1:].any():
-                    scale = operator.methodcaller("__mul__", float(consts[c].coeffs[0]))
-                    steps[i] = (slot, scale, (other,))
+                if not consts[c][1:].any():
+                    steps[i] = (slot, partial(operator.mul, float(consts[c][0])), (other,))
             elif c in var:
-                src = _deriv_tables(order, layout.index(var[c]), len(layout))[0]
-                steps[i] = (slot, partial(_times_coordinate, src), (other, c))
+                src = _deriv_tables(order, layout.index(var[c]), n)[0]
+                v0 = value_slot.setdefault(c, len(self.code) + len(value_slot))
+                steps[i] = (slot, partial(_coordinate_step, src), (other, v0))
+        # a coordinate is expanded only where a step reads its series
+        read = {a for _, _, args in steps for a in args}.union(self.roots)
+        leaves = [(slot, v, nterms, n - layout.index(v) if order else None)
+                  for slot, v in coords if slot in read]
+        values = [(v0, var[c]) for c, v0 in value_slot.items()]
         # shared by every call: broadcast over the batch axes, read-only
         pad = (1,) * ndim
         for i, c in enumerate(consts):
             if c is not None:
-                consts[i] = TSeries(c.coeffs.reshape(c.coeffs.shape + pad), order, layout)
-                consts[i].coeffs.flags.writeable = False
+                consts[i] = c.reshape(c.shape + pad)
+                consts[i].flags.writeable = False
         # drop each intermediate after its last use, so few stay alive
         last = {a: i for i, (_, _, args) in enumerate(steps) for a in args}
         dead = [[] for _ in steps]
         for a, i in last.items():
-            if a != self.root:
+            if a not in self.roots:
                 dead[i].append(a)
         steps = [(slot, fn, args[0], args[1] if len(args) > 1 else None, tuple(d))
                  for (slot, fn, args), d in zip(steps, dead)]
-        return consts, coords, steps, failure
+        return consts + [None] * len(value_slot), leaves, values, steps, failure
 
     def run(self, point, order, layout):
+        """The series of every root at ``point`` (shape (8,) or (8, B)), in order."""
         batch = point.shape[1:]
         key = (order, len(batch), layout)
-        if key not in self._programs:
-            self._programs[key] = self._build(*key)
-        consts, coords, steps, failure = self._programs[key]
-        vals = list(consts)
-        for slot, var in coords:
-            vals[slot] = TSeries.coordinate(var, point[var], order, batch, layout)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = self._build(*key)
+        init, leaves, values, steps, failure = program
+        vals = list(init)
+        for slot, var, nterms, e in leaves:
+            c = vals[slot] = np.zeros((nterms,) + batch)
+            c[0] = point[var]
+            if e is not None:
+                c[e] = 1.0
+        for slot, var in values:
+            vals[slot] = point[var]
         try:
             for slot, fn, a, b, dead in steps:
                 vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
@@ -513,17 +599,23 @@ class _Tape:
             raise DomainError(str(e), to_source(self.code[slot][2])) from None
         if failure is not None:
             raise DomainError(failure[0], to_source(failure[1]))
-        out = vals[self.root]
-        if self.const[self.root]:
-            shape = out.coeffs.shape[:1] + batch
-            out = TSeries(np.broadcast_to(out.coeffs, shape).copy(), order, layout)
+        out = []
+        for i, r in enumerate(self.roots):
+            c = vals[r]
+            if self.const[r]:
+                c = np.broadcast_to(c, c.shape[:1] + batch).copy()
+            elif r in self.roots[:i]:
+                c = c.copy()  # every root owns its coefficients
+            out.append(TSeries(c, order, layout))
         return out
 
 
-def _times_coordinate(src, a, x):
-    """``a * x`` for the series ``x`` of a chart coordinate (``src`` as in
-    :func:`series._coordinate_product`)."""
-    return TSeries(series._coordinate_product(a.coeffs, x.coeffs[0], src), a.order, a.layout)
+def program(*fields):
+    """One compiled program over the ScalarFields ``fields``, whose
+    :meth:`_Tape.run` gives their series in order; every subexpression
+    they share runs once.  It is joined from the fields' own tapes, so no
+    expression is walked twice."""
+    return _Tape((), tuple(f._tape for f in fields))
 
 
 def eval_series(field, point, order, layout=ALL):
@@ -535,10 +627,13 @@ def eval_series(field, point, order, layout=ALL):
     the field and is reused by every later call.  ``field`` may also be
     any generator with the ScalarField methods ``series(point, order,
     layout)``, ``variables()`` and ``is_zero()``, such as
-    :class:`finslerem.em.AnisotropyBlend`.
+    :class:`finslerem.em.AnisotropyBlend`.  A Tower that expands F and
+    L1 to one order also reads L1's ``parts``, the ScalarFields it is
+    made of, and ``combine(series, batch)``, which makes L1's series from
+    theirs (``SpaceDef.program``).
     """
-    if not 0 <= order <= 4:
-        raise ValueError(f"derivative order must be in 0..4, got {order}")
+    if not 0 <= order <= series.MAX_ORDER:
+        raise ValueError(f"derivative order must be in 0..{series.MAX_ORDER}, got {order}")
     return field.series(np.asarray(point, dtype=float), order, tuple(layout))
 
 
@@ -586,7 +681,13 @@ def _np_eval(node, pts):
 
 
 def eval_values(field, points):
-    """Plain vectorized evaluation; domain violations come back as NaN."""
+    """Plain vectorized evaluation; domain violations come back as NaN.
+
+    This tree walk stays beside the compiled programs, which give the
+    same values at order 0, because it does not raise: ``draw_admissible``
+    reads its NaN to reject inadmissible draws, where a program raises
+    ``DomainError`` for the whole batch.  It is also the finite-difference
+    oracle's evaluator, independent of the compiled path."""
     if not isinstance(field, ScalarField):
         raise TypeError(f"eval_values walks a ScalarField's AST, not a {type(field).__name__}")
     pts = np.asarray(points, dtype=float)
@@ -627,8 +728,8 @@ def fd_jet(field, point, order, step=1e-3):
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if not 0 <= order <= 4:
-        raise ValueError(f"derivative order must be in 0..4, got {order}")
+    if not 0 <= order <= series.MAX_ORDER:
+        raise ValueError(f"derivative order must be in 0..{series.MAX_ORDER}, got {order}")
     point = np.asarray(point, dtype=float)
     alphas = _multi_indices(order)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import expr
 from .errors import DegenerateMetricError, DomainError, SignatureMismatchError
 from .expr import ScalarField
-from .series import BASE_VARS, FIBRE_VARS, TSeries, contract, jet_tensor
+from .series import BASE_VARS, FIBRE_VARS, TSeries, contract, jet_tensor, jets
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -28,6 +28,9 @@ LORENTZ = (1, -1, -1, -1)
 
 #: einsum labels of a series' own tensor axes in the adapted derivative
 _INDICES = "bcdefghij"
+
+#: the jets of F^2 that a Tower reads when F uses x
+_CURVED_JETS = ("yy", "yx", "x", "yyx", "yyy")
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,17 @@ class SpaceDef:
         """True when F does not use x: spray, connection and curvature vanish."""
         return not any(v < 4 for v in self.F.variables())
 
+    @cached_property
+    def has_field(self):
+        """False when L1 is zero, and with it the potential and the field."""
+        return not self.L1.is_zero()
+
+    @cached_property
+    def program(self):
+        """One program over F and the parts of L1, for the Towers that
+        expand both to one order."""
+        return expr.program(self.F, *self.L1.parts)
+
 
 @dataclass
 class GeometrySample:
@@ -80,14 +94,6 @@ class GeometrySample:
     R_curv: np.ndarray       # R[a, j, k] = R^a_jk
     sqrtG: np.ndarray        # |det g|, volume factor of the lifted metric
     N_trace_dot: np.ndarray  # dN^a_j/dy^a
-
-
-def _stack(series, pattern):
-    """jet_tensor with the member axis first, each member's tensor C-ordered."""
-    t = jet_tensor(series, pattern)
-    if t.ndim == len(pattern):
-        return t
-    return np.ascontiguousarray(t.transpose((t.ndim - 1,) + tuple(range(t.ndim - 1))))
 
 
 def check_det(det, what, error):
@@ -122,6 +128,9 @@ class Tower:
     ``order_f`` is the ambient truncation order for F (4 covers every
     formula in the package), ``order_l1`` the one for the potential
     generator.  Lower orders make dynamics-style value extraction cheap.
+    When the two orders are equal and L1 is not zero, F's and L1's series
+    come from one program (``space.program``), which runs every
+    subexpression they share once.
     """
 
     def __init__(self, space, x, y, order_f=4, order_l1=3):
@@ -135,6 +144,7 @@ class Tower:
         self.kl = order_l1
         self.layout = space.layout
         self.flat_x = space.flat_x
+        self.fused = order_f == order_l1 and space.has_field
         self.cache = {}
 
     #: the stages :meth:`tiled` repeats: those the field blocks and the
@@ -166,7 +176,15 @@ class Tower:
 
     # -- scalars -------------------------------------------------------
     @_stage
+    def _generators(self):
+        """The series of F and L1 from their one program."""
+        f, *parts = self.space.program.run(self.point, self.kf, self.layout)
+        return f, self.space.L1.combine(parts, self.batch)
+
+    @_stage
     def f_series(self):
+        if self.fused:
+            return self._generators[0]
         return expr.eval_series(self.space.F, self.point, self.kf, self.layout)
 
     @_stage
@@ -180,16 +198,26 @@ class Tower:
 
     @_stage
     def l1_series(self):
+        if self.fused:
+            return self._generators[1]
         return expr.eval_series(self.space.L1, self.point, self.kl, self.layout)
 
     # -- value stages ----------------------------------------------------
     # Gathered from the jets of e = F^2 and L1 as member-first stacks,
     # (B, 4, 4) and y_stack (B, 4, 1) for a batch of B, which batched
     # det/inv/solve take as they are; the *_values views have the batch
-    # axis trailing.
+    # axis trailing.  Each generator's jets come from one take.
+    @_stage
+    def _e_jets(self):
+        """The jets of F^2 that the value stages read, by pattern: the
+        spray and the connection read more when F uses x, the connection's
+        two from order 3."""
+        patterns = ("yy",) if self.flat_x else _CURVED_JETS[:5 if self.kf > 2 else 3]
+        return dict(zip(patterns, jets(self.e, patterns)))
+
     @_stage
     def g_stack(self):
-        return 0.5 * _stack(self.e, "yy")
+        return 0.5 * self._e_jets["yy"]
 
     @_stage
     def det_values(self):
@@ -203,8 +231,8 @@ class Tower:
     @_stage
     def _spray_rhs(self):
         """(e_yx, b) with b_l = (F^2)_{.l,k} y^k - (F^2)_{,l}, so G = 1/4 g^{-1} b."""
-        e_yx = _stack(self.e, "yx")
-        return e_yx, e_yx @ self.y_stack - _stack(self.e, "x")[..., None]
+        e_yx = self._e_jets["yx"]
+        return e_yx, e_yx @ self.y_stack - self._e_jets["x"][..., None]
 
     @_stage
     def spray_stack(self):
@@ -220,17 +248,16 @@ class Tower:
             return np.zeros(self.g_stack.shape)
         e_yx, b = self._spray_rhs
         ginv = self.ginv_stack
-        db = (np.einsum("...ljk,...k->...lj", _stack(self.e, "yyx"), self.y_stack[..., 0])
+        db = (np.einsum("...ljk,...k->...lj", self._e_jets["yyx"], self.y_stack[..., 0])
               + e_yx - e_yx.mT)
-        dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * _stack(self.e, "yyy"), ginv)
+        dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * self._e_jets["yyy"], ginv)
         return 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
 
     @_stage
     def field_stack(self):
         """(F_ij, Ft_ia) from A_j = L1_{.j}: delta_i A_j - delta_j A_i and -A_{i.a}."""
-        ls = self.l1_series
-        ay = _stack(ls, "yy")  # ay[a, j] = A_{j.a}, symmetric
-        dA = _stack(ls, "yx").mT  # dA[i, j] = dA_j/dx^i
+        ay, dA = jets(self.l1_series, ("yy", "yx"))  # ay[a, j] = A_{j.a}, symmetric
+        dA = dA.mT  # dA[i, j] = dA_j/dx^i
         if not self.flat_x:
             dA = dA - np.einsum("...ai,...aj->...ij", self.nonlinear_stack, ay)  # delta_i A_j
         return dA - dA.mT, -ay

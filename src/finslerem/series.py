@@ -2,7 +2,7 @@
 
 A :class:`TSeries` holds the Taylor coefficients of a smooth function of
 (x0..x3, y0..y3) around a base point, truncated at total degree ``order``
-(hard cap 4).  All arithmetic propagates coefficients exactly, so partial
+(hard cap ``MAX_ORDER``).  All arithmetic propagates coefficients exactly, so partial
 derivatives read off a series are exact derivatives of the closed-form
 expression, not numerical approximations.
 
@@ -32,6 +32,14 @@ gather both factors along the term axis, multiply (elementwise, or
 summed over a contracted tensor index in :func:`contract`) and
 ``reduceat`` each output term's segment.
 
+The kernels work on bare coefficient arrays, and so do the analytic
+functions (:func:`sqrt`, :func:`reciprocal`, :func:`sin`, ... in
+``FUNCTIONS``), which take the order and the product as arguments.
+The ``TSeries`` methods and the compiled programs of
+:mod:`finslerem.expr` both call them, so each has one implementation;
+a program wraps only its results in ``TSeries``.  :func:`jets` reads
+several derivative tensors of a series with one ``take``.
+
 ``np.add.reduceat`` sums a segment as its first summand plus a pairwise
 sum of the rest, whatever the array's shape.  Dropping exact zeros from
 a segment with three or more nonzero summands would regroup it and can
@@ -39,7 +47,7 @@ move a rounding, so products are never pruned by degree.  A segment with
 at most two nonzero summands sums to the same value in any grouping (up
 to the sign of a zero), and two products have only such segments: a
 product with a chart coordinate (:func:`_coordinate_product`) and the
-first Horner step of a composition (``TSeries._compose``).  Both skip
+first Horner step of a composition (:func:`_compose`).  Both skip
 the product kernel.
 """
 
@@ -265,15 +273,10 @@ def _lift_index(small, large, order):
     return _lift_cache[key]
 
 
-def jet_tensor(series, pattern):
-    """Gather a partial-derivative tensor out of a series in one indexing op.
-
-    ``pattern`` is a string over {'x', 'y'}; e.g. ``"yyx"`` returns
-    T[a, b, k] = d^3 f / dy^a dy^b dx^k with shape (4, 4, 4), after the
-    series' own tensor axes and before its batch axes.  Entries that
-    differentiate by a variable outside the layout are zero.
-    """
-    layout = series.layout
+def _jet_tables(layout, pattern):
+    """(idx, fac, inactive) of :func:`jet_tensor`: the term index and
+    factorial of each entry, and the entries that differentiate by a
+    variable outside the layout (None if there are none)."""
     key = (layout, pattern)
     if key not in _jet_tensor_cache:
         t = _terms(len(layout))
@@ -294,7 +297,18 @@ def jet_tensor(series, pattern):
                 idx[combo] = i
                 fac[combo] = t.fact[i]
         _jet_tensor_cache[key] = (idx, fac, inactive if inactive.any() else None)
-    idx, fac, inactive = _jet_tensor_cache[key]
+    return _jet_tensor_cache[key]
+
+
+def jet_tensor(series, pattern):
+    """Gather a partial-derivative tensor out of a series in one indexing op.
+
+    ``pattern`` is a string over {'x', 'y'}; e.g. ``"yyx"`` returns
+    T[a, b, k] = d^3 f / dy^a dy^b dx^k with shape (4, 4, 4), after the
+    series' own tensor axes and before its batch axes.  Entries that
+    differentiate by a variable outside the layout are zero.
+    """
+    idx, fac, inactive = _jet_tables(series.layout, pattern)
     if len(pattern) > series.order:
         raise ValueError(f"pattern {pattern!r} beyond trusted order {series.order}")
     fac = fac.reshape(fac.shape + (1,) * len(series.batch))
@@ -302,6 +316,55 @@ def jet_tensor(series, pattern):
     if inactive is not None:
         out[series._at(inactive)] = 0.0
     return out
+
+
+_jets_cache = {}
+
+
+def jets(series, patterns):
+    """The :func:`jet_tensor` of a scalar series for each of ``patterns``,
+    read with one ``take``.
+
+    Each tensor has its batch axes first, ``(*batch, 4, ...)``, and is
+    C-contiguous: a batch of B points gives B stacked tensors, which
+    batched linear algebra takes as they are.  The values are those of
+    ``jet_tensor`` moved to that layout.
+    """
+    batch = series.batch
+    key = (series.layout, patterns, batch)
+    plan = _jets_cache.get(key)
+    if plan is None:
+        plan = _jets_cache[key] = _jets_plan(*key)
+    if max(map(len, patterns)) > series.order:
+        raise ValueError(f"patterns {patterns!r} beyond trusted order {series.order}")
+    idx, fac, inactive, blocks = plan
+    out = series.coeffs.take(idx)
+    out *= fac
+    if inactive is not None:
+        out[inactive] = 0.0
+    return [out[a:b].reshape(shape) for a, b, shape in blocks]
+
+
+def _jets_plan(layout, patterns, batch):
+    """Flat indices into (nterms, *batch) coefficients, their factorials,
+    the entries to zero and each pattern's (start, stop, shape)."""
+    width = math.prod(batch)
+    cols = np.arange(width)[:, None]
+    idx, fac, inactive, blocks = [], [], [], []
+    start = 0
+    for pattern in patterns:
+        i, f, off = _jet_tables(layout, pattern)
+        # entry (b, j) of a block reads term i[j] of batch column b
+        idx.append((i.reshape(1, -1) * width + cols).ravel())
+        fac.append(np.tile(f.ravel(), width))
+        inactive.append(np.tile(np.zeros(f.size, dtype=bool) if off is None else off.ravel(),
+                                width))
+        stop = start + width * f.size
+        blocks.append((start, stop, batch + f.shape))
+        start = stop
+    inactive = np.concatenate(inactive)
+    return (np.concatenate(idx), np.concatenate(fac),
+            np.flatnonzero(inactive) if inactive.any() else None, blocks)
 
 
 def contract(spec, a, b):
@@ -539,89 +602,146 @@ class TSeries:
         return result
 
     # ------------------------------------------------------------------
-    # analytic functions via univariate composition (Horner in h = u - u0)
-    def _compose(self, cs):
-        """sum_m cs[m] h^m for h = self - u0, by Horner's rule.
-
-        The first step is a scaling of h by c_k: each segment of the
-        product with the series of c_k holds c_k h_K and exact zeros.
-        """
-        i = self._at(0)
-        h = self.copy()
-        h.coeffs[i] = 0.0
-        r = h * np.expand_dims(cs[-1], self.rank)
-        r.coeffs[i] = cs[-1] if len(cs) == 1 else r.coeffs[i] + cs[-2]
-        for m in range(len(cs) - 3, -1, -1):
-            r = r * h
-            r.coeffs[i] = r.coeffs[i] + cs[m]
-        return r
-
-    def _u0(self):
-        return self.value()
-
-    def reciprocal(self):
-        u0 = self._u0()
-        if (u0 == 0.0).any():
-            raise DomainError("division by zero")
-        cs = [1.0 / u0]
-        for _ in range(self.order):
-            cs.append(-cs[-1] / u0)
-        return self._compose(cs)
-
-    def sqrt(self):
-        u0 = self._u0()
-        if (u0 <= 0.0).any():
-            raise DomainError("sqrt of a nonpositive value")
-        cs = [np.sqrt(u0)]
-        # d^m sqrt / m! = binom(1/2, m) u0^(1/2 - m)
-        coef = 1.0
-        for m in range(1, self.order + 1):
-            coef *= (0.5 - (m - 1)) / m
-            cs.append(coef * u0 ** (0.5 - m))
-        return self._compose(cs)
-
-    def exp(self):
-        e = np.exp(self._u0())
-        cs = [e / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose(cs)
-
-    def log(self):
-        u0 = self._u0()
-        if (u0 <= 0.0).any():
-            raise DomainError("log of a nonpositive value")
-        cs = [np.log(u0)]
-        for m in range(1, self.order + 1):
-            cs.append((-1.0) ** (m - 1) / (m * u0**m))
-        return self._compose(cs)
-
-    def sin(self):
-        u0 = self._u0()
-        s, c = np.sin(u0), np.cos(u0)
-        cycle = [s, c, -s, -c]
-        cs = [cycle[m % 4] / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose(cs)
-
-    def cos(self):
-        u0 = self._u0()
-        s, c = np.sin(u0), np.cos(u0)
-        cycle = [c, -s, -c, s]
-        cs = [cycle[m % 4] / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose(cs)
-
-    def abs(self):
-        u0 = self._u0()
-        if self.order >= 1 and (u0 == 0.0).any():
-            raise DomainError("abs is not differentiable at 0")
-        return TSeries(self.coeffs * np.expand_dims(np.sign(u0), self.rank), self.order,
+    # analytic functions: the array-level compositions below
+    def _apply(self, fn, *args):
+        mul = _mul_fn(self.order, len(self.layout), self.rank, self.shape)
+        return TSeries(fn(self.coeffs, self.order, mul, self.rank, *args), self.order,
                        self.layout, self.rank)
 
+    def reciprocal(self):
+        return self._apply(reciprocal)
+
+    def sqrt(self):
+        return self._apply(sqrt)
+
+    def exp(self):
+        return self._apply(exp)
+
+    def log(self):
+        return self._apply(log)
+
+    def sin(self):
+        return self._apply(sin)
+
+    def cos(self):
+        return self._apply(cos)
+
+    def abs(self):
+        return self._apply(absolute)
+
     def powf(self, p):
-        u0 = self._u0()
-        if (u0 <= 0.0).any():
-            raise DomainError("non-integer power of a nonpositive value")
-        cs = [u0**p]
-        coef = 1.0
-        for m in range(1, self.order + 1):
-            coef *= (p - (m - 1)) / m
-            cs.append(coef * u0 ** (p - m))
-        return self._compose(cs)
+        return self._apply(powf, p)
+
+
+# ----------------------------------------------------------------------
+# analytic functions on coefficient arrays, via univariate composition
+# (Horner in h = u - u0).  Each takes the coefficients ``c`` (term axis
+# after ``rank`` tensor axes), the order k and ``mul``, the truncated
+# product of two such arrays (:func:`_mul_fn`).
+
+
+def _mul_fn(k, n, rank=0, shape=()):
+    """The order-k product of two coefficient arrays in a layout of n
+    variables with ``rank`` tensor axes of ``shape``.  It looks
+    :func:`_product` up at each call."""
+    if rank:
+        return lambda a, b: _product(a, b, k, n, (rank, rank), shape)
+    return lambda a, b: _product(a, b, k, n)
+
+
+def _u0(c, rank):
+    """The value row; a numpy scalar for one unbatched component."""
+    return c[(slice(None),) * rank + (0,)]
+
+
+def _compose(c, cs, mul, rank=0):
+    """sum_m cs[m] h^m for h = c - u0, by Horner's rule.
+
+    The first step is a scaling of h by c_k: each segment of the
+    product with the series of c_k holds c_k h_K and exact zeros.
+    """
+    i = (slice(None),) * rank + (0,)
+    h = c.copy()
+    h[i] = 0.0
+    r = h * (np.expand_dims(cs[-1], rank) if rank else cs[-1])
+    r[i] = cs[-1] if len(cs) == 1 else r[i] + cs[-2]
+    for m in range(len(cs) - 3, -1, -1):
+        r = mul(r, h)
+        r[i] = r[i] + cs[m]
+    return r
+
+
+def reciprocal(c, k, mul, rank=0):
+    u0 = _u0(c, rank)
+    if (u0 == 0.0).any():
+        raise DomainError("division by zero")
+    cs = [1.0 / u0]
+    for _ in range(k):
+        cs.append(-cs[-1] / u0)
+    return _compose(c, cs, mul, rank)
+
+
+def sqrt(c, k, mul, rank=0):
+    u0 = _u0(c, rank)
+    if (u0 <= 0.0).any():
+        raise DomainError("sqrt of a nonpositive value")
+    cs = [np.sqrt(u0)]
+    # d^m sqrt / m! = binom(1/2, m) u0^(1/2 - m)
+    coef = 1.0
+    for m in range(1, k + 1):
+        coef *= (0.5 - (m - 1)) / m
+        cs.append(coef * u0 ** (0.5 - m))
+    return _compose(c, cs, mul, rank)
+
+
+def exp(c, k, mul, rank=0):
+    e = np.exp(_u0(c, rank))
+    return _compose(c, [e / math.factorial(m) for m in range(k + 1)], mul, rank)
+
+
+def log(c, k, mul, rank=0):
+    u0 = _u0(c, rank)
+    if (u0 <= 0.0).any():
+        raise DomainError("log of a nonpositive value")
+    cs = [np.log(u0)]
+    for m in range(1, k + 1):
+        cs.append((-1.0) ** (m - 1) / (m * u0**m))
+    return _compose(c, cs, mul, rank)
+
+
+def sin(c, k, mul, rank=0):
+    u0 = _u0(c, rank)
+    s, co = np.sin(u0), np.cos(u0)
+    cycle = [s, co, -s, -co]
+    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], mul, rank)
+
+
+def cos(c, k, mul, rank=0):
+    u0 = _u0(c, rank)
+    s, co = np.sin(u0), np.cos(u0)
+    cycle = [co, -s, -co, s]
+    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], mul, rank)
+
+
+def absolute(c, k, mul, rank=0):
+    u0 = _u0(c, rank)
+    if k >= 1 and (u0 == 0.0).any():
+        raise DomainError("abs is not differentiable at 0")
+    return c * (np.expand_dims(np.sign(u0), rank) if rank else np.sign(u0))
+
+
+def powf(c, k, mul, rank, p):
+    u0 = _u0(c, rank)
+    if (u0 <= 0.0).any():
+        raise DomainError("non-integer power of a nonpositive value")
+    cs = [u0**p]
+    coef = 1.0
+    for m in range(1, k + 1):
+        coef *= (p - (m - 1)) / m
+        cs.append(coef * u0 ** (p - m))
+    return _compose(c, cs, mul, rank)
+
+
+#: the array-level function of each analytic operation of an expression
+FUNCTIONS = {"reciprocal": reciprocal, "sqrt": sqrt, "exp": exp, "log": log, "sin": sin,
+             "cos": cos, "abs": absolute, "powf": powf}

@@ -3,18 +3,21 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are three exceptions.  ``tree_series`` walks an expression
+check.  There are four exceptions.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
 sharing or rewriting.  ``full_horner`` composes a series with a full
-product at every Horner step.  The scalar identity oracle at the end
-reads the tower entry by entry, in the order of evaluation that its
-whole-tensor contractions replaced.
+product at every Horner step.  The scalar identity oracle reads the
+tower entry by entry, in the order of evaluation that its whole-tensor
+contractions replaced.  ``reference_force`` is the Lorentz solve read
+off separately evaluated generators with ``jet_tensor``, the arithmetic
+that ``ForceEvaluator`` had before it shared one program and one take.
 """
 
 import numpy as np
 
-from finslerem.expr import BinOp, Call, Neg, Num, ScalarField, Var, eval_values, fd_jet
-from finslerem.series import TSeries
+from finslerem.expr import (BinOp, Call, Neg, Num, ScalarField, Var, eval_series, eval_values,
+                            fd_jet)
+from finslerem.series import TSeries, jet_tensor
 
 
 def tree_series(node, point, order, layout):
@@ -69,7 +72,7 @@ def tree_series(node, point, order, layout):
 
 def full_horner(u, cs):
     """sum_m cs[m] (u - u0)^m by Horner's rule with a full series product at
-    every step: the reference for ``TSeries._compose``, whose first step
+    every step: the reference for ``series._compose``, whose first step
     is a scaling."""
     i = u._at(0)
     h = u.copy()
@@ -387,3 +390,77 @@ def scalar_identity_oracle(t):
                 hhv[i, j, k] = Ft_vh_cov(i, j, k) + Ft_hv_cov(k, i, j) + Fdot[j, k, i]
                 hvv[i, j, k] = Ftdot[i, j, k] - Ftdot[i, k, j]
     return {"chern": L, "curvature": R, "berwald": B, "hhh": hhh, "hhv": hhv, "hvv": hvv}
+
+
+# ----------------------------------------------------------------------
+# reference Lorentz force
+
+
+def _stack(series, pattern):
+    """jet_tensor with the member axis first, each member's tensor C-ordered."""
+    t = jet_tensor(series, pattern)
+    if t.ndim == len(pattern):
+        return t
+    return np.ascontiguousarray(t.transpose((t.ndim - 1,) + tuple(range(t.ndim - 1))))
+
+
+def reference_force(space, x, y):
+    """(a, dy/dt, monitors) of ``ForceEvaluator(space)(x, y, monitors=True)``,
+    from F and L1 evaluated apart and every jet gathered by its own
+    ``jet_tensor`` call.  A degenerate metric or singular force matrix is
+    not checked."""
+    single = np.ndim(x) == 1
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not single and x.shape[1] == 1:
+        x, y = x[:, 0], y[:, 0]
+    point = np.concatenate([x, y])
+    yv = y.T.copy()[..., None] if point.ndim > 1 else y[:, None]
+    qc = space.qc()
+    has_em = not space.L1.is_zero()
+    flat = space.flat_x
+    f = eval_series(space.F, point, 3 if (has_em and not flat) else 2, space.layout)
+    e = f * f
+    g = 0.5 * _stack(e, "yy")
+    ginv = np.linalg.inv(g)
+    if flat:
+        spray = np.zeros(yv.shape[:-1])
+        N = np.zeros(g.shape)
+    else:
+        e_yx = _stack(e, "yx")
+        b = e_yx @ yv - _stack(e, "x")[..., None]
+        spray = (0.25 * (ginv @ b))[..., 0]
+    if has_em:
+        if not flat:
+            db = (np.einsum("...ljk,...k->...lj", _stack(e, "yyx"), yv[..., 0])
+                  + e_yx - e_yx.mT)
+            dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * _stack(e, "yyy"), ginv)
+            N = 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
+        ls = eval_series(space.L1, point, 2, space.layout)
+        ay = _stack(ls, "yy")
+        dA = _stack(ls, "yx").mT
+        if not flat:
+            dA = dA - np.einsum("...ai,...aj->...ij", N, ay)
+        F, Ft = dA - dA.mT, -ay
+        F_mix_h = ginv @ F
+        F_mix_v = ginv @ Ft
+        M = np.eye(4) - qc * F_mix_v
+        a = np.linalg.solve(M, qc * (F_mix_h @ yv))
+    else:
+        F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
+        a = np.zeros(yv.shape)
+    dydt = a - 2.0 * spray[..., None]
+    a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
+    if not single:
+        a_out, dydt_out = a_out.reshape(4, -1), dydt_out.reshape(4, -1)
+    force_h = (F_mix_h @ yv).mT
+    force_v = (F_mix_v @ a).mT
+    res = qc * (F @ yv) + (qc * Ft - g) @ a
+    mon = {
+        "F_value": f.value(),
+        "ortho_F": (force_h @ g @ yv)[..., 0, 0],
+        "ortho_Ftilde": (force_v @ g @ yv)[..., 0, 0],
+        "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),
+    }
+    if single:
+        return a_out, dydt_out, {k: float(v) for k, v in mon.items()}
+    return a_out, dydt_out, {k: np.reshape(v, -1) for k, v in mon.items()}

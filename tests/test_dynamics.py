@@ -19,10 +19,11 @@ from finslerem.em import (
 )
 from finslerem.errors import SingularForceMatrixError, StepRejectionLimitError
 from finslerem.expr import eval_jet, parse
-from finslerem.geometry import SpaceDef, geometry_sample
+from finslerem.geometry import SpaceDef, draw_admissible, geometry_sample
+from finslerem.scene import load_scene
 
-from conftest import MINKOWSKI_F
-from oracles import f_squared
+from conftest import FIXTURES, MINKOWSKI_F
+from oracles import f_squared, reference_force
 
 X0 = np.zeros(4)
 Y0 = np.array([1.0, 0.1, 0.0, 0.0])
@@ -147,6 +148,34 @@ class TestBatchedForce:
             ForceEvaluator(singular)(xs, ys)
         with pytest.raises(SingularForceMatrixError, match=r"^\|det"):
             ForceEvaluator(singular)(x, y)
+
+
+class TestReferenceForce:
+    """The force, with its shared program and one take per generator, is
+    bit-equal to the reference arithmetic (oracles.reference_force)."""
+
+    @staticmethod
+    def check(space, x, y):
+        a, dydt, mon = ForceEvaluator(space)(x, y, monitors=True)
+        ra, rdydt, rmon = reference_force(space, x, y)
+        assert np.array_equal(a, ra) and np.array_equal(dydt, rdydt)
+        assert mon.keys() == rmon.keys()
+        assert all(np.array_equal(mon[k], rmon[k]) for k in mon)
+
+    @pytest.mark.parametrize("members", [0, 3, 6], ids=["lone", "blend3", "blend6"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.scene")))
+    def test_fixture_scenes(self, name, members):
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        space = scene.space
+        xs, ys = draw_admissible(space, np.random.default_rng(5), max(members, 2),
+                                 scene.sampling.x_box, scene.sampling.y_box)
+        if not members:
+            for b in range(xs.shape[1]):
+                self.check(space, xs[:, b], ys[:, b])
+            return
+        kappas = [None, 0.0, 0.4, 1.0, 0.25, 0.9][:members]
+        ens = anisotropy_ensemble(space, scene.particle.y0, kappas)
+        self.check(ens, xs, ys)
 
 
 @pytest.fixture

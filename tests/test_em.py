@@ -11,7 +11,7 @@ from finslerem.em import (
     gauge_shift,
     isotropic_truncation,
 )
-from finslerem.expr import ScalarField, eval_series, eval_value, eval_values, parse
+from finslerem.expr import ScalarField, _Tape, eval_series, eval_value, eval_values, parse
 from finslerem.geometry import SpaceDef, draw_admissible, metric
 
 from conftest import MINKOWSKI_F
@@ -286,14 +286,15 @@ class TestAnisotropyBlend:
     @pytest.mark.parametrize("kappa, tapes", [(None, "iso"), (1.0, "full"), (0.5, "both")])
     def test_uniform_members_run_one_tape(self, curved_aniso, kappa, tapes, monkeypatch):
         ran = []
-        run = ScalarField.series
-        monkeypatch.setattr(ScalarField, "series",
-                            lambda field, *args: ran.append(field) or run(field, *args))
+        run = _Tape.run
+        monkeypatch.setattr(_Tape, "run",
+                            lambda tape, *args: ran.append(tape.asts) or run(tape, *args))
         ens = anisotropy_ensemble(curved_aniso, self.Y_REF, [kappa] * 3)
         eval_series(ens.L1, self.points(3), 2, ens.layout)
         want = {"iso": [ens.L1.iso], "full": [ens.L1.full],
                 "both": [ens.L1.iso, ens.L1.full]}[tapes]
-        assert [id(f) for f in ran] == [id(f) for f in want]
+        # one program, over the tapes the members read
+        assert [[id(a) for a in asts] for asts in ran] == [[id(f.ast) for f in want]]
 
     def test_ast_evaluators_refuse_a_blend(self, curved_aniso):
         ens = anisotropy_ensemble(curved_aniso, self.Y_REF, [None, 1.0])

@@ -21,6 +21,7 @@ from finslerem.expr import (
     eval_values,
     fd_jet,
     parse,
+    program,
     subst_ast,
     to_source,
 )
@@ -348,19 +349,6 @@ class TestConcurrentEvaluation:
             sys.setswitchinterval(interval)
 
 
-def _count_products(monkeypatch):
-    """Record every series product from here on."""
-    calls = []
-    mul = TSeries.__mul__
-
-    def counting(a, b):
-        calls.append(isinstance(b, TSeries))
-        return mul(a, b)
-
-    monkeypatch.setattr(TSeries, "__mul__", counting)
-    return calls
-
-
 def _count_kernels(monkeypatch):
     """Record every call of the two product kernels from here on: the full
     product and the coordinate step, each with whether a factor is a
@@ -406,9 +394,10 @@ class TestTape:
     def test_constant_subtree_costs_no_product(self, monkeypatch):
         f = parse("y0*(2*3*sqrt(5) + 1/7)")
         eval_series(f, PT, 3)  # folds the constants at order 3
-        calls = _count_products(monkeypatch)
+        calls = _count_kernels(monkeypatch)
         s = eval_series(f, PT, 3)
-        assert calls == [False]  # one scaling by the folded value, no series product
+        assert calls == []  # one scaling by the folded value, no series product
+        assert len(f._tape._programs[(3, 0, ALL)][3]) == 1
         c = lambda v: TSeries.constant(v, 3)  # noqa: E731
         folded = c(2.0) * c(3.0) * c(5.0).sqrt() + c(1.0) / c(7.0)
         assert np.array_equal(s.coeffs, (TSeries.coordinate(4, PT[4], 3) * folded).coeffs)
@@ -420,9 +409,9 @@ class TestTape:
         with np.errstate(all="ignore"):
             want = tree_series(f.ast, PT, 1, ALL)
             eval_series(f, PT, 1)
-            calls = _count_products(monkeypatch)
+            calls = _count_kernels(monkeypatch)
             s = eval_series(f, PT, 1)
-        assert calls == [True]
+        assert calls == [("product", True)]
         assert np.isnan(s.coeffs[1:]).all()
         assert np.array_equal(s.coeffs, want.coeffs, equal_nan=True)
 
@@ -477,9 +466,10 @@ class TestTape:
 
 
 class TestTapeOracle:
-    """eval_series is bit-equal to a plain tree walk (oracles.tree_series)
-    at orders 0-4, at a lone point and at batch 1, 7 and 300 (a blocked
-    product), wherever the walk's series is finite."""
+    """eval_series, and each root of a program over several fields, is
+    bit-equal to a plain tree walk (oracles.tree_series) at orders 0-4, at
+    a lone point and at batch 1, 7 and 300 (a blocked product), wherever
+    the walk's series is finite."""
 
     def check(self, field, pts, layout=ALL):
         compared = 0
@@ -515,6 +505,46 @@ class TestTapeOracle:
         space = request.getfixturevalue(scene)
         iso = isotropic_truncation(space, np.array([1.0, 0.1, 0.0, 0.0]))
         assert self.check(iso.L1, self.draws(space), space.layout) == 20
+
+    def check_program(self, fields, pts, layout):
+        """Every root of one program over ``fields`` is its tree walk."""
+        tape = program(*fields)
+        compared = 0
+        for order in range(5):
+            for p in (pts[:, 0], pts[:, :1], pts[:, :7], pts):
+                try:
+                    wants = [tree_series(f.ast, p, order, layout) for f in fields]
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        tape.run(p, order, layout)
+                    continue
+                for got, want in zip(tape.run(p, order, layout), wants):
+                    if np.isfinite(want.coeffs).all():
+                        assert np.array_equal(got.coeffs, want.coeffs, equal_nan=True)
+                        compared += 1
+        return compared
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.scene")))
+    def test_fixture_programs(self, name):
+        space = load_scene(FIXTURES / name).space
+        assert self.check_program((space.F, space.L1), self.draws(space), space.layout) == 40
+
+    @pytest.mark.parametrize("scene", ["aniso_wave", "curved_aniso"])
+    def test_truncation_programs(self, scene, request):
+        space = request.getfixturevalue(scene)
+        iso = isotropic_truncation(space, np.array([1.0, 0.1, 0.0, 0.0])).L1
+        fields = (space.F, iso, space.L1)
+        assert self.check_program(fields, self.draws(space), space.layout) == 60
+
+    def test_shared_subexpressions_run_once(self, aniso_wave):
+        iso = isotropic_truncation(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0])).L1
+        fields = (aniso_wave.F, iso, aniso_wave.L1)
+
+        def steps(*fs):
+            return len(program(*fs)._build(2, 1, aniso_wave.layout)[3])
+
+        # F is a subexpression of L1, and the truncation and L1 share sin(x0)
+        assert steps(*fields) < sum(steps(f) for f in fields)
 
     def test_random_trees(self):
         rng = np.random.default_rng(17)

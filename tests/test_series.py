@@ -154,9 +154,9 @@ class TestComposeOracle:
         c[0] = rng.uniform(0.5, 2.0, batch)
         u = TSeries(c, order)
         seen = []
-        compose = TSeries._compose
-        monkeypatch.setattr(TSeries, "_compose",
-                            lambda s, cs: seen.append(cs) or compose(s, cs))
+        compose = series._compose
+        monkeypatch.setattr(series, "_compose",
+                            lambda c, cs, *rest: seen.append(cs) or compose(c, cs, *rest))
         got = getattr(u, method)(*args)
         assert np.isfinite(got.coeffs).all()
         assert np.array_equal(got.coeffs, full_horner(u, seen[0]).coeffs)
