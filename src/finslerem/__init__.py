@@ -24,7 +24,7 @@ from .errors import (
     StepRejectionLimitError,
     UnknownIdentifierError,
 )
-from .expr import Jet, ScalarField, check_homogeneity, eval_jet, fd_jet, parse
+from .expr import Jet, ScalarField, check_homogeneity, eval_jet, parse
 from .geometry import (
     GeometrySample,
     SpaceDef,

@@ -347,9 +347,7 @@ def cmd_currents(args):
             try:
                 # a point that overflows is this row's error, not a warning
                 with np.errstate(all="ignore"):
-                    cs = current_sample(
-                        scene.space, x, y, with_continuity=True, step=args.step
-                    )
+                    cs = current_sample(scene.space, x, y, with_continuity=True)
                 vals = list(combo) + list(cs.J_h) + list(cs.J_v) + list(cs.zeta) \
                     + [cs.continuity]
                 if not np.all(np.isfinite(vals)):
@@ -504,8 +502,6 @@ def build_parser():
     c.add_argument("--grid", type=_flag(_grid, "--grid"), required=True,
                    help="8 comma-separated min:max:count entries (x0..x3,y0..y3)")
     c.add_argument("--out", default=None)
-    c.add_argument("--step", type=_flag(_finite("> 0", lambda v: v > 0), "--step"),
-                   default=1e-3)
     c.set_defaults(func=cmd_currents)
 
     m = sub.add_parser("compare", help="scene vs isotropic truncation")

@@ -16,7 +16,6 @@ the two-argument pow.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -37,7 +36,6 @@ __all__ = [
     "eval_jet",
     "eval_series",
     "eval_values",
-    "fd_jet",
     "check_homogeneity",
 ]
 
@@ -638,7 +636,7 @@ def eval_series(field, point, order, layout=ALL):
 
 
 def eval_jet(field, point, order):
-    """Exact derivatives of the closed form up to total ``order`` (<= 4).
+    """Exact derivatives of the closed form up to total ``order`` (<= ``MAX_ORDER``).
 
     The series runs over the field's own variables only; partials by any
     other variable are zero.
@@ -702,68 +700,6 @@ def eval_value(field, point):
     if not np.all(np.isfinite(v)):
         raise DomainError("field not finite at point", field.source())
     return float(v) if v.ndim == 0 else v
-
-
-# ----------------------------------------------------------------------
-# finite-difference oracle
-
-# central stencils per differentiation order: (offset, weight), divide by h^m
-_STENCILS = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
-
-
-def _multi_indices(order):
-    return TERMS[1:NTERMS[order]]
-
-
-def fd_jet(field, point, order, step=1e-3):
-    """Central-difference jet; truncation is O(step^2) per differentiation level.
-
-    Independent of the Taylor engine: uses only plain evaluations of the
-    field on tensor-product stencils.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not 0 <= order <= series.MAX_ORDER:
-        raise ValueError(f"derivative order must be in 0..{series.MAX_ORDER}, got {order}")
-    point = np.asarray(point, dtype=float)
-    alphas = _multi_indices(order)
-
-    # build one flat batch of sample points covering all stencils
-    offsets = []
-    weights = []
-    slices = []
-    for alpha in alphas:
-        grids = [_STENCILS[a] if a else ((0, 1.0),) for a in alpha]
-        combo_off = []
-        combo_w = []
-        for combo in itertools.product(*grids):
-            off = np.array([c[0] for c in combo], dtype=float)
-            w = math.prod(c[1] for c in combo)
-            combo_off.append(off)
-            combo_w.append(w)
-        start = len(offsets)
-        offsets.extend(combo_off)
-        weights.extend(combo_w)
-        slices.append((start, len(offsets)))
-
-    if offsets:
-        pts = point[:, None] + step * np.array(offsets).T
-        vals = eval_values(field, pts)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("stencil left the field domain", field.source())
-    value = eval_value(field, point)
-
-    partials = {}
-    for alpha, (a, b) in zip(alphas, slices):
-        h_pow = step ** sum(alpha)
-        acc = float(np.dot(np.array(weights[a:b]), vals[a:b])) / h_pow
-        partials[alpha] = acc
-    return Jet(value=value, partials=partials, order=order)
 
 
 # ----------------------------------------------------------------------

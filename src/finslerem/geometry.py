@@ -126,8 +126,9 @@ class Tower:
     """Lazy cache of the series tower at one (possibly batched) point.
 
     ``order_f`` is the ambient truncation order for F (4 covers every
-    formula in the package), ``order_l1`` the one for the potential
-    generator.  Lower orders make dynamics-style value extraction cheap.
+    formula in the package but the continuity residual, which takes 5),
+    ``order_l1`` the one for the potential generator.  Lower orders make
+    dynamics-style value extraction cheap.
     When the two orders are equal and L1 is not zero, F's and L1's series
     come from one program (``space.program``), which runs every
     subexpression they share once.
@@ -289,12 +290,12 @@ class Tower:
 
     @_stage
     def det_series(self):
-        """det g to order 1, by the Laplace expansion in complementary 2x2 minors.
+        """det g by the Laplace expansion in complementary 2x2 minors, to
+        the order of the field densities of the currents (at least 1).
 
-        Its readers (the volume factor in the currents and ``divergence``)
-        use order 1 only, and a degree <= 1 term sums the same pairs in the
-        same order whatever the order of g."""
-        g = self.g.truncate(1)
+        A term of degree <= k sums the same pairs in the same order
+        whatever the order of g above k."""
+        g = self.g.truncate(max(1, self.kl - 2))
         p, q = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
         # the complementary pairs, each minus sign folded into a column swap
         r, s = [2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]
@@ -416,69 +417,21 @@ def geometry_sample(space, x, y, tower=None):
     )
 
 
-def divergence(space, v_horizontal, v_vertical, x, y, step=1e-3):
-    """Divergence of the TM field (V^i, Vt^a) at (x, y).
+def divergence(space, v_horizontal, v_vertical, x, y, tower=None):
+    """Divergence of the TM field (V^i, Vt^a) at (x, y), exactly.
 
     div V = (1/S) delta_i(V^i S) - N^a_{i.a} V^i + (1/S) (Vt^a S)_{.a}
 
-    with S the volume factor.  Components given as ScalarFields are
-    differentiated exactly through the series tower; callables
-    ``f(x, y) -> (4, ...) array`` are differentiated by central differences
-    with the given step, evaluated once on all 16 stencil points as a
-    (4, 16) batch and once at (x, y).
+    with S the volume factor.  The components come as their densities
+    V^i S and Vt^a S: vector series at the points of ``tower``, a Tower at
+    (x, y) (by default one with F to order 4, the least that gives
+    N^a_{i.a}), trusted to order 1 in any layout.
     """
-    t = Tower(space, x, y, order_f=4, order_l1=0)
-    S = t.sqrt_g
-    s0 = S.value()
-    ntr = t.n_trace_dot_values
-
-    def is_fields(comp):
-        return comp is not None and not callable(comp) and all(
-            isinstance(c, ScalarField) for c in comp
-        )
-
-    exact_ok = (v_horizontal is None or is_fields(v_horizontal)) and (
-        v_vertical is None or is_fields(v_vertical)
-    )
-    if exact_ok:
-        S = S.truncate(1)
-        total = 0.0
-        if v_horizontal is not None:
-            vh = TSeries.stack([expr.eval_series(c, t.point, 1) for c in v_horizontal])
-            total += np.trace(t.delta_value(vh * S)) / s0 - ntr @ vh.value()
-        if v_vertical is not None:
-            vv = TSeries.stack([expr.eval_series(c, t.point, 1) for c in v_vertical])
-            total += np.trace(jet_tensor(vv * S, "y")) / s0
-        return float(total)
-
-    # callable path: central differences of the component*volume products;
-    # stencil column d steps +step along chart axis d, column 8 + d steps -step
-    def as_callable(comp):
-        if comp is None:
-            return lambda xs, ys: np.zeros((4,) + xs.shape[1:])
-        if is_fields(comp):
-            return lambda xs, ys: np.array(
-                [expr.eval_value(c, np.concatenate([xs, ys])) for c in comp]
-            )
-        return comp
-
-    fh = as_callable(v_horizontal)
-    fv = as_callable(v_vertical)
-
-    axes = np.arange(8)
-    p = np.repeat(t.point[:, None], 16, axis=1)
-    p[axes, axes] += step
-    p[axes, 8 + axes] -= step
-    xs, ys = p[:4], p[4:]
-    s_val = np.abs(Tower(space, xs, ys, order_f=2, order_l1=0).det_values)
-    hs = np.asarray(fh(xs, ys)) * s_val
-    vs = np.asarray(fv(xs, ys)) * s_val
-    dh = ((hs[:, :8] - hs[:, 8:]) / (2 * step)).T  # dh[d, i] = d(V^i S)/dz^d
-    dv = ((vs[:, :8] - vs[:, 8:]) / (2 * step)).T
-
-    # sum_i delta_i(V^i S) = sum_i d_i(V^i S) - N^a_i d_a(V^i S)
-    delta = np.trace(dh[:4]) - np.einsum("ai,ai->", t.nonlinear_values, dh[4:])
-    return float((delta + np.trace(dv[4:])) / s0 - ntr @ fh(t.x, t.y))
+    t = tower if tower is not None else Tower(space, x, y, order_f=4, order_l1=0)
+    total = (np.einsum("ii...->...", t.delta_value(v_horizontal))
+             - np.einsum("i...,i...->...", t.n_trace_dot_values, v_horizontal.value())
+             + np.einsum("aa...->...", jet_tensor(v_vertical, "y")))
+    return total / t.sqrt_g.value()
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ metrics).
 
 The horizontal current is the variational one; the coupling constant
 divides the current, while the anisotropy term zeta is reported raw.
+Both currents are read off series of their terms on one Tower, so the
+continuity residual div J is the exact divergence of the same series.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .em import em_series
 from .geometry import Tower, divergence
-from .series import jet_tensor
+from .series import FIBRE_VARS, TSeries, contract, jet_tensor
 
 
 @dataclass
@@ -87,13 +89,30 @@ def homogeneous_residuals(space, x, y, tower=None):
     return MaxwellResiduals(hhh=hhh, hhv=hhv, hvv=hvv, max_abs=max_abs)
 
 
-def _densities(t):
-    """(up_hh S, up_hv S, S value): the raised blocks times the volume factor."""
-    if "densities" not in t.cache:
+def _trace(s, spec):
+    """The series of ``einsum(spec)`` over the tensor axes of ``s``, e.g. a trace."""
+    ins, out = spec.split("->")
+    return TSeries(np.einsum(f"{ins}...->{out}...", s.coeffs), s.order, s.layout, len(out))
+
+
+def _current_terms(t):
+    """The series the currents are made of, cached on the tower:
+    (P^ij, delta_j P^ij, (Q^ia)_{.a}, delta_i Q^ia, n_j).
+
+    P^ij = F^ij S and Q^ia = Ft^ia S are the raised blocks times the
+    volume factor S, and n_j = N^a_{j.a} (None where F does not use x, so
+    the connection is zero).  The default Tower gives the derivative
+    terms to order 0, the values of the currents; one with F to order 5
+    and L1 to order 4 gives them to order 1, which their divergence reads.
+    """
+    if "currents" not in t.cache:
         em = em_series(t)
-        S = t.sqrt_g.truncate(1)
-        t.cache["densities"] = em["up_hh"] * S, em["up_hv"] * S, S.value()
-    return t.cache["densities"]
+        P, Q = em["up_hh"] * t.sqrt_g, em["up_hv"] * t.sqrt_g
+        n = None if t.flat_x else _trace(t.nonlinear.grad(FIBRE_VARS), "aja->j")
+        t.cache["currents"] = (P, _trace(t.delta(P), "ijj->i"),
+                               _trace(Q.grad(FIBRE_VARS), "iaa->i"),
+                               _trace(t.delta(Q), "iai->a"), n)
+    return t.cache["currents"]
 
 
 def horizontal_current(space, x, y, tower=None):
@@ -105,11 +124,13 @@ def horizontal_current(space, x, y, tower=None):
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
     t = tower if tower is not None else fibre_tower(space, x, y)
-    up_hh_s, up_hv_s, s0 = _densities(t)
-    zeta = np.einsum("iaa...->i...", jet_tensor(up_hv_s, "y")) / s0
-    classical = (np.einsum("ijj...->i...", t.delta_value(up_hh_s)) / s0
-                 - np.einsum("ij...,j...->i...", em_series(t)["up_hh"].value(),
-                             t.n_trace_dot_values))
+    _, dP, dQy, _, n = _current_terms(t)
+    s0 = t.sqrt_g.value()
+    zeta = dQy.value() / s0
+    classical = dP.value() / s0
+    if n is not None:
+        classical = classical - np.einsum("ij...,j...->i...", em_series(t)["up_hh"].value(),
+                                          n.value())
     J_h = (classical + zeta) / space.coupling
     return J_h, zeta
 
@@ -119,47 +140,44 @@ def vertical_current(space, x, y, tower=None):
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
     t = tower if tower is not None else fibre_tower(space, x, y)
-    _, up_hv_s, s0 = _densities(t)
-    return -np.einsum("iai...->a...", t.delta_value(up_hv_s)) / (s0 * space.coupling)
+    dQx = _current_terms(t)[3]
+    return -dQx.value() / (t.sqrt_g.value() * space.coupling)
 
 
-def continuity_residual(space, x, y, step=1e-3):
-    """div J for the full current (J^i, Jt^a); finite differences outermost.
+def continuity_residual(space, x, y, tower=None):
+    """div J for the full current (J^i, Jt^a), exactly.
 
-    The truncation of the outer central difference is the documented
-    error floor of this residual.  A non-unit fibre constant is folded
-    into the sample point once, so the divergence and the nested current
-    evaluations see the same chart.
+    It is the ``divergence`` of the current densities coupling J^i S and
+    coupling Jt^a S, read off the series of ``_current_terms`` on one
+    Tower with F to order 5 and L1 to order 4: the densities need one
+    order beyond the currents for the outer delta_i and d/dy^a.
 
-    With the adapted-frame component form of the vertical current used
-    here, the residual vanishes (to fd truncation) whenever the
-    connection curvature or the mixed field block vanishes, which covers
-    flat anisotropic and curved isotropic scenes; on scenes that are
-    both curved and anisotropic it reports the genuine defect of that
-    component form.
+    The residual is exactly zero where F does not use x or L1 is zero.
+    On a curved anisotropic scene it is the defect of this component form
+    of the currents: coupling S div J = 1/2 (R^a_ij P^ij)_{.a}
+    + N^b_{i.a} Q^ia_{.b} - N^b_{i.b} Q^ia_{.a}, with R the curvature of
+    the connection and P, Q the densities of ``_current_terms``.
     """
-    y = np.asarray(y, dtype=float)
-    if space.H != 1.0:
-        from dataclasses import replace
-
-        y = y / space.H
-        space = replace(space, H=1.0)
-
-    def v_h(xs, ys):
-        return horizontal_current(space, xs, ys)[0]
-
-    def v_v(xs, ys):
-        return vertical_current(space, xs, ys)
-
-    return divergence(space, v_h, v_v, x, y, step=step)
+    if space.coupling == 0.0:
+        raise ValueError("coupling must be nonzero to extract currents")
+    t = tower if tower is not None else fibre_tower(space, x, y, order_f=5, order_l1=4)
+    P, dP, dQy, dQx, n = _current_terms(t)
+    h = dP + dQy
+    if n is not None:
+        h = h - contract("ij,j->i", P, n)
+    return divergence(space, h, -dQx, t.x, t.y, tower=t) / space.coupling
 
 
-def current_sample(space, x, y, with_continuity=False, step=1e-3):
-    """Currents (and optionally div J) at one point, from one shared Tower."""
-    t = fibre_tower(space, x, y)
+def current_sample(space, x, y, with_continuity=False):
+    """Currents (and optionally div J) at one point, from one shared Tower.
+
+    With the continuity, the Tower expands F to order 5 and L1 to order 4,
+    and the currents are read from it too."""
+    orders = (5, 4) if with_continuity else (4, 3)
+    t = fibre_tower(space, x, y, *orders)
     J_h, zeta = horizontal_current(space, x, y, tower=t)
     J_v = vertical_current(space, x, y, tower=t)
-    cont = continuity_residual(space, x, y, step=step) if with_continuity else None
+    cont = continuity_residual(space, x, y, tower=t) if with_continuity else None
     return CurrentSample(
         x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
         J_h=J_h, J_v=J_v, zeta=zeta, continuity=cont,

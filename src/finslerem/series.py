@@ -62,7 +62,7 @@ import numpy as np
 from .errors import DomainError
 
 NVARS = 8
-MAX_ORDER = 4
+MAX_ORDER = 5
 
 VAR_NAMES = ("x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
 

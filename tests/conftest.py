@@ -3,8 +3,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from finslerem.expr import parse
-from finslerem.geometry import SpaceDef
+from finslerem.expr import eval_series, parse
+from finslerem.geometry import SpaceDef, Tower
+from finslerem.series import TSeries
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -13,6 +14,13 @@ RANDERS_F = "sqrt(y0^2 - y1^2 - y2^2 - y3^2) + 0.1*y1"
 PR_F = "sqrt((1 + 0.2*x1^2)*y0^2 - (1 + 0.1*x0^2)*y1^2 - y2^2 - y3^2)"
 CURVED_RANDERS_F = "sqrt((1 + 0.2*x1^2)*y0^2 - y1^2 - y2^2 - y3^2) + 0.05*y1"
 ANISO_L1 = "0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)"
+
+
+def density(space, x, y, fields):
+    """The density V^i S of a vector field with ScalarField components
+    ``fields`` at (x, y): the vector series ``geometry.divergence`` takes."""
+    t = Tower(space, x, y)
+    return TSeries.stack([eval_series(f, t.point, 1) for f in fields]) * t.sqrt_g
 
 
 @pytest.fixture(scope="session")

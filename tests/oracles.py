@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are four exceptions.  ``tree_series`` walks an expression
+check.  There are six exceptions.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
 sharing or rewriting.  ``full_horner`` composes a series with a full
 product at every Horner step.  The scalar identity oracle reads the
@@ -11,13 +11,25 @@ tower entry by entry, in the order of evaluation that its whole-tensor
 contractions replaced.  ``reference_force`` is the Lorentz solve read
 off separately evaluated generators with ``jet_tensor``, the arithmetic
 that ``ForceEvaluator`` had before it shared one program and one take.
+``fd_divergence`` takes central differences of the components but reads
+the volume factor and the connection off a Tower.  ``continuity_defect``
+is the closed form of div J in terms of the Tower's connection, its
+curvature and the field densities, a different formula from the
+divergence of the currents that ``continuity_residual`` takes.
 """
+
+import itertools
+import math
 
 import numpy as np
 
-from finslerem.expr import (BinOp, Call, Neg, Num, ScalarField, Var, eval_series, eval_values,
-                            fd_jet)
-from finslerem.series import TSeries, jet_tensor
+from finslerem.em import em_series
+from finslerem.errors import DomainError
+from finslerem.expr import (BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_series, eval_value,
+                            eval_values)
+from finslerem.geometry import Tower
+from finslerem.maxwell import fibre_tower
+from finslerem.series import NTERMS, TERMS, TSeries, contract, jet_tensor
 
 
 def tree_series(node, point, order, layout):
@@ -87,6 +99,65 @@ def full_horner(u, cs):
 
 def f_squared(space):
     return ScalarField(BinOp("*", space.F.ast, space.F.ast))
+
+
+# central stencils per differentiation order: (offset, weight), divide by h^m
+_STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+}
+
+
+def _multi_indices(order):
+    return TERMS[1:NTERMS[order]]
+
+
+def fd_jet(field, point, order, step=1e-3):
+    """Central-difference jet; truncation is O(step^2) per differentiation level.
+
+    Independent of the Taylor engine: uses only plain evaluations of the
+    field on tensor-product stencils, which go up to order 4.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not 0 <= order <= max(_STENCILS):
+        raise ValueError(f"derivative order must be in 0..{max(_STENCILS)}, got {order}")
+    point = np.asarray(point, dtype=float)
+    alphas = _multi_indices(order)
+
+    # build one flat batch of sample points covering all stencils
+    offsets = []
+    weights = []
+    slices = []
+    for alpha in alphas:
+        grids = [_STENCILS[a] if a else ((0, 1.0),) for a in alpha]
+        combo_off = []
+        combo_w = []
+        for combo in itertools.product(*grids):
+            off = np.array([c[0] for c in combo], dtype=float)
+            w = math.prod(c[1] for c in combo)
+            combo_off.append(off)
+            combo_w.append(w)
+        start = len(offsets)
+        offsets.extend(combo_off)
+        weights.extend(combo_w)
+        slices.append((start, len(offsets)))
+
+    if offsets:
+        pts = point[:, None] + step * np.array(offsets).T
+        vals = eval_values(field, pts)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("stencil left the field domain", field.source())
+    value = eval_value(field, point)
+
+    partials = {}
+    for alpha, (a, b) in zip(alphas, slices):
+        h_pow = step ** sum(alpha)
+        acc = float(np.dot(np.array(weights[a:b]), vals[a:b])) / h_pow
+        partials[alpha] = acc
+    return Jet(value=value, partials=partials, order=order)
 
 
 def richardson_jet(field, point, order, step):
@@ -464,3 +535,61 @@ def reference_force(space, x, y):
     if single:
         return a_out, dydt_out, {k: float(v) for k, v in mon.items()}
     return a_out, dydt_out, {k: np.reshape(v, -1) for k, v in mon.items()}
+
+
+# ----------------------------------------------------------------------
+# divergence and continuity
+
+
+def fd_divergence(space, fh, fv, x, y, step=1e-3):
+    """div V of the TM field (V^i, Vt^a) at (x, y) with the outer derivatives
+    of V^i S and Vt^a S by central differences: the reference for
+    ``geometry.divergence``.
+
+    The components ``fh`` (V^i) and ``fv`` (Vt^a) are callables
+    ``f(x, y) -> (4, ...) array``, evaluated once on all 16 stencil points
+    as a (4, 16) batch and once at (x, y); S and the connection are a
+    Tower's values.
+    """
+    t = Tower(space, x, y, order_f=4, order_l1=0)
+
+    # stencil column d steps +step along chart axis d, column 8 + d steps -step
+    axes = np.arange(8)
+    p = np.repeat(t.point[:, None], 16, axis=1)
+    p[axes, axes] += step
+    p[axes, 8 + axes] -= step
+    xs, ys = p[:4], p[4:]
+    s_val = np.abs(Tower(space, xs, ys, order_f=2, order_l1=0).det_values)
+    hs = np.asarray(fh(xs, ys)) * s_val
+    vs = np.asarray(fv(xs, ys)) * s_val
+    dh = ((hs[:, :8] - hs[:, 8:]) / (2 * step)).T  # dh[d, i] = d(V^i S)/dz^d
+    dv = ((vs[:, :8] - vs[:, 8:]) / (2 * step)).T
+
+    # sum_i delta_i(V^i S) = sum_i d_i(V^i S) - N^a_i d_a(V^i S)
+    delta = np.trace(dh[:4]) - np.einsum("ai,ai->", t.nonlinear_values, dh[4:])
+    s0 = t.sqrt_g.value()
+    return float((delta + np.trace(dv[4:])) / s0 - t.n_trace_dot_values @ fh(t.x, t.y))
+
+
+def continuity_defect(space, x, y):
+    """The closed form of div J, from the commutators of the adapted frame:
+
+        coupling S div J = 1/2 (R^a_ij P^ij)_{.a} + N^b_{i.a} Q^ia_{.b} - N^b_{i.b} Q^ia_{.a}
+
+    with P^ij = F^ij S, Q^ia = Ft^ia S and R^a_jk = delta_k N^a_j - delta_j N^a_k.
+    It uses [delta_j, delta_k] = R^a_jk d_a, [delta_i, d_a] = N^b_{i.a} d_b
+    and (R^a_jk)_{.a} = delta_k n_j - delta_j n_k with n_j = N^a_{j.a}.
+    Read off an order-(5, 4) Tower: R as the series of delta N, the Berwald
+    values, and the fibre jets of the densities.
+    """
+    t = fibre_tower(space, x, y, order_f=5, order_l1=4)
+    em = em_series(t)
+    S = t.sqrt_g
+    P, Q = em["up_hh"] * S, em["up_hv"] * S
+    dn = t.delta(t.nonlinear)  # dn[a, j, k] = delta_k N^a_j
+    R = dn - dn.transpose(0, 2, 1)
+    curl = 0.5 * np.einsum("aa...->...", jet_tensor(contract("aij,ij->a", R, P), "y"))
+    B = t.berwald_values  # B[b, i, a] = N^b_{i.a}
+    dQ = jet_tensor(Q, "y")  # dQ[i, a, b] = Q^ia_{.b}
+    twist = np.einsum("bia...,iab...->...", B, dQ) - np.einsum("bib...,iaa...->...", B, dQ)
+    return (curl + twist) / (space.coupling * S.value())

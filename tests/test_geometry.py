@@ -14,9 +14,10 @@ from finslerem.geometry import (
 )
 from finslerem.scene import load_scene
 
-from conftest import FIXTURES, PR_F
+from conftest import FIXTURES, PR_F, density
 from oracles import (
     f_squared,
+    fd_divergence,
     pr_christoffel,
     pr_metric,
     pr_riemann,
@@ -234,13 +235,15 @@ class TestCurvature:
 class TestDivergence:
     def test_constant_field_flat(self, minkowski, probe_point):
         x, y = probe_point
-        vh = [parse("1"), parse("2"), parse("0"), parse("1")]
-        assert divergence(minkowski, vh, None, x, y) == pytest.approx(0.0, abs=1e-14)
+        vh = density(minkowski, x, y, [parse("1"), parse("2"), parse("0"), parse("1")])
+        vv = density(minkowski, x, y, [parse("0")] * 4)
+        assert divergence(minkowski, vh, vv, x, y) == pytest.approx(0.0, abs=1e-14)
 
     def test_vertical_euler_field(self, minkowski, probe_point):
         x, y = probe_point
-        vv = [parse("y0"), parse("y1"), parse("y2"), parse("y3")]
-        assert divergence(minkowski, None, vv, x, y) == pytest.approx(4.0, abs=1e-12)
+        vh = density(minkowski, x, y, [parse("0")] * 4)
+        vv = density(minkowski, x, y, [parse("y0"), parse("y1"), parse("y2"), parse("y3")])
+        assert divergence(minkowski, vh, vv, x, y) == pytest.approx(4.0, abs=1e-12)
 
     def test_callable_matches_fields(self, curved_aniso, probe_point):
         from finslerem.expr import eval_value
@@ -248,7 +251,8 @@ class TestDivergence:
         x, y = probe_point
         fields_h = [parse("sin(x0)*y1"), parse("y0"), parse("0"), parse("x1")]
         fields_v = [parse("y1*y0/y0"), parse("0.5*y2"), parse("0"), parse("0")]
-        exact = divergence(curved_aniso, fields_h, fields_v, x, y)
+        exact = divergence(curved_aniso, density(curved_aniso, x, y, fields_h),
+                           density(curved_aniso, x, y, fields_v), x, y)
 
         def fh(xs, ys):
             p = np.concatenate([xs, ys])
@@ -258,7 +262,7 @@ class TestDivergence:
             p = np.concatenate([xs, ys])
             return np.array([eval_value(f, p) for f in fields_v])
 
-        fd = divergence(curved_aniso, fh, fv, x, y, step=1e-3)
+        fd = fd_divergence(curved_aniso, fh, fv, x, y, step=1e-3)
         assert fd == pytest.approx(exact, rel=1e-5, abs=1e-6)
 
 

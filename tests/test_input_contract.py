@@ -80,7 +80,7 @@ COMMANDS = st.one_of(
                   ["--grid", "0:1:1000,0:1:1000,0:0:1,0:0:1,1:1:1,0:0:1,0:0:1,0:0:1"],
                   ["--grid", "nan:1:2"],
               ]),
-              st.sampled_from([[], [], ["--step", "0.1"], ["--step", "0"]]),
+              st.just([]),
               st.just(["--out", "-"])),
     st.tuples(st.just("compare"),
               st.sampled_from([["--kappa-sweep", v]

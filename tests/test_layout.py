@@ -26,7 +26,8 @@ from finslerem.maxwell import current_sample, homogeneous_residuals
 from finslerem.scene import load_scene, parse_scene_text
 from finslerem.series import ALL, MAX_ORDER, TSeries, jet_tensor
 
-from conftest import FIXTURES
+from conftest import FIXTURES, density
+from oracles import fd_divergence
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.scene"))
 LAYOUT_SIZES = {"curved-aniso": 5, "randers-aniso": 4, "pr-curved": 6, "aniso-wave": 5}
@@ -226,14 +227,15 @@ def test_divergence_exact_path_with_variable_outside_layout(pr_curved):
     assert 2 not in Tower(pr_curved, x, y).layout
     vh = [parse(s) for s in ("0.1*x2*y0", "0", "sin(x3)*y1", "x2*x1*y2")]
     vv = [parse(s) for s in ("0", "x2*y0", "0", "cos(x2)*y3")]
-    exact = divergence(pr_curved, vh, vv, x, y)
+    exact = divergence(pr_curved, density(pr_curved, x, y, vh), density(pr_curved, x, y, vv),
+                       x, y)
 
     def call(comps):
         return lambda xs, ys: np.array(
             [eval_values(f, np.concatenate([xs, ys])) for f in comps]
         )
 
-    fd = divergence(pr_curved, call(vh), call(vv), x, y)
+    fd = fd_divergence(pr_curved, call(vh), call(vv), x, y)
     assert abs(exact) > 1e-2
     assert exact == pytest.approx(fd, rel=1e-5, abs=1e-7)
 

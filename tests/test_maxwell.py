@@ -16,7 +16,8 @@ from finslerem.maxwell import (
 from finslerem.scene import load_scene
 
 from conftest import FIXTURES, MINKOWSKI_F, PR_F
-from oracles import levi_civita_divergence, plain_coordinate_currents, scalar_identity_oracle
+from oracles import (continuity_defect, levi_civita_divergence, plain_coordinate_currents,
+                     scalar_identity_oracle)
 
 
 class TestHomogeneousResiduals:
@@ -224,7 +225,7 @@ class TestContinuity:
     def test_isotropic_plane_wave(self, probe_point):
         space = SpaceDef(F=parse(MINKOWSKI_F), L1=parse("sin(x0 - x1)*y0"))
         x, y = probe_point
-        r = continuity_residual(space, x, y, step=1e-3)
+        r = continuity_residual(space, x, y)
         assert abs(r) < 1e-5
         # and the current itself is nonzero
         J, _ = horizontal_current(space, x, y)
@@ -232,13 +233,34 @@ class TestContinuity:
 
     def test_anisotropic_scene(self, aniso_wave, probe_point):
         x, y = probe_point
-        r = continuity_residual(aniso_wave, x, y, step=1e-3)
+        r = continuity_residual(aniso_wave, x, y)
         assert abs(r) < 1e-4
 
     def test_curved_isotropic_scene(self, pr_curved, probe_point):
         x, y = probe_point
-        r = continuity_residual(pr_curved, x, y, step=1e-3)
+        r = continuity_residual(pr_curved, x, y)
         assert abs(r) < 1e-4
+
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.scene")))
+    def test_exact_continuity_balance(self, name, batch):
+        """div J equals the closed-form defect of the adapted-frame currents,
+        and is exactly zero where F does not use x or L1 is zero.  The
+        currents read from the continuity's Tower are those of the default
+        one, bit for bit."""
+        space = load_scene(FIXTURES / f"{name}.scene").space
+        xs, ys = draw_admissible(space, np.random.default_rng(41), batch)
+        if batch == 1:
+            xs, ys = xs[:, 0], ys[:, 0]
+        cs = current_sample(space, xs, ys, with_continuity=True)
+        base = current_sample(space, xs, ys)
+        for got, want in ((cs.J_h, base.J_h), (cs.J_v, base.J_v), (cs.zeta, base.zeta)):
+            assert np.array_equal(got, want)
+        scale = max(1.0, float(np.abs(cs.J_h).max()), float(np.abs(cs.J_v).max()))
+        assert np.abs(cs.continuity - continuity_defect(space, xs, ys)).max() <= 1e-10 * scale
+        if space.flat_x or not space.has_field:
+            assert np.all(cs.continuity == 0.0)
 
 
 class TestCurrentSample:
@@ -286,7 +308,7 @@ class TestOneTowerPerSample:
     def test_continuity_tower_budget(self, curved_aniso, probe_point, tower_count):
         x, y = probe_point
         current_sample(curved_aniso, x, y, with_continuity=True)
-        assert tower_count[0] <= 6
+        assert tower_count[0] == 1
 
     @pytest.mark.parametrize("batch", [1, 16])
     def test_shared_tower_is_bit_identical(self, curved_aniso, batch):

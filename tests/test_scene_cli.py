@@ -517,8 +517,6 @@ class TestFlagContract:
             ["validate", "curved-aniso.scene", "--seed", "-1"],
             ["validate", "minkowski-vacuum.scene", "--tol", "nan"],
             ["validate", "minkowski-vacuum.scene", "--tol", "-1"],
-            ["currents", "aniso-wave.scene", "--grid", README_GRID, "--step", "0"],
-            ["currents", "aniso-wave.scene", "--grid", README_GRID, "--step", "nan"],
             ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "a:1:3")],
             ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "0:1:x")],
             ["currents", "aniso-wave.scene", "--grid", README_GRID.replace("0:1:3", "nan:1:3")],
@@ -529,7 +527,7 @@ class TestFlagContract:
         ],
         ids=["kappa-nan", "kappa-inf", "kappa-empty", "kappa-not-a-number", "ref-two",
              "ref-nan", "ref-zero", "ref-spacelike", "samples-0", "samples-negative",
-             "samples-not-an-integer", "samples-above-limit", "seed-negative", "tol-nan", "tol-negative", "step-0", "step-nan",
+             "samples-not-an-integer", "samples-above-limit", "seed-negative", "tol-nan", "tol-negative",
              "grid-bound-not-a-number", "grid-count-not-an-integer", "grid-bound-nan",
              "grid-count-0", "grid-too-few-entries", "grid-too-many-points"],
     )

@@ -24,7 +24,7 @@ from oracles import full_horner
 
 class TestTermTables:
     def test_counts(self):
-        assert NTERMS == [1, 9, 45, 165, 495]
+        assert NTERMS == [1, 9, 45, 165, 495, 1287]
 
     def test_prefix_property(self):
         # degree-major ordering: the order-k space is a prefix of order-4
