@@ -376,6 +376,11 @@ def _coordinate_step(src, a, v0):
     return series._coordinate_product(a, v0, src)
 
 
+def _outer_step(ia, ib, a, b):
+    """``a`` times ``b`` in disjoint variables (:func:`series._outer_product`)."""
+    return series._outer_product(a, b, ia, ib)
+
+
 class _Tape:
     """One program of series operations over a tuple of root expressions.
 
@@ -396,11 +401,13 @@ class _Tape:
     derivative order on batch-free arrays, with the same arithmetic, and
     its result is broadcast into every evaluation.
 
-    Two identities turn a product into cheaper steps.  Both are exact
-    because ``reduceat`` adds a segment's exact zeros without rounding, in
-    whatever grouping it sums them, so a segment with at most two nonzero
-    summands gives their one rounded sum; they agree with the product on
-    finite coefficients, up to the sign of a zero.
+    Four identities turn a step into a cheaper one, each chosen from the
+    static variable support of the step's operands (the chart variables
+    their subtrees use).  All are exact because ``reduceat`` adds a
+    segment's exact zeros without rounding, in whatever grouping it sums
+    them, so a segment with at most two nonzero summands gives their one
+    rounded sum; they agree with the plain step on finite coefficients,
+    up to the sign of a zero (see :mod:`finslerem.series`).
 
     - A product with a folded constant whose coefficients beyond the value
       are all exactly 0 is a scaling of the other factor by that value:
@@ -413,14 +420,23 @@ class _Tape:
       sums a_K v0, a_{K-e} and products with 0.  The step reads v0 from
       the point, so a coordinate that only such steps read is never
       expanded into a series.
+    - Any other product of two factors in disjoint variables, such as
+      ``(1 + 0.2*x1^2)*y0^2``, is an outer product
+      (:func:`series._outer_product`): output term K sums one nonzero
+      product and products with 0.
+    - A composition (``sqrt``, ``sin``, a reciprocal, ...) whose argument
+      uses fewer variables than the layout, such as ``sin(x1)``, runs in
+      the layout of those variables and is scattered back
+      (:func:`series._restricted`), from order 2 on, where its Horner
+      loop multiplies.
 
     Apart from that the results are those of a plain tree walk.
     """
 
     def __init__(self, asts, tapes=()):
         self.asts = tuple(asts)
-        self.code = []    # (op, child slots, AST node); op is None for a leaf
-        self.const = []   # the slot depends on numbers only
+        self.code = []     # (op, child slots, AST node); op is None for a leaf
+        self.support = []  # bit v set: the slot uses chart variable v; 0: numbers only
         self._index = {}
         self._programs = {}
         self.roots = tuple(self._compile(ast) for ast in self.asts)
@@ -451,9 +467,10 @@ class _Tape:
         if slot is None:
             slot = self._index[key] = len(self.code)
             self.code.append((op, args, node))
-            self.const.append(
-                isinstance(node, Num) if op is None else all(self.const[a] for a in args)
-            )
+            support = 1 << node.index if op is None and isinstance(node, Var) else 0
+            for a in args:
+                support |= self.support[a]
+            self.support.append(support)
         return slot
 
     def _op(self, name, args, node, arg=None):
@@ -517,11 +534,11 @@ class _Tape:
         consts = [None] * len(self.code)
         coords, steps, failure = [], [], None
         for slot, (op, args, node) in enumerate(self.code):
-            if not self.const[slot]:
+            if self.support[slot]:
                 if op is None:
                     coords.append((slot, node.index))
                 else:
-                    steps.append((slot, _array_fn(op, order, mul), args))
+                    steps.append((slot, op, args))
                 continue
             try:
                 if op is None:
@@ -534,23 +551,35 @@ class _Tape:
                 failure = (str(e), node)
                 break
         # a product with a constant that is only a value scales the other
-        # factor, and any other product with a coordinate shifts and scales
-        # it by the coordinate's value row, which gets a slot of its own
-        # past the code; a step has at most one constant factor, else it
-        # would fold
+        # factor; any other product with a coordinate shifts and scales it
+        # by the coordinate's value row, which gets a slot of its own past
+        # the code; a product of two series in disjoint variables is an
+        # outer product, and a composition of fewer variables runs in
+        # theirs.  A step has at most one constant factor, else it would
+        # fold, and a constant with a higher term keeps the product.
         var = dict(coords)
         value_slot = {}
-        for i, (slot, fn, args) in enumerate(steps):
-            if fn is not mul:
-                continue
-            c, other = sorted(args, key=lambda a: (consts[a] is None, a not in var))
-            if consts[c] is not None:
-                if not consts[c][1:].any():
-                    steps[i] = (slot, partial(operator.mul, float(consts[c][0])), (other,))
-            elif c in var:
-                src = _deriv_tables(order, layout.index(var[c]), n)[0]
-                v0 = value_slot.setdefault(c, len(self.code) + len(value_slot))
-                steps[i] = (slot, partial(_coordinate_step, src), (other, v0))
+        for i, (slot, op, args) in enumerate(steps):
+            fn = None
+            if op[0] == "*":
+                c, other = sorted(args, key=lambda a: (consts[a] is None, a not in var))
+                if consts[c] is not None:
+                    if not consts[c][1:].any():
+                        fn, args = partial(operator.mul, float(consts[c][0])), (other,)
+                elif c in var:
+                    src = _deriv_tables(order, layout.index(var[c]), n)[0]
+                    v0 = value_slot.setdefault(c, len(self.code) + len(value_slot))
+                    fn, args = partial(_coordinate_step, src), (other, v0)
+                elif not self.support[c] & self.support[other]:
+                    positions = tuple(i for i, v in enumerate(layout) if self.support[c] >> v & 1)
+                    fn = partial(_outer_step, *series._outer_index(positions, n, order))
+            elif op[0] in series.COMPOSITIONS and order >= 2:
+                sub = tuple(v for v in layout if self.support[args[0]] >> v & 1)
+                if len(sub) < n:
+                    inner = _array_fn(op, order, series._mul_fn(order, len(sub)))
+                    fn = partial(series._restricted, inner,
+                                 series._lift_index(sub, layout, order))
+            steps[i] = (slot, fn or _array_fn(op, order, mul), args)
         # a coordinate is expanded only where a step reads its series
         read = {a for _, _, args in steps for a in args}.union(self.roots)
         leaves = [(slot, v, nterms, n - layout.index(v) if order else None)
@@ -600,7 +629,7 @@ class _Tape:
         out = []
         for i, r in enumerate(self.roots):
             c = vals[r]
-            if self.const[r]:
+            if not self.support[r]:
                 c = np.broadcast_to(c, c.shape[:1] + batch).copy()
             elif r in self.roots[:i]:
                 c = c.copy()  # every root owns its coefficients
@@ -628,7 +657,8 @@ def eval_series(field, point, order, layout=ALL):
     :class:`finslerem.em.AnisotropyBlend`.  A Tower that expands F and
     L1 to one order also reads L1's ``parts``, the ScalarFields it is
     made of, and ``combine(series, batch)``, which makes L1's series from
-    theirs (``SpaceDef.program``).
+    theirs (``SpaceDef.program``); ``Tower.tiled`` runs L1's ``_tape``,
+    the program over its parts.
     """
     if not 0 <= order <= series.MAX_ORDER:
         raise ValueError(f"derivative order must be in 0..{series.MAX_ORDER}, got {order}")

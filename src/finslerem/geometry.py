@@ -129,12 +129,20 @@ class Tower:
     formula in the package but the continuity residual, which takes 5),
     ``order_l1`` the one for the potential generator.  Lower orders make
     dynamics-style value extraction cheap.
+    A flat F (``space.flat_x``) is expanded to ``min(order_f,
+    max(order_l1, 3))``: with no connection, F's highest reader is the
+    inverse metric of the field blocks (order ``order_l1 - 2``) and
+    ``det_series`` (order at least 1), two below F's order.  A
+    coefficient does not depend on the order a series is truncated at, so
+    every stage reads the same values as at ``order_f``.
     When the two orders are equal and L1 is not zero, F's and L1's series
     come from one program (``space.program``), which runs every
     subexpression they share once.
     """
 
     def __init__(self, space, x, y, order_f=4, order_l1=3):
+        if space.flat_x:
+            order_f = min(order_f, max(order_l1, 3))
         self.space = space
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
@@ -159,20 +167,29 @@ class Tower:
         ``space`` has this Tower's F and layout and may have another L1,
         such as an ensemble's with one member per copy.  The F-only stages
         in ``_F_ONLY`` (and the F tape, metric and inverse they come from)
-        are computed once, here, and every copy holds them bit for bit;
-        the L1 stages run over all the columns.
+        are computed once, here, and every copy holds them bit for bit.
+        So are the series of the ``parts`` of ``space.L1``, whose program
+        runs once at these points; ``combine`` blends the copies into the
+        L1 of every column.  The field blocks and the currents run over
+        all the columns.
         """
         if space.F is not self.space.F or space.layout != self.layout:
             raise ValueError("a tiled Tower keeps the F and the layout of its points")
-        t = Tower(space, np.tile(self.x, reps), np.tile(self.y, reps), self.kf, self.kl)
+        t = type(self)(space, np.tile(self.x, reps), np.tile(self.y, reps), self.kf, self.kl)
+
+        def tile(s):
+            return TSeries(np.tile(s.coeffs, (1,) * (s.coeffs.ndim - 1) + (reps,)),
+                           s.order, s.layout, s.rank)
+
         for name in self._F_ONLY:
             v = getattr(self, name)
             if isinstance(v, TSeries):
-                v = TSeries(np.tile(v.coeffs, (1,) * (v.coeffs.ndim - 1) + (reps,)),
-                            v.order, v.layout, v.rank)
+                v = tile(v)
             else:  # a member-first stack
                 v = np.tile(v, (reps,) + (1,) * (v.ndim - 1))
             t.__dict__[name] = v
+        parts = space.L1._tape.run(self.point, self.kl, self.layout)
+        t.__dict__["l1_series"] = space.L1.combine([tile(p) for p in parts], t.batch)
         return t
 
     # -- scalars -------------------------------------------------------
@@ -425,7 +442,8 @@ def divergence(space, v_horizontal, v_vertical, x, y, tower=None):
     with S the volume factor.  The components come as their densities
     V^i S and Vt^a S: vector series at the points of ``tower``, a Tower at
     (x, y) (by default one with F to order 4, the least that gives
-    N^a_{i.a}), trusted to order 1 in any layout.
+    N^a_{i.a}; 3 for a flat F, where N is zero), trusted to order 1 in
+    any layout.
     """
     t = tower if tower is not None else Tower(space, x, y, order_f=4, order_l1=0)
     total = (np.einsum("ii...->...", t.delta_value(v_horizontal))

@@ -103,7 +103,8 @@ def _current_terms(t):
     volume factor S, and n_j = N^a_{j.a} (None where F does not use x, so
     the connection is zero).  The default Tower gives the derivative
     terms to order 0, the values of the currents; one with F to order 5
-    and L1 to order 4 gives them to order 1, which their divergence reads.
+    (4 for a flat F, see ``Tower``) and L1 to order 4 gives them to
+    order 1, which their divergence reads.
     """
     if "currents" not in t.cache:
         em = em_series(t)
@@ -149,8 +150,9 @@ def continuity_residual(space, x, y, tower=None):
 
     It is the ``divergence`` of the current densities coupling J^i S and
     coupling Jt^a S, read off the series of ``_current_terms`` on one
-    Tower with F to order 5 and L1 to order 4: the densities need one
-    order beyond the currents for the outer delta_i and d/dy^a.
+    Tower with F to order 5 (4 when flat) and L1 to order 4: the
+    densities need one order beyond the currents for the outer delta_i
+    and d/dy^a.
 
     The residual is exactly zero where F does not use x or L1 is zero.
     On a curved anisotropic scene it is the defect of this component form
@@ -171,8 +173,8 @@ def continuity_residual(space, x, y, tower=None):
 def current_sample(space, x, y, with_continuity=False):
     """Currents (and optionally div J) at one point, from one shared Tower.
 
-    With the continuity, the Tower expands F to order 5 and L1 to order 4,
-    and the currents are read from it too."""
+    With the continuity, the Tower expands F to order 5 (4 when flat) and
+    L1 to order 4, and the currents are read from it too."""
     orders = (5, 4) if with_continuity else (4, 3)
     t = fibre_tower(space, x, y, *orders)
     J_h, zeta = horizontal_current(space, x, y, tower=t)

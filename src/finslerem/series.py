@@ -49,6 +49,21 @@ to the sign of a zero), and two products have only such segments: a
 product with a chart coordinate (:func:`_coordinate_product`) and the
 first Horner step of a composition (:func:`_compose`).  Both skip
 the product kernel.
+
+A series that does not use some variables of its layout has exact zeros
+at every term in them, as long as its coefficients are finite (a
+non-finite one times such a zero is NaN).  Two more identities follow,
+with that caveat and up to the sign of a zero:
+
+- the product of two factors in disjoint sets of variables has one
+  nonzero summand per segment: term K is the first factor at K's
+  exponents in its variables times the second at the rest of K
+  (:func:`_outer_product`, two ``take`` and one multiply);
+- a composition of a series in a subset S of the layout runs in the
+  layout S and is scattered back (:func:`_restricted`): a term in S
+  splits only into terms in S, so each product segment holds the same
+  summands in the same order as in the full layout, and a term outside
+  S is exactly zero.
 """
 
 from __future__ import annotations
@@ -78,6 +93,20 @@ _FACTORIALS = np.array([math.factorial(e) for e in range(MAX_ORDER + 1)], dtype=
 
 #: largest gathered block of a product, in bytes (below malloc's mmap threshold)
 BLOCK_BYTES = 128 * 1024
+
+#: most plans a cache keyed by batch width keeps (:func:`jets`, :func:`_mul_blocks`)
+PLAN_CACHE = 32
+
+
+def _remember(cache, key, value):
+    """Store ``value`` under ``key``; a full cache first drops its oldest
+    entries.  Each step is one dict call, so threads may share the cache."""
+    excess = len(cache) + 1 - PLAN_CACHE
+    if excess > 0:
+        for old in list(cache)[:excess]:
+            cache.pop(old, None)
+    cache[key] = value
+    return value
 
 
 def _codes(exps):
@@ -167,7 +196,8 @@ def _mul_blocks(k, n, width):
     """
     cache = _terms(n).blocks
     key = (k, width)
-    if key not in cache:
+    blocks = cache.get(key)
+    if blocks is None:
         I, J, starts = _mul_tables(k, n)
         rows = BLOCK_BYTES // (8 * width)
         bounds = np.append(starts, len(I))
@@ -180,8 +210,8 @@ def _mul_blocks(k, n, width):
             s0, s1 = bounds[t0], bounds[t1]
             blocks.append((t0, t1, I[s0:s1], J[s0:s1], starts[t0:t1] - s0))
             t0 = t1
-        cache[key] = blocks
-    return cache[key]
+        _remember(cache, key, blocks)
+    return blocks
 
 
 def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply):
@@ -227,6 +257,41 @@ def _coordinate_product(a, v0, src):
     c = a * v0
     c[src] += a[:len(src)]
     return c
+
+
+def _outer_product(a, b, ia, ib):
+    """Coefficients of the truncated product of ``a`` and ``b``, whose
+    variables are disjoint (see the module notes): term K is a at
+    ``ia[K]`` times b at ``ib[K]`` (:func:`_outer_index`)."""
+    return a.take(ia, axis=0) * b.take(ib, axis=0)
+
+
+def _outer_index(positions, n, k):
+    """(ia, ib) of :func:`_outer_product` at order k in a layout of n
+    variables, the first factor using the variables at ``positions``: each
+    term's exponents restricted to them, and those of the rest of the term.
+    A term in a variable neither factor uses reads an exact zero of b."""
+    key = (positions, n, k)
+    if key not in _outer_cache:
+        t = _terms(n)
+        terms = t.terms[:t.nterms[k]]
+        inside = np.zeros(n, dtype=np.int64)
+        inside[list(positions)] = 1
+        _outer_cache[key] = (t.lookup(_codes(terms * inside)),
+                             t.lookup(_codes(terms * (1 - inside))))
+    return _outer_cache[key]
+
+
+_outer_cache = {}
+
+
+def _restricted(fn, idx, c):
+    """``fn`` of the coefficients ``c`` run on the terms at ``idx`` alone,
+    the terms of a smaller layout (:func:`_lift_index`) outside which
+    ``c`` is zero, and scattered back into ``c``'s layout."""
+    out = np.zeros(c.shape)
+    out[idx] = fn(c.take(idx, axis=0))
+    return out
 
 
 def _deriv_tables(k, pos, n):
@@ -334,7 +399,7 @@ def jets(series, patterns):
     key = (series.layout, patterns, batch)
     plan = _jets_cache.get(key)
     if plan is None:
-        plan = _jets_cache[key] = _jets_plan(*key)
+        plan = _remember(_jets_cache, key, _jets_plan(*key))
     if max(map(len, patterns)) > series.order:
         raise ValueError(f"patterns {patterns!r} beyond trusted order {series.order}")
     idx, fac, inactive, blocks = plan
@@ -745,3 +810,5 @@ def powf(c, k, mul, rank, p):
 #: the array-level function of each analytic operation of an expression
 FUNCTIONS = {"reciprocal": reciprocal, "sqrt": sqrt, "exp": exp, "log": log, "sin": sin,
              "cos": cos, "abs": absolute, "powf": powf}
+#: the operations that run a Horner loop of products (:func:`_compose`)
+COMPOSITIONS = frozenset(FUNCTIONS) - {"abs"}

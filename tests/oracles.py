@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are six exceptions.  ``tree_series`` walks an expression
+check.  There are seven exceptions.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
 sharing or rewriting.  ``full_horner`` composes a series with a full
 product at every Horner step.  The scalar identity oracle reads the
@@ -16,6 +16,8 @@ the volume factor and the connection off a Tower.  ``continuity_defect``
 is the closed form of div J in terms of the Tower's connection, its
 curvature and the field densities, a different formula from the
 divergence of the currents that ``continuity_residual`` takes.
+``UncappedTower`` is a Tower that expands a flat F to the order it is
+asked for, as every Tower did before a flat F was capped at L1's order.
 """
 
 import itertools
@@ -593,3 +595,13 @@ def continuity_defect(space, x, y):
     dQ = jet_tensor(Q, "y")  # dQ[i, a, b] = Q^ia_{.b}
     twist = np.einsum("bia...,iab...->...", B, dQ) - np.einsum("bib...,iaa...->...", B, dQ)
     return (curl + twist) / (space.coupling * S.value())
+
+
+class UncappedTower(Tower):
+    """A Tower with F to ``order_f`` even when F is flat: the reference of
+    the flat-F cap, whose stages must read the same coefficients."""
+
+    def __init__(self, space, x, y, order_f=4, order_l1=3):
+        super().__init__(space, x, y, order_f, order_l1)
+        self.kf = order_f
+        self.fused = order_f == order_l1 and space.has_field

@@ -14,6 +14,7 @@ from finslerem.expr import (
     Num,
     ScalarField,
     Var,
+    _outer_step,
     check_homogeneity,
     diff_ast,
     eval_jet,
@@ -146,6 +147,39 @@ def random_ast(rng, depth):
         return BinOp("^", random_ast(rng, depth - 1), Num(float(rng.integers(1, 4))))
     fn = ["sqrt", "sin", "cos", "exp", "log", "abs"][int(rng.integers(0, 6))]
     return Call(fn, (random_ast(rng, depth - 1),))
+
+
+def separable_ast(rng, depth, variables):
+    """A random tree over ``variables`` that holds the two separable step
+    kinds of the tape: products of factors in disjoint variables and
+    compositions (sqrt, sin, cos, exp, log, a reciprocal, a non-integer
+    power) of a subtree in one variable, beside the plain operations."""
+    if len(variables) > 1 and depth > 0 and rng.random() < 0.4:
+        # a product of two factors that share no variable, neither of
+        # them a number or a lone coordinate
+        cut = int(rng.integers(1, len(variables)))
+        order = rng.permutation(variables)
+        factors = [BinOp("+", Var(int(part[0])), separable_ast(rng, depth - 1, part))
+                   for part in (sorted(order[:cut]), sorted(order[cut:]))]
+        return BinOp("*", *factors)
+    if depth > 0 and rng.random() < 0.4:
+        # a composition of one variable
+        arg = separable_ast(rng, depth - 1, [variables[int(rng.integers(0, len(variables)))]])
+        kind = int(rng.integers(0, 7))
+        if kind == 5:
+            return BinOp("/", Num(float(np.round(rng.uniform(0.5, 2), 3))), arg)
+        if kind == 6:
+            return BinOp("^", arg, Num(float(rng.choice([0.5, 1.5, -0.5]))))
+        return Call(["sqrt", "sin", "cos", "exp", "log"][kind], (arg,))
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.3:
+            return Num(float(np.round(rng.uniform(0, 5), 3)))
+        return Var(int(variables[int(rng.integers(0, len(variables)))]))
+    kind = int(rng.integers(0, 4))
+    left = separable_ast(rng, depth - 1, variables)
+    if kind == 3:
+        return Call(["sqrt", "sin", "exp"][int(rng.integers(0, 3))], (left,))
+    return BinOp("+-*"[kind], left, separable_ast(rng, depth - 1, variables))
 
 
 class TestEvalJet:
@@ -349,9 +383,9 @@ class TestConcurrentEvaluation:
 
 
 def _count_kernels(monkeypatch):
-    """Record every call of the two product kernels from here on: the full
-    product and the coordinate step, each with whether a factor is a
-    folded (read-only) constant."""
+    """Record every call of the product kernels from here on: the full
+    product, the coordinate step and the outer product, each with whether
+    a factor is a folded (read-only) constant."""
     calls = []
 
     def counting(name, kernel):
@@ -363,6 +397,7 @@ def _count_kernels(monkeypatch):
     monkeypatch.setattr(series, "_product", counting("product", series._product))
     monkeypatch.setattr(series, "_coordinate_product",
                         counting("coordinate", series._coordinate_product))
+    monkeypatch.setattr(series, "_outer_product", counting("outer", series._outer_product))
     return calls
 
 
@@ -429,10 +464,44 @@ class TestTape:
     def test_blended_aniso_wave_tape_is_small(self, aniso_wave):
         blended = blend_anisotropy(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0]), 0.3).L1
         tape = blended._tape
-        ops = sum(1 for (fn, _, _), const in zip(tape.code, tape.const)
-                  if fn is not None and not const)
+        ops = sum(1 for (fn, _, _), support in zip(tape.code, tape.support)
+                  if fn is not None and support)
         assert _node_count(blended.ast) > 500
         assert ops <= 45
+
+    @pytest.mark.parametrize("name, outer, products", [
+        # the parent of the outer product ran 5 and 4 full products
+        ("pr-curved", 2, 3), ("curved-aniso", 1, 3),
+    ])
+    def test_disjoint_factors_skip_the_product(self, name, outer, products, monkeypatch):
+        # (1 + 0.2*x1^2)*y0^2 and (1 + 0.1*x0^2)*y1^2 are outer products;
+        # the three products left are the Horner loop of the order-4 sqrt
+        space = load_scene(FIXTURES / f"{name}.scene").space
+        xs, ys = draw_admissible(space, np.random.default_rng(2), 9)
+        pts = np.concatenate([xs, ys])
+        eval_series(space.F, pts, 4, space.layout)
+        calls = _count_kernels(monkeypatch)
+        eval_series(space.F, pts, 4, space.layout)
+        kinds = [kind for kind, _ in calls]
+        assert (kinds.count("outer"), kinds.count("product")) == (outer, products)
+
+    def test_one_variable_composition_runs_in_its_variable(self, monkeypatch):
+        f = parse("sin(x1)*y0 + exp(y1)")
+        pts = np.random.default_rng(3).uniform(0.4, 1.4, (8, 5))
+        eval_series(f, pts, 4)
+        calls = []
+        product = series._product
+
+        def counting(a, b, k, n=series.NVARS, *rest):
+            calls.append((k, n))
+            return product(a, b, k, n, *rest)
+
+        monkeypatch.setattr(series, "_product", counting)
+        got = eval_series(f, pts, 4)
+        # each Horner loop multiplies series of one variable (5 terms),
+        # not of all eight (495 terms)
+        assert calls == [(4, 1)] * 6
+        assert np.array_equal(got.coeffs, tree_series(f.ast, pts, 4, ALL).coeffs)
 
     def test_tape_dies_with_field(self):
         f = parse("0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)")
@@ -466,13 +535,13 @@ class TestTape:
 
 class TestTapeOracle:
     """eval_series, and each root of a program over several fields, is
-    bit-equal to a plain tree walk (oracles.tree_series) at orders 0-4, at
-    a lone point and at batch 1, 7 and 300 (a blocked product), wherever
-    the walk's series is finite."""
+    bit-equal to a plain tree walk (oracles.tree_series) at orders 0-4
+    (0-5 for the separable trees), at a lone point and at batch 1, 7 and
+    300 (a blocked product), wherever the walk's series is finite."""
 
-    def check(self, field, pts, layout=ALL):
+    def check(self, field, pts, layout=ALL, orders=range(5)):
         compared = 0
-        for order in range(5):
+        for order in orders:
             for p in (pts[:, 0], pts[:, :1], pts[:, :7], pts):
                 try:
                     want = tree_series(field.ast, p, order, layout)
@@ -556,6 +625,26 @@ class TestTapeOracle:
                                       wide.uniform(0.4, 1.4, (8, 293))], axis=1)
                 compared += self.check(field, pts)
         assert compared >= 1000
+
+    def test_separable_trees(self):
+        """Trees full of outer products and one-variable compositions, in
+        random layouts of 4 to 6 variables, at orders 0-5."""
+        rng = np.random.default_rng(23)
+        wide = np.random.default_rng(24)
+        compared = outer = restricted = 0
+        with np.errstate(all="ignore"):
+            for _ in range(40):
+                layout = tuple(sorted(rng.choice(8, int(rng.integers(4, 7)), replace=False)))
+                field = ScalarField(separable_ast(rng, 4, list(layout)))
+                pts = np.concatenate([rng.uniform(0.4, 1.4, (8, 7)),
+                                      wide.uniform(0.4, 1.4, (8, 293))], axis=1)
+                compared += self.check(field, pts, layout, orders=range(6))
+                for _, fn, *_ in field._tape._build(5, 1, layout)[3]:
+                    kernel = getattr(fn, "func", None)
+                    outer += kernel is _outer_step
+                    restricted += kernel is series._restricted
+        assert compared >= 850
+        assert outer >= 50 and restricted >= 80
 
 
 class TestSymbolicHelpers:

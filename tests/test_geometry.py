@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from finslerem.em import em_series
+from finslerem.em import anisotropy_ensemble, em_series
 from finslerem.errors import DegenerateMetricError, SignatureMismatchError
-from finslerem.expr import ScalarField, eval_jet, eval_series, parse
+from finslerem.expr import ScalarField, _Tape, eval_jet, eval_series, parse
 from finslerem.geometry import (
     SpaceDef,
     Tower,
@@ -12,10 +14,19 @@ from finslerem.geometry import (
     geometry_sample,
     metric,
 )
+from finslerem.maxwell import (
+    _current_terms,
+    continuity_residual,
+    homogeneous_residuals,
+    horizontal_current,
+    vertical_current,
+)
 from finslerem.scene import load_scene
+from finslerem.series import FIBRE_VARS, TSeries
 
 from conftest import FIXTURES, PR_F, density
 from oracles import (
+    UncappedTower,
     f_squared,
     fd_divergence,
     pr_christoffel,
@@ -380,24 +391,125 @@ class TestValueStages:
 
 class TestTiledTower:
     @pytest.mark.parametrize("name", ["curved-aniso", "aniso-wave"])
-    def test_repeats_the_f_only_stages(self, name):
+    def test_repeats_the_f_only_stages(self, name, monkeypatch):
         scene = load_scene(FIXTURES / f"{name}.scene")
         space = scene.space
         xs, ys = draw_admissible(space, scene.rng(), 5, scene.sampling.x_box,
                                  scene.sampling.y_box)
-        tiled = Tower(space, xs, ys).tiled(3, space)
         whole = Tower(space, np.tile(xs, 3), np.tile(ys, 3))
-        for name in Tower._F_ONLY:
-            got, want = getattr(tiled, name), getattr(whole, name)
+        want_em = em_series(whole)
+        base = Tower(space, xs, ys)
+        for stage in Tower._F_ONLY:
+            getattr(base, stage)
+        runs = []
+        run = _Tape.run
+
+        def counting(tape, point, order, layout):
+            runs.append(point.shape)
+            return run(tape, point, order, layout)
+
+        monkeypatch.setattr(_Tape, "run", counting)
+        tiled = base.tiled(3, space)
+        for stage in Tower._F_ONLY:
+            got, want = getattr(tiled, stage), getattr(whole, stage)
             if hasattr(got, "coeffs"):
                 got, want = got.coeffs, want.coeffs
-            assert np.array_equal(got, want), name
+            assert np.array_equal(got, want), stage
         em = em_series(tiled)
-        for block, s in em_series(whole).items():
+        for block, s in want_em.items():
             assert np.array_equal(em[block].coeffs, s.coeffs), block
-        assert "f_series" not in tiled.__dict__  # the F tape ran once, on the 5 points
+        # F ran before tiling; the tiled Tower ran L1's program once, on the
+        # 5 points, and never F's (aniso-wave's Tower is fused)
+        assert runs == [(8, 5)]
+        assert tiled.fused == (name == "aniso-wave")
 
     def test_keeps_f(self, curved_aniso, aniso_wave):
         xs, ys = draw_admissible(curved_aniso, np.random.default_rng(0), 2)
         with pytest.raises(ValueError, match="keeps the F"):
             Tower(curved_aniso, xs, ys).tiled(2, aniso_wave)
+
+
+FLAT = ["aniso-wave", "minkowski-efield", "minkowski-vacuum", "planewave", "randers-aniso",
+        "randers-efield"]
+
+
+def _same(a, b):
+    """Bit-equal values, or bit-equal coefficients of two series up to the
+    lower of their orders."""
+    if isinstance(a, TSeries):
+        k = min(a.order, b.order)
+        a, b = a.truncate(k).coeffs, b.truncate(k).coeffs
+    return np.array_equal(a, b)
+
+
+def _readings(t):
+    """What em_sample reads off the Tower t, and from L1 order 3 on what the
+    identity suite and the currents read (and their divergence, from L1
+    order 4)."""
+    space = t.space
+    out = {stage: getattr(t, stage) for stage in (
+        "f_value", "g_values", "ginv_values", "det_values", "spray_values",
+        "nonlinear_values", "chern_values", "curvature_values", "berwald_values",
+        "n_trace_dot_values", "e", "g", "ginv", "l1_series", "spray", "nonlinear")}
+    out.update(em_series(t))
+    if t.kl < 3:
+        return out
+    out.update(det_series=t.det_series, sqrt_g=t.sqrt_g)
+    out.update(zip(("P", "dP", "dQy", "dQx"), _current_terms(t)))
+    r = homogeneous_residuals(space, None, None, tower=t)
+    out.update(hhh=r.hhh, hhv=r.hhv, hvv=r.hvv, dg=t.delta_value(t.g),
+               deflection=t.delta_value(t.e.grad(FIBRE_VARS) * 0.5),
+               adapted_f2=t.delta_value(t.e))
+    out["J"], out["zeta"] = horizontal_current(space, None, None, tower=t)
+    out["Jt"] = vertical_current(space, None, None, tower=t)
+    if t.kl >= 4:
+        out["divJ"] = continuity_residual(space, None, None, tower=t)
+    return out
+
+
+class TestFlatCap:
+    """A flat F is expanded to max(order_l1, 3) at most, and every stage its
+    readers use holds the bits of an uncapped Tower."""
+
+    def test_the_flat_fixtures(self):
+        flat = [p.stem for p in sorted(FIXTURES.glob("*.scene")) if load_scene(p).space.flat_x]
+        assert flat == FLAT
+
+    @pytest.mark.parametrize("orders, capped", [((4, 3), 3), ((5, 4), 4), ((3, 2), 3),
+                                                ((2, 2), 2), ((2, 0), 2), ((4, 0), 3)])
+    def test_order(self, aniso_wave, curved_aniso, orders, capped):
+        x, y = np.zeros(4), np.array([1.0, 0.1, 0.0, 0.0])
+        assert Tower(aniso_wave, x, y, *orders).kf == capped
+        assert Tower(curved_aniso, x, y, *orders).kf == orders[0]
+
+    @pytest.mark.parametrize("name", FLAT)
+    @pytest.mark.parametrize("orders", [(4, 3), (5, 4), (3, 2)])
+    def test_stages_read_the_uncapped_coefficients(self, name, orders):
+        # (4, 3): the identity suite and current_sample; (5, 4): current_sample
+        # with continuity; (3, 2): em_sample
+        space = load_scene(FIXTURES / f"{name}.scene").space
+        xs, ys = draw_admissible(space, np.random.default_rng(8), 7)
+        for x, y in ((xs[:, 0], ys[:, 0]), (xs, ys)):
+            capped = Tower(space, x, y, *orders)
+            assert capped.fused == (capped.kf == capped.kl and space.has_field)
+            want = _readings(UncappedTower(space, x, y, *orders))
+            for stage, got in _readings(capped).items():
+                assert _same(got, want[stage]), stage
+
+    @pytest.mark.parametrize("name", FLAT)
+    def test_tiled_ensemble_reads_the_uncapped_coefficients(self, name):
+        # compare's currents: a Tower at the draws tiled for an ensemble
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        xs, ys = draw_admissible(scene.space, scene.rng(), 5)
+        kappas = (None, 0.0, 0.5, 1.0)
+        ens = anisotropy_ensemble(scene.space, scene.particle.y0, kappas)
+        ens = replace(ens, L1=ens.L1.tiled(5))
+        got = Tower(scene.space, xs, ys).tiled(len(kappas), ens)
+        want = UncappedTower(scene.space, xs, ys).tiled(len(kappas), ens)
+        assert got.kf == 3 and want.kf == 4
+        for block, s in em_series(want).items():
+            assert _same(em_series(got)[block], s), block
+        for current in (horizontal_current, vertical_current):
+            for a, b in zip(np.atleast_2d(current(ens, None, None, tower=got)),
+                            np.atleast_2d(current(ens, None, None, tower=want))):
+                assert np.array_equal(a, b)

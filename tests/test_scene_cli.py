@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import finslerem
-from finslerem.cli import main, run_validation
+from finslerem import series
+from finslerem.cli import identity_residuals, main, run_validation
 from finslerem.errors import (
     HomogeneityViolationError,
     SceneParseError,
     SignatureMismatchError,
 )
+from finslerem.geometry import draw_admissible
 from finslerem.scene import load_scene, parse_scene_text, scene_to_text
 
 from conftest import FIXTURES
@@ -30,6 +32,37 @@ ALL_FIXTURES = [
     "aniso-wave.scene",
     "curved-aniso.scene",
 ]
+
+
+class TestIdentitySuiteWork:
+    """The series products of one batch-100 identity suite on the four
+    validate-batch scenes, by order.  The counts are the work the suite
+    does; a change that expands terms known to be zero again raises one."""
+
+    # before the flat-F cap, outer products and one-variable compositions:
+    # 30, 21, 27 and 24 products, of them 5, 4, 6 and 4 at order 4
+    COUNTS = {
+        "curved-aniso": {0: 2, 1: 10, 2: 5, 3: 7, 4: 4},
+        "randers-aniso": {1: 9, 2: 2, 3: 6},
+        "pr-curved": {0: 2, 1: 10, 2: 5, 3: 2, 4: 4},
+        "aniso-wave": {1: 9, 2: 2, 3: 8},
+    }
+
+    @pytest.mark.parametrize("name", list(COUNTS))
+    def test_products_by_order(self, name, monkeypatch):
+        space = load_scene(FIXTURES / f"{name}.scene").space
+        xs, ys = draw_admissible(space, np.random.default_rng(13), 100)
+        identity_residuals(space, xs, ys)  # programs and tables built
+        orders = []
+        product = series._product
+
+        def counting(a, b, k, *rest, **kw):
+            orders.append(k)
+            return product(a, b, k, *rest, **kw)
+
+        monkeypatch.setattr(series, "_product", counting)
+        identity_residuals(space, xs, ys)
+        assert {k: orders.count(k) for k in sorted(set(orders))} == self.COUNTS[name]
 
 
 class TestLoadScene:

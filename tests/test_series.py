@@ -215,6 +215,36 @@ class TestBlockedProduct:
         assert np.array_equal(out, ref)
 
 
+class TestPlanCaches:
+    def test_bounded_over_many_batch_widths(self):
+        """The per-width plans of jets and of blocked products stay at most
+        PLAN_CACHE each, and a plan rebuilt after eviction gives the same bits."""
+        layout, n, k = (1, 4, 5, 6, 7), 5, 3
+        rng = np.random.default_rng(50)
+        I, J, starts = _mul_tables(k, n)
+        first = None
+        for width in range(60, 110):  # 50 widths, each one a blocked product
+            assert len(I) * width * 8 > series.BLOCK_BYTES
+            a, b = rng.standard_normal((2, _terms(n).nterms[k], width))
+            prod = _product(a, b, k, n)
+            assert np.array_equal(prod, np.add.reduceat(a[I] * b[J], starts, axis=0))
+            s = TSeries(a, k, layout)
+            for got, pattern in zip(series.jets(s, ("yy", "yx")), ("yy", "yx")):
+                assert np.array_equal(got, np.moveaxis(jet_tensor(s, pattern), -1, 0))
+            assert len(series._jets_cache) <= series.PLAN_CACHE
+            assert len(_terms(n).blocks) <= series.PLAN_CACHE
+            if first is None:
+                first = a, b, prod, series.jets(s, ("yy", "yx"))
+        # full, not emptier: only the oldest plans were dropped
+        assert len(series._jets_cache) == len(_terms(n).blocks) == series.PLAN_CACHE
+        assert all((k, w) in _terms(n).blocks for w in range(110 - series.PLAN_CACHE, 110))
+        a, b, prod, jets = first
+        assert (k, 60) not in _terms(n).blocks  # evicted, and rebuilt below
+        assert np.array_equal(_product(a, b, k, n), prod)
+        for got, want in zip(series.jets(TSeries(a, k, layout), ("yy", "yx")), jets):
+            assert np.array_equal(got, want)
+
+
 class TestJetTensor:
     def test_matches_partial(self):
         s = TSeries.coordinate(4, 1.2, 3)
