@@ -357,17 +357,18 @@ def _literal(node):
     return None
 
 
-def _array_fn(op, order, mul):
-    """The function of coefficient arrays that runs one operation at ``order``."""
+def _array_fn(op, order, n):
+    """The function of coefficient arrays that runs one operation at
+    ``order`` in a layout of n variables."""
     name, arg = op
     if name == "*":
-        return mul
+        return series._mul_fn(order, n)
     if name in _ARRAY_OPS:
         return _ARRAY_OPS[name]
     fn = series.FUNCTIONS[name]
     if arg is None:
-        return lambda a: fn(a, order, mul)
-    return lambda a: fn(a, order, mul, 0, arg)
+        return lambda a: fn(a, order, n)
+    return lambda a: fn(a, order, n, 0, arg)
 
 
 def _coordinate_step(src, a, v0):
@@ -530,7 +531,6 @@ class _Tape:
             raise ValueError(f"{', '.join(outside)} outside the series layout {layout}")
         n = len(layout)
         nterms = series._terms(n).nterms[order]
-        mul = series._mul_fn(order, n)
         consts = [None] * len(self.code)
         coords, steps, failure = [], [], None
         for slot, (op, args, node) in enumerate(self.code):
@@ -545,7 +545,7 @@ class _Tape:
                     consts[slot] = np.zeros(nterms)
                     consts[slot][0] = node.value
                 else:
-                    consts[slot] = _array_fn(op, order, mul)(*(consts[a] for a in args))
+                    consts[slot] = _array_fn(op, order, n)(*(consts[a] for a in args))
             except DomainError as e:
                 # raised in turn, after every step that comes before it
                 failure = (str(e), node)
@@ -576,10 +576,10 @@ class _Tape:
             elif op[0] in series.COMPOSITIONS and order >= 2:
                 sub = tuple(v for v in layout if self.support[args[0]] >> v & 1)
                 if len(sub) < n:
-                    inner = _array_fn(op, order, series._mul_fn(order, len(sub)))
+                    inner = _array_fn(op, order, len(sub))
                     fn = partial(series._restricted, inner,
                                  series._lift_index(sub, layout, order))
-            steps[i] = (slot, fn or _array_fn(op, order, mul), args)
+            steps[i] = (slot, fn or _array_fn(op, order, n), args)
         # a coordinate is expanded only where a step reads its series
         read = {a for _, _, args in steps for a in args}.union(self.roots)
         leaves = [(slot, v, nterms, n - layout.index(v) if order else None)

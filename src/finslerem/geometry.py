@@ -20,7 +20,7 @@ import numpy as np
 from . import expr
 from .errors import DegenerateMetricError, DomainError, SignatureMismatchError
 from .expr import ScalarField
-from .series import BASE_VARS, FIBRE_VARS, TSeries, contract, jet_tensor, jets
+from .series import BASE_VARS, FIBRE_VARS, TSeries, contract, jet_tensor, jets, solve
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -122,6 +122,21 @@ def _trailing(name):
     return _stage(lambda t: np.moveaxis(getattr(t, name), 0, -1) if t.batch else getattr(t, name))
 
 
+def _connection(series_name, stack_name, rank):
+    """The values of the spray (rank 1) or the connection (rank 2), batch
+    axis last: zero where F does not use x, read off the series stage
+    ``series_name`` by a Tower that builds it (``series_connection``),
+    else a view of the gathered ``stack_name``."""
+    def values(t):
+        if t.flat_x:
+            return np.zeros((4,) * rank + t.batch)
+        if t.series_connection:
+            return getattr(t, series_name).value()
+        stack = getattr(t, stack_name)
+        return np.moveaxis(stack, 0, -1) if t.batch else stack
+    return _stage(values)
+
+
 class Tower:
     """Lazy cache of the series tower at one (possibly batched) point.
 
@@ -138,6 +153,13 @@ class Tower:
     When the two orders are equal and L1 is not zero, F's and L1's series
     come from one program (``space.program``), which runs every
     subexpression they share once.
+
+    The spray G and the connection N have two routes.  A Tower with F to
+    order 4 or more that uses x (``series_connection``) builds their
+    series for the connection's derivatives and reads their values off
+    them.  The force's Towers (F to order 2 or 3) gather the values from
+    the jets of F^2 with batched linear algebra (``spray_stack``,
+    ``nonlinear_stack``), which is faster at a lone point.
     """
 
     def __init__(self, space, x, y, order_f=4, order_l1=3):
@@ -154,11 +176,12 @@ class Tower:
         self.layout = space.layout
         self.flat_x = space.flat_x
         self.fused = order_f == order_l1 and space.has_field
+        self.series_connection = order_f >= 4 and not space.flat_x
         self.cache = {}
 
     #: the stages :meth:`tiled` repeats: those the field blocks and the
     #: currents read that depend on F alone
-    _F_ONLY = ("det_values", "det_series", "ginv", "nonlinear_stack", "nonlinear")
+    _F_ONLY = ("det_values", "det_series", "ginv", "nonlinear")
 
     def tiled(self, reps, space):
         """The Tower of ``space`` at this batch of points repeated ``reps``
@@ -282,8 +305,8 @@ class Tower:
 
     g_values = _trailing("g_stack")
     ginv_values = _trailing("ginv_stack")
-    spray_values = _trailing("spray_stack")
-    nonlinear_values = _trailing("nonlinear_stack")
+    spray_values = _connection("spray", "spray_stack", 1)
+    nonlinear_values = _connection("nonlinear", "nonlinear_stack", 2)
 
     # -- series stages ---------------------------------------------------
     # Tensor series, (*tensor, nterms, *batch): a tensor stage is a few
@@ -294,14 +317,22 @@ class Tower:
 
     @_stage
     def ginv(self):
-        """Series inverse of g: the Neumann sum (sum_m T^m) g0^{-1}, T = -g0^{-1} (g - g0)."""
+        """Series inverse of g: the Neumann sum (sum_m T^m) g0^{-1}, T = -g0^{-1} (g - g0).
+
+        It runs to the order of the field blocks and the currents that
+        read it, max(1, order_l1 - 2), as ``det_series`` does; the spray
+        solves with g instead (``spray``).  T has no constant term, so a
+        longer sum changes a term of degree <= k only by ±0 summands
+        (T_0 times a term of its own degree): on finite coefficients the
+        terms are those of the sum at g's full order, up to the sign of
+        a zero."""
         g0inv = self.ginv_values
-        h = self.g.copy()
+        h = self.g.truncate(max(1, self.kl - 2)).copy()
         h.value()[...] = 0.0
         T = -contract("im,mj->ij", g0inv, h)
         eye = np.eye(4).reshape((4, 4) + (1,) * len(self.batch))
         acc = T + eye
-        for _ in range(1, self.g.order):
+        for _ in range(1, h.order):
             acc = contract("im,mj->ij", T, acc) + eye
         return contract("im,mj->ij", acc, g0inv)
 
@@ -327,14 +358,16 @@ class Tower:
 
     @_stage
     def spray(self):
-        """G^i = 1/4 g^{il} ((F^2)_{.l,k} y^k - (F^2)_{,l})."""
+        """G^i = 1/4 g^{il} b_l with b_l = (F^2)_{.l,k} y^k - (F^2)_{,l}: the
+        series solution of g_il G^l = 1/4 b_l, degree by degree
+        (``series.solve``, with g0^{-1} = ``ginv_values``)."""
         if self.flat_x:
             return TSeries.zeros((4,), self.kf, self.batch, self.layout)
         ey = self.e.grad(FIBRE_VARS)
         y = TSeries.stack([TSeries.coordinate(v, self.point[v], self.kf - 2, self.batch,
                                               self.layout) for v in FIBRE_VARS])
         b = contract("lk,k->l", ey.grad(BASE_VARS), y) - self.e.grad(BASE_VARS)
-        return contract("il,l->i", self.ginv, b) * 0.25
+        return solve(self.g, b * 0.25, self.ginv_values)
 
     @_stage
     def nonlinear(self):

@@ -64,6 +64,16 @@ with that caveat and up to the sign of a zero:
   splits only into terms in S, so each product segment holds the same
   summands in the same order as in the full layout, and a term outside
   S is exactly zero.
+
+A coefficient of degree d sums the same segment at every truncation
+order >= d, so a product need not run above the order its result is
+read to (truncated Taylor propagation).  From order 3, Horner step m of a
+composition multiplies at order k - m (:func:`_compose`): the padded
+terms meet only the zero constant of h = u - u0, so on finite
+coefficients the result is the full-order loop's up to the sign of a
+zero.  :func:`solve` finds the series x of a x = b degree by degree
+from a's inverse value, each step summing only the degree-d segments of
+the product (``top`` in :func:`_product`).
 """
 
 from __future__ import annotations
@@ -191,21 +201,25 @@ def _mul_blocks(k, n, width):
 
     Each block gathers at most ``BLOCK_BYTES`` per temporary for ``width``
     columns (but always holds at least one whole output term), so every
-    term's segment is summed exactly as in one unblocked reduceat.
+    term's segment is summed exactly as in one unblocked reduceat.  No
+    block straddles the first term of degree k, so the degree-k terms
+    have blocks of their own (``top`` in :func:`_product`).
     Returns a list of ``(t0, t1, I, J, starts)`` with block-local starts.
     """
-    cache = _terms(n).blocks
+    t = _terms(n)
+    cache = t.blocks
     key = (k, width)
     blocks = cache.get(key)
     if blocks is None:
         I, J, starts = _mul_tables(k, n)
         rows = BLOCK_BYTES // (8 * width)
         bounds = np.append(starts, len(I))
+        top = t.nterms[k - 1] if k else 0
         blocks = []
         t0 = 0
         while t0 < len(starts):
             t1 = t0 + 1
-            while t1 < len(starts) and bounds[t1 + 1] - bounds[t0] <= rows:
+            while t1 < len(starts) and t1 != top and bounds[t1 + 1] - bounds[t0] <= rows:
                 t1 += 1
             s0, s1 = bounds[t0], bounds[t1]
             blocks.append((t0, t1, I[s0:s1], J[s0:s1], starts[t0:t1] - s0))
@@ -214,7 +228,7 @@ def _mul_blocks(k, n, width):
     return blocks
 
 
-def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply):
+def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply, top=False):
     """Coefficients of the truncated product of two coefficient arrays.
 
     The term axes of ``a`` and ``b`` follow their ``ranks`` tensor axes.
@@ -225,9 +239,14 @@ def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply)
     columns), multiply and reduce in one go.  Wide ones go block by
     block, the width counting tensor and batch axes, so no temporary
     outgrows ``BLOCK_BYTES``; the blocks are bit-identical to the
-    one-shot result.
+    one-shot result.  With ``top`` (k >= 1) only the terms of degree k
+    are summed and returned, bit for bit those terms of the full product.
     """
     I, J, starts = _mul_tables(k, n)
+    first = _terms(n).nterms[k - 1] if top else 0
+    if first:
+        s0 = starts[first]
+        I, J, starts = I[s0:], J[s0:], starts[first:] - s0
     ra, rb = ranks
     axis = len(out_tensor)
     width = max(a.size // a.shape[ra], b.size // b.shape[rb])
@@ -241,8 +260,9 @@ def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply)
     out = np.empty(out_tensor + (len(starts),) + batch)
     head = (slice(None),) * axis
     for t0, t1, I, J, starts in _mul_blocks(k, n, width):
-        np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
-                        axis=axis, out=out[head + (slice(t0, t1),)])
+        if t0 >= first:
+            np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
+                            axis=axis, out=out[head + (slice(t0 - first, t1 - first),)])
     return out
 
 
@@ -457,6 +477,35 @@ def contract(spec, a, b):
     return TSeries(coeffs, k, a.layout, len(out))
 
 
+def solve(a, b, a0inv):
+    """The vector series x with ``contract("ij,j->i", a, x) == b``, for a
+    matrix series ``a`` whose value has the inverse ``a0inv``, an array
+    shaped ``(m, m, *batch)``.
+
+    x is found degree by degree: x_0 = a0inv b_0, and for d >= 1
+    x_d = a0inv (b_d - (a x)_d), where (a x)_d are the degree-d terms of
+    the product with x known below degree d and still zero from it on
+    (:func:`_product` with ``top``).  Step d sums only the degree-d
+    segments, and its a_0 x_d summands are zero, so no inverse series of
+    ``a`` is formed.  The result is ``contract("ij,j->i", ainv, b)`` for
+    the series inverse ``ainv`` of ``a``, up to rounding.
+    """
+    a, b, k = TSeries._align(a, b)
+    n = len(a.layout)
+    nterms = _terms(n).nterms
+    dot = functools.partial(np.einsum, "ij...,j...->i...")
+    inv = np.expand_dims(a0inv, 2)  # a term axis, broadcast over each degree's terms
+    x = np.zeros(b.coeffs.shape)
+    for d in range(k + 1):
+        lo, hi = nterms[d - 1] if d else 0, nterms[d]
+        rhs = b.coeffs[:, lo:hi]
+        if d:
+            rhs = rhs - _product(a.coeffs[:, :, :hi], x[:, :hi], d, n, (2, 1), x.shape[:1],
+                                 dot, top=True)
+        x[:, lo:hi] = dot(inv, rhs)
+    return TSeries(x, k, a.layout, 1)
+
+
 class TSeries:
     """Taylor coefficients of a scalar or tensor quantity, trusted to ``order``.
 
@@ -669,9 +718,8 @@ class TSeries:
     # ------------------------------------------------------------------
     # analytic functions: the array-level compositions below
     def _apply(self, fn, *args):
-        mul = _mul_fn(self.order, len(self.layout), self.rank, self.shape)
-        return TSeries(fn(self.coeffs, self.order, mul, self.rank, *args), self.order,
-                       self.layout, self.rank)
+        return TSeries(fn(self.coeffs, self.order, len(self.layout), self.rank, *args),
+                       self.order, self.layout, self.rank)
 
     def reciprocal(self):
         return self._apply(reciprocal)
@@ -701,16 +749,14 @@ class TSeries:
 # ----------------------------------------------------------------------
 # analytic functions on coefficient arrays, via univariate composition
 # (Horner in h = u - u0).  Each takes the coefficients ``c`` (term axis
-# after ``rank`` tensor axes), the order k and ``mul``, the truncated
-# product of two such arrays (:func:`_mul_fn`).
+# after ``rank`` tensor axes), the order k and the number n of variables
+# of their layout.
 
 
-def _mul_fn(k, n, rank=0, shape=()):
+@functools.cache
+def _mul_fn(k, n):
     """The order-k product of two coefficient arrays in a layout of n
-    variables with ``rank`` tensor axes of ``shape``.  It looks
-    :func:`_product` up at each call."""
-    if rank:
-        return lambda a, b: _product(a, b, k, n, (rank, rank), shape)
+    variables.  It looks :func:`_product` up at each call."""
     return lambda a, b: _product(a, b, k, n)
 
 
@@ -719,34 +765,58 @@ def _u0(c, rank):
     return c[(slice(None),) * rank + (0,)]
 
 
-def _compose(c, cs, mul, rank=0):
-    """sum_m cs[m] h^m for h = c - u0, by Horner's rule.
+def _compose(c, cs, n, rank=0):
+    """sum_m cs[m] h^m for h = c - u0 in a layout of n variables: r_0 of
+    Horner's rule r_m = r_{m+1} h + cs[m], down from r_k = cs[k].
 
-    The first step is a scaling of h by c_k: each segment of the
-    product with the series of c_k holds c_k h_K and exact zeros.
+    The first step is a scaling of h by cs[k]: each segment of the
+    product with the series of cs[k] holds cs[k] h_K and exact zeros.
+    h has no constant term, so r_m is read only to order k - m, and from
+    order 3 each step runs at that order: the first scales h to order 1,
+    and step m multiplies at order k - m, its accumulator r_{m+1}
+    zero-padded by one degree.  A padded term r_K meets only h_0 = 0, in
+    the last summand of its segment, where a full-order step adds
+    r_K h_0, so on finite coefficients every term is that of full-order
+    steps up to the sign of a zero (see the module notes).  Orders 0-2
+    run every step at order k.
     """
-    i = (slice(None),) * rank + (0,)
+    k = len(cs) - 1
+    head = (slice(None),) * rank
+    i = head + (0,)
+    ranks, shape = (rank, rank), c.shape[:rank]
     h = c.copy()
     h[i] = 0.0
-    r = h * (np.expand_dims(cs[-1], rank) if rank else cs[-1])
-    r[i] = cs[-1] if len(cs) == 1 else r[i] + cs[-2]
-    for m in range(len(cs) - 3, -1, -1):
-        r = mul(r, h)
+    scale = np.expand_dims(cs[-1], rank) if rank else cs[-1]
+    if k < 3:
+        r = h * scale
+        r[i] = cs[-1] if k == 0 else r[i] + cs[-2]
+        if k == 2:
+            r = _product(r, h, k, n, ranks, shape)
+            r[i] = r[i] + cs[0]
+        return r
+    nterms = _terms(n).nterms
+    r = h[head + (slice(nterms[1]),)] * scale
+    r[i] = r[i] + cs[-2]
+    for m in range(k - 2, -1, -1):
+        d = k - m
+        acc = np.zeros(shape + (nterms[d],) + c.shape[rank + 1:])
+        acc[head + (slice(nterms[d - 1]),)] = r
+        r = _product(acc, h[head + (slice(nterms[d]),)], d, n, ranks, shape)
         r[i] = r[i] + cs[m]
     return r
 
 
-def reciprocal(c, k, mul, rank=0):
+def reciprocal(c, k, n, rank=0):
     u0 = _u0(c, rank)
     if (u0 == 0.0).any():
         raise DomainError("division by zero")
     cs = [1.0 / u0]
     for _ in range(k):
         cs.append(-cs[-1] / u0)
-    return _compose(c, cs, mul, rank)
+    return _compose(c, cs, n, rank)
 
 
-def sqrt(c, k, mul, rank=0):
+def sqrt(c, k, n, rank=0):
     u0 = _u0(c, rank)
     if (u0 <= 0.0).any():
         raise DomainError("sqrt of a nonpositive value")
@@ -756,46 +826,46 @@ def sqrt(c, k, mul, rank=0):
     for m in range(1, k + 1):
         coef *= (0.5 - (m - 1)) / m
         cs.append(coef * u0 ** (0.5 - m))
-    return _compose(c, cs, mul, rank)
+    return _compose(c, cs, n, rank)
 
 
-def exp(c, k, mul, rank=0):
+def exp(c, k, n, rank=0):
     e = np.exp(_u0(c, rank))
-    return _compose(c, [e / math.factorial(m) for m in range(k + 1)], mul, rank)
+    return _compose(c, [e / math.factorial(m) for m in range(k + 1)], n, rank)
 
 
-def log(c, k, mul, rank=0):
+def log(c, k, n, rank=0):
     u0 = _u0(c, rank)
     if (u0 <= 0.0).any():
         raise DomainError("log of a nonpositive value")
     cs = [np.log(u0)]
     for m in range(1, k + 1):
         cs.append((-1.0) ** (m - 1) / (m * u0**m))
-    return _compose(c, cs, mul, rank)
+    return _compose(c, cs, n, rank)
 
 
-def sin(c, k, mul, rank=0):
+def sin(c, k, n, rank=0):
     u0 = _u0(c, rank)
     s, co = np.sin(u0), np.cos(u0)
     cycle = [s, co, -s, -co]
-    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], mul, rank)
+    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], n, rank)
 
 
-def cos(c, k, mul, rank=0):
+def cos(c, k, n, rank=0):
     u0 = _u0(c, rank)
     s, co = np.sin(u0), np.cos(u0)
     cycle = [co, -s, -co, s]
-    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], mul, rank)
+    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], n, rank)
 
 
-def absolute(c, k, mul, rank=0):
+def absolute(c, k, n, rank=0):
     u0 = _u0(c, rank)
     if k >= 1 and (u0 == 0.0).any():
         raise DomainError("abs is not differentiable at 0")
     return c * (np.expand_dims(np.sign(u0), rank) if rank else np.sign(u0))
 
 
-def powf(c, k, mul, rank, p):
+def powf(c, k, n, rank, p):
     u0 = _u0(c, rank)
     if (u0 <= 0.0).any():
         raise DomainError("non-integer power of a nonpositive value")
@@ -804,7 +874,7 @@ def powf(c, k, mul, rank, p):
     for m in range(1, k + 1):
         coef *= (p - (m - 1)) / m
         cs.append(coef * u0 ** (p - m))
-    return _compose(c, cs, mul, rank)
+    return _compose(c, cs, n, rank)
 
 
 #: the array-level function of each analytic operation of an expression

@@ -3,10 +3,14 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are seven exceptions.  ``tree_series`` walks an expression
+check.  There are nine exceptions.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
 sharing or rewriting.  ``full_horner`` composes a series with a full
-product at every Horner step.  The scalar identity oracle reads the
+product at every Horner step, and ``full_order_compose`` is the Horner
+loop of ``series._compose`` with every product at the full order.
+``neumann_inverse`` is the series inverse of a metric by its Neumann sum
+at the metric's full order, the reference for the spray's degree-by-
+degree solve.  The scalar identity oracle reads the
 tower entry by entry, in the order of evaluation that its whole-tensor
 contractions replaced.  ``reference_force`` is the Lorentz solve read
 off separately evaluated generators with ``jet_tensor``, the arithmetic
@@ -31,7 +35,7 @@ from finslerem.expr import (BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_s
                             eval_values)
 from finslerem.geometry import Tower
 from finslerem.maxwell import fibre_tower
-from finslerem.series import NTERMS, TERMS, TSeries, contract, jet_tensor
+from finslerem.series import NTERMS, TERMS, TSeries, _product, contract, jet_tensor
 
 
 def tree_series(node, point, order, layout):
@@ -97,6 +101,35 @@ def full_horner(u, cs):
         r = r * h
         r.coeffs[i] = r.coeffs[i] + cs[m]
     return r
+
+
+def full_order_compose(c, cs, n, rank=0):
+    """``series._compose`` with every Horner step at the full order k: the
+    first step scales h by cs[k], and each later one multiplies the
+    full-order accumulator by h at order k."""
+    k = len(cs) - 1
+    i = (slice(None),) * rank + (0,)
+    h = c.copy()
+    h[i] = 0.0
+    r = h * (np.expand_dims(cs[-1], rank) if rank else cs[-1])
+    r[i] = cs[-1] if len(cs) == 1 else r[i] + cs[-2]
+    for m in range(len(cs) - 3, -1, -1):
+        r = _product(r, h, k, n, (rank, rank), c.shape[:rank])
+        r[i] = r[i] + cs[m]
+    return r
+
+
+def neumann_inverse(g, g0inv):
+    """Series inverse of the rank-2 series g at its full order: the
+    Neumann sum (sum_m T^m) g0^{-1} with T = -g0^{-1} (g - g0)."""
+    h = g.copy()
+    h.value()[...] = 0.0
+    T = -contract("im,mj->ij", g0inv, h)
+    eye = np.eye(4).reshape((4, 4) + (1,) * len(g.batch))
+    acc = T + eye
+    for _ in range(1, g.order):
+        acc = contract("im,mj->ij", T, acc) + eye
+    return contract("im,mj->ij", acc, g0inv)
 
 
 def f_squared(space):

@@ -499,8 +499,8 @@ class TestTape:
         monkeypatch.setattr(series, "_product", counting)
         got = eval_series(f, pts, 4)
         # each Horner loop multiplies series of one variable (5 terms),
-        # not of all eight (495 terms)
-        assert calls == [(4, 1)] * 6
+        # not of all eight (495 terms), step m at order 4 - m
+        assert calls == [(2, 1), (3, 1), (4, 1)] * 2
         assert np.array_equal(got.coeffs, tree_series(f.ast, pts, 4, ALL).coeffs)
 
     def test_tape_dies_with_field(self):

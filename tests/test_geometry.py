@@ -22,13 +22,15 @@ from finslerem.maxwell import (
     vertical_current,
 )
 from finslerem.scene import load_scene
-from finslerem.series import FIBRE_VARS, TSeries
+from finslerem import series
+from finslerem.series import BASE_VARS, FIBRE_VARS, TSeries, contract
 
 from conftest import FIXTURES, PR_F, density
 from oracles import (
     UncappedTower,
     f_squared,
     fd_divergence,
+    neumann_inverse,
     pr_christoffel,
     pr_metric,
     pr_riemann,
@@ -365,18 +367,26 @@ class TestValueStages:
         xs, ys = draw_admissible(scene.space, scene.rng(), 8, scene.sampling.x_box,
                                  scene.sampling.y_box)
         t = Tower(scene.space, xs[:, cols], ys[:, cols])
+        # the force's Tower gathers G, N and the field blocks from the jets;
+        # a full Tower reads G and N off its series
+        force = Tower(scene.space, xs[:, cols], ys[:, cols], order_f=3, order_l1=2)
 
         def values(m):
             return np.array([[s.value() for s in row] for row in m])
+
+        def trailing(stack):
+            return np.moveaxis(stack, 0, -1) if force.batch else stack
 
         self._close(t.g_values, values(t.g))
         self._close(t.ginv_values, values(t.ginv))
         self._close(t.det_values, t.det_series.value())
         self._close(t.spray_values, np.array([s.value() for s in t.spray]))
         self._close(t.nonlinear_values, values(t.nonlinear))
+        self._close(trailing(force.spray_stack), np.array([s.value() for s in t.spray]))
+        self._close(trailing(force.nonlinear_stack), values(t.nonlinear))
         em = em_series(t)
-        for stack, block in zip(t.field_stack, ("F_hh", "F_hv")):
-            self._close(np.moveaxis(stack, 0, -1) if t.batch else stack, values(em[block]))
+        for stack, block in zip(force.field_stack, ("F_hh", "F_hv")):
+            self._close(trailing(stack), values(em[block]))
 
     def test_degenerate_member_is_named(self):
         # g_11 = -x1^2 vanishes at x1 = 0, so det g is exactly 0 there
@@ -387,6 +397,44 @@ class TestValueStages:
             Tower(space, xs, ys).ginv_values
         with pytest.raises(DegenerateMetricError, match=r"^\|det g\| = 0\.000e\+00$"):
             Tower(space, xs[:, 1], ys[:, 1]).ginv_values
+
+
+class TestSpraySolve:
+    """The spray is the series solution of g G = b / 4, degree by degree."""
+
+    @pytest.mark.parametrize("orders", [(4, 3), (5, 4), (4, 0)])
+    @pytest.mark.parametrize("cols", [0, slice(16)], ids=["lone", "b16"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.scene")))
+    def test_solves_the_spray_equation(self, name, cols, orders):
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        xs, ys = draw_admissible(scene.space, scene.rng(), 16, scene.sampling.x_box,
+                                 scene.sampling.y_box)
+        t = Tower(scene.space, xs[:, cols], ys[:, cols], *orders)
+        e = t.e
+        y = TSeries.stack([TSeries.coordinate(v, t.point[v], t.kf - 2, t.batch, t.layout)
+                           for v in FIBRE_VARS])
+        b = contract("lk,k->l", e.grad(FIBRE_VARS).grad(BASE_VARS), y) - e.grad(BASE_VARS)
+        G = t.spray
+        if not t.flat_x:  # a flat F's spray is zero at F's order
+            assert G.order == t.g.order == t.kf - 2
+        residual = (contract("ij,j->i", t.g, G) - b * 0.25).coeffs
+        assert np.abs(residual).max() <= 1e-13 * max(1.0, np.abs(b.coeffs).max())
+        want = contract("il,l->i", neumann_inverse(t.g, t.ginv_values), b) * 0.25
+        assert np.abs((G - want).coeffs).max() <= 1e-13 * max(1.0, np.abs(G.coeffs).max())
+
+    def test_solve_is_exact_on_a_triangular_system(self):
+        """With powers of two for coefficients, each degree step is exact:
+        x_d = a0^{-1} (b_d - (a x)_d)."""
+        a = TSeries.zeros((2, 2), 2, layout=(4, 5))
+        a.coeffs[:, :, 0] = np.eye(2)
+        a.coeffs[0, 1, 1] = 0.5  # a term in y1
+        b = TSeries.zeros((2,), 2, layout=(4, 5))
+        b.coeffs[1, 0] = 2.0
+        x = series.solve(a, b, np.eye(2)).coeffs
+        # component 1 is 2; component 0 is -0.5 y1 * 2 = -y1, all at degree 1
+        want = np.zeros((2, 6))
+        want[1, 0], want[0, 1] = 2.0, -1.0
+        assert np.array_equal(x, want)
 
 
 class TestTiledTower:

@@ -16,7 +16,7 @@ from finslerem.errors import (
     SceneParseError,
     SignatureMismatchError,
 )
-from finslerem.geometry import draw_admissible
+from finslerem.geometry import Tower, draw_admissible
 from finslerem.scene import load_scene, parse_scene_text, scene_to_text
 
 from conftest import FIXTURES
@@ -40,12 +40,18 @@ class TestIdentitySuiteWork:
     does; a change that expands terms known to be zero again raises one."""
 
     # before the flat-F cap, outer products and one-variable compositions:
-    # 30, 21, 27 and 24 products, of them 5, 4, 6 and 4 at order 4
+    # 30, 21, 27 and 24 products, of them 5, 4, 6 and 4 at order 4.  Before
+    # each Horner step ran at the order its result is read to and the spray
+    # was solved degree by degree (which adds the degree-1 and degree-2
+    # steps of the solve and drops the order-2 products of the inverse):
+    # curved-aniso {0: 2, 1: 10, 2: 5, 3: 7, 4: 4}, randers-aniso
+    # {1: 9, 2: 2, 3: 6}, pr-curved {0: 2, 1: 10, 2: 5, 3: 2, 4: 4},
+    # aniso-wave {1: 9, 2: 2, 3: 8}
     COUNTS = {
-        "curved-aniso": {0: 2, 1: 10, 2: 5, 3: 7, 4: 4},
-        "randers-aniso": {1: 9, 2: 2, 3: 6},
-        "pr-curved": {0: 2, 1: 10, 2: 5, 3: 2, 4: 4},
-        "aniso-wave": {1: 9, 2: 2, 3: 8},
+        "curved-aniso": {0: 2, 1: 11, 2: 8, 3: 5, 4: 2},
+        "randers-aniso": {1: 9, 2: 4, 3: 4},
+        "pr-curved": {0: 2, 1: 11, 2: 6, 3: 2, 4: 2},
+        "aniso-wave": {1: 9, 2: 5, 3: 5},
     }
 
     @pytest.mark.parametrize("name", list(COUNTS))
@@ -63,6 +69,48 @@ class TestIdentitySuiteWork:
         monkeypatch.setattr(series, "_product", counting)
         identity_residuals(space, xs, ys)
         assert {k: orders.count(k) for k in sorted(set(orders))} == self.COUNTS[name]
+
+
+    @pytest.mark.parametrize("name", [f[:-len(".scene")] for f in ALL_FIXTURES])
+    def test_full_tower_reads_the_connection_off_its_series(self, name, monkeypatch):
+        """The identity suite's Towers run no gather of G or N, and their
+        inverse metric stops at the order of the field blocks."""
+        space = load_scene(FIXTURES / f"{name}.scene").space
+        xs, ys = draw_admissible(space, np.random.default_rng(13), 20)
+        towers = []
+        init = Tower.__init__
+
+        def recording(t, *args, **kw):
+            towers.append(t)
+            init(t, *args, **kw)
+
+        monkeypatch.setattr(Tower, "__init__", recording)
+        identity_residuals(space, xs, ys)
+        assert len(towers) == 2
+        for t in towers:
+            assert not {"_spray_rhs", "spray_stack", "nonlinear_stack"} & set(t.__dict__)
+            if "ginv" in t.__dict__:
+                assert t.ginv.order == max(1, t.kl - 2)
+        assert "ginv" in towers[0].__dict__
+
+
+class TestRoundingGate:
+    """``validate --samples 100`` keeps every gated identity at rounding
+    level on every fixture, far below the CLI's default tolerance of 1e-8:
+    a change to the engine's arithmetic must not lose accuracy that the
+    default would hide."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_gated_residuals_at_rounding(self, name, capsys):
+        assert main(["validate", str(FIXTURES / name), "--samples", "100",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sample_errors"] == 0
+        gated = {r["name"]: r["max_residual"] for r in payload["identities"]
+                 if r["pass"] is not None}
+        assert len(gated) == 19
+        worst = max(gated, key=gated.get)
+        assert gated[worst] <= 1e-13, (worst, gated[worst])
 
 
 class TestLoadScene:

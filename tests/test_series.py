@@ -19,7 +19,7 @@ from finslerem.series import (
     jet_tensor,
 )
 
-from oracles import full_horner
+from oracles import full_horner, full_order_compose
 
 
 class TestTermTables:
@@ -160,6 +160,72 @@ class TestComposeOracle:
         got = getattr(u, method)(*args)
         assert np.isfinite(got.coeffs).all()
         assert np.array_equal(got.coeffs, full_horner(u, seen[0]).coeffs)
+
+
+class TestRisingOrderHorner:
+    """Each composition, whose Horner step m runs at order k - m from order
+    3, gives the terms of the full-order loop (oracles.full_order_compose)
+    bit for bit, up to the sign of a zero."""
+
+    LAYOUTS = {"full": series.ALL, "three": (1, 4, 6)}
+
+    @staticmethod
+    def _run(fn, *args):
+        """``fn(*args)`` with the rising-order Horner loop, then with the
+        full-order oracle, each with -0 mapped to +0."""
+        got = fn(*args) + 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_compose", full_order_compose)
+            want = fn(*args) + 0.0
+        assert np.isfinite(got).all()
+        return got, want
+
+    @staticmethod
+    def _coeffs(rng, n, order, batch, support=None):
+        """Random coefficients with a value in [0.5, 2]; with ``support``,
+        zero at every term in a variable outside those positions."""
+        t = _terms(n)
+        c = rng.uniform(-1.0, 1.0, (t.nterms[order],) + batch)
+        c[0] = rng.uniform(0.5, 2.0, batch)
+        if support is not None:
+            outside = np.ones(n, dtype=bool)
+            outside[list(support)] = False
+            c[t.terms[:t.nterms[order], outside].any(axis=1)] = 0.0
+        return c
+
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (300,)])
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    @pytest.mark.parametrize("layout", ["full", "three", "restricted"])
+    @pytest.mark.parametrize("method, args", [
+        ("sqrt", ()), ("reciprocal", ()), ("exp", ()), ("log", ()), ("sin", ()),
+        ("cos", ()), ("powf", (-1.5,)),
+    ])
+    def test_matches_the_full_order_loop(self, method, args, layout, order, batch):
+        rng = np.random.default_rng(order * 1000 + sum(batch) + len(layout))
+        fn = series.FUNCTIONS[method]
+        if layout == "restricted":
+            # the tape's step for an argument in 2 of 5 variables: the loop
+            # runs in those 2 and is scattered back (series._restricted)
+            large, small = (1, 4, 5, 6, 7), (1, 5)
+            c = self._coeffs(rng, 5, order, batch, support=(0, 2))
+            idx = series._lift_index(small, large, order)
+            got, want = self._run(series._restricted,
+                                  lambda a: fn(a, order, len(small), 0, *args), idx, c)
+        else:
+            n = len(self.LAYOUTS[layout])
+            c = self._coeffs(rng, n, order, batch)
+            got, want = self._run(fn, c, order, n, 0, *args)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_tensor_series(self, order):
+        """A rank-2 series composes each component the same way."""
+        rng = np.random.default_rng(order)
+        c = rng.uniform(-1.0, 1.0, (2, 3, NTERMS[order], 4))
+        c[:, :, 0] = rng.uniform(0.5, 2.0, (2, 3, 4))
+        u = TSeries(c, order, rank=2)
+        got, want = self._run(lambda: u.sqrt().coeffs)
+        assert np.array_equal(got, want)
 
 
 class TestCoordinateProduct:
