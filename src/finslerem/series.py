@@ -27,10 +27,13 @@ Coefficient arrays have shape ``(*tensor, nterms, *batch)``: ``rank``
 leading tensor axes (none for a scalar quantity), the term axis, then no
 batch axis for a single base point or one of B points.  Every operation
 is agnostic to the trailing batch axis, and a 4x4 block of series is one
-rank-2 series, so a tensor stage is a few whole-array calls.  Products
-gather both factors along the term axis, multiply (elementwise, or
-summed over a contracted tensor index in :func:`contract`) and
-``reduceat`` each output term's segment.
+rank-2 series, so a tensor stage is a few whole-array calls.  Output
+term K of a product sums the segment of pairs a_I b_J with I + J = K,
+by rising I; a pair is multiplied elementwise, or summed over a
+contracted tensor index in :func:`contract`.  A narrow product gathers
+both factors along the term axis and sums every segment with one
+``np.add.reduceat``; a wide one with short segments is peeled
+(:func:`_product`).
 
 The kernels work on bare coefficient arrays, and so do the analytic
 functions (:func:`sqrt`, :func:`reciprocal`, :func:`sin`, ... in
@@ -41,14 +44,16 @@ a program wraps only its results in ``TSeries``.  :func:`jets` reads
 several derivative tensors of a series with one ``take``.
 
 ``np.add.reduceat`` sums a segment as its first summand plus a pairwise
-sum of the rest, whatever the array's shape.  Dropping exact zeros from
-a segment with three or more nonzero summands would regroup it and can
-move a rounding, so products are never pruned by degree.  A segment with
-at most two nonzero summands sums to the same value in any grouping (up
-to the sign of a zero), and two products have only such segments: a
-product with a chart coordinate (:func:`_coordinate_product`) and the
-first Horner step of a composition (:func:`_compose`).  Both skip
-the product kernel.
+sum of the rest, whatever the array's shape; numpy adds a rest of fewer
+than ``PAIRWISE_BLOCK`` terms one after the other, from -0.0, and the
+peeled kernel (:func:`_peeled_product`) reproduces that order.  Dropping
+exact zeros from a segment with three or more nonzero summands would
+regroup it and can move a rounding, so products are never pruned by
+degree.  A segment with at most two nonzero summands sums to the same
+value in any grouping (up to the sign of a zero), and two products have
+only such segments: a product with a chart coordinate
+(:func:`_coordinate_product`) and the first Horner step of a
+composition (:func:`_compose`).  Both skip the product kernel.
 
 A series that does not use some variables of its layout has exact zeros
 at every term in them, as long as its coefficients are finite (a
@@ -104,6 +109,14 @@ _FACTORIALS = np.array([math.factorial(e) for e in range(MAX_ORDER + 1)], dtype=
 #: largest gathered block of a product, in bytes (below malloc's mmap threshold)
 BLOCK_BYTES = 128 * 1024
 
+#: fewest batch columns of a product that sums its segments without
+#: ``reduceat`` (:func:`_peeled_product`); a narrower one runs faster with
+#: ``reduceat``, which takes fewer numpy calls
+PEEL_COLUMNS = 48
+
+#: numpy's pairwise sum adds fewer terms than this one after the other
+PAIRWISE_BLOCK = 8
+
 #: most plans a cache keyed by batch width keeps (:func:`jets`, :func:`_mul_blocks`)
 PLAN_CACHE = 32
 
@@ -151,6 +164,7 @@ class _Terms:
         self._sorted = self.codes[self._sorter]
         self.mul = {}
         self.blocks = {}
+        self.peel = {}
         self.deriv = {}
 
     def lookup(self, codes):
@@ -228,31 +242,133 @@ def _mul_blocks(k, n, width):
     return blocks
 
 
+def _peel_plan(k, n, first=0):
+    """The interior summands of the order-k product tables from output
+    term ``first`` on (:func:`_peeled_product`), or None if a segment
+    holds more than ``PAIRWISE_BLOCK`` summands.
+
+    Segment K lists its pairs by rising I: (0, K), the interior pairs,
+    then (K, 0).  Returns ``(terms, offset, I, J)``: the terms with an
+    interior, counted from ``first`` and sorted by falling interior count,
+    and their interior pairs slot by slot.  Slot s, ``I[offset[s]:
+    offset[s + 1]]`` (and J), holds the (s+1)-th interior pair of each
+    term with more than s of them, which are the first terms of
+    ``terms``.  The plan does not depend on the batch width.
+    """
+    t = _terms(n)
+    key = (k, first)
+    if key not in t.peel:
+        I, J, starts = _mul_tables(k, n)
+        bounds = np.append(starts, len(I))[first:]
+        counts = np.diff(bounds)
+        plan = None
+        if counts.max() <= PAIRWISE_BLOCK:
+            inner = np.maximum(counts - 2, 0)
+            terms = np.argsort(-inner, kind="stable")[:np.count_nonzero(inner)]
+            slots = [int(np.count_nonzero(inner > s)) for s in range(inner.max())]
+            rows = np.array([r for s, m in enumerate(slots) for r in bounds[terms[:m]] + 1 + s],
+                            dtype=np.int64)
+            plan = (terms, tuple(itertools.accumulate(slots, initial=0)), I[rows], J[rows])
+        t.peel[key] = plan
+    return t.peel[key]
+
+
+def _peeled_product(a, b, k, n, ranks, axis, combine, first, width):
+    """The product of :func:`_product`, its segments summed without
+    ``reduceat``.
+
+    ``np.add.reduceat`` sums a segment s0, s1, ..., s_last of at most
+    ``PAIRWISE_BLOCK`` summands as s0 + (((s1 + s2) + ...) + s_last): the
+    rest is a pairwise sum too short to be split, added in order from
+    -0.0, which changes no summand.  Here s0 = a_0 b_K and s_last = a_K b_0
+    are broadcast products with no gather.  Only the interior pairs are
+    gathered (:func:`_peel_plan`), in runs of at most ``BLOCK_BYTES``
+    per temporary, and summed slot by slot with prefix-slice additions.
+    Every sum is bit for bit that of ``reduceat``, the sign of a zero and
+    of an infinity included.  Which NaN a sum of two NaNs returns is not
+    fixed: numpy's own add loops differ in it.
+    """
+    terms, offset, I, J = _peel_plan(k, n, first)
+    nterms = _terms(n).nterms[k]
+    ra, rb = ranks
+    ia, ib, head = (slice(None),) * ra, (slice(None),) * rb, (slice(None),) * axis
+    out = combine(a[ia + (slice(0, 1),)], b[ib + (slice(first, nterms),)])
+    one = max(first, 1)
+    if one == nterms:
+        return out
+    rest = combine(a[ia + (slice(one, nterms),)], b[ib + (slice(0, 1),)])
+    if len(terms):
+        step = max(BLOCK_BYTES // (8 * width), 1)
+        acc = None
+        for p0 in range(0, len(I), step):
+            p1 = min(p0 + step, len(I))
+            g = combine(a.take(I[p0:p1], axis=ra), b.take(J[p0:p1], axis=rb))
+            for s in range(len(offset) - 1):
+                lo, hi = max(p0, offset[s]), min(p1, offset[s + 1])
+                if lo >= hi:
+                    continue
+                part = g[head + (slice(lo - p0, hi - p0),)]
+                if not s and hi - lo == offset[1]:  # all of slot 0 in one run
+                    acc = part
+                    continue
+                if acc is None:
+                    acc = np.empty(part.shape[:axis] + (offset[1],) + part.shape[axis + 1:])
+                at = head + (slice(lo - offset[s], hi - offset[s]),)
+                if s:
+                    acc[at] += part
+                else:
+                    acc[at] = part
+        idx = terms + (first - one)
+        acc += rest.take(idx, axis=axis)
+        rest[head + (idx,)] = acc
+    out[head + (slice(one - first, None),)] += rest
+    return out
+
+
 def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply, top=False):
     """Coefficients of the truncated product of two coefficient arrays.
 
     The term axes of ``a`` and ``b`` follow their ``ranks`` tensor axes.
     ``combine`` multiplies the two gathered arrays into one whose term
     axis follows the ``out_tensor`` axes: elementwise with broadcasting
-    by default, an einsum in :func:`contract`.  Small products gather
-    (``take``, about twice as fast as fancy indexing on a few batch
-    columns), multiply and reduce in one go.  Wide ones go block by
-    block, the width counting tensor and batch axes, so no temporary
-    outgrows ``BLOCK_BYTES``; the blocks are bit-identical to the
-    one-shot result.  With ``top`` (k >= 1) only the terms of degree k
-    are summed and returned, bit for bit those terms of the full product.
+    by default, an einsum in :func:`contract`.  With ``top`` (k >= 1)
+    only the terms of degree k are summed and returned, bit for bit those
+    terms of the full product.
+
+    Two kernels give the same bits.  A product of at least
+    ``PEEL_COLUMNS`` batch columns whose segments hold at most
+    ``PAIRWISE_BLOCK`` summands (every product to order 3) is peeled
+    (:func:`_peeled_product`): its first and last summands need no
+    gather.  Any other product gathers both factors (``take``, about
+    twice as fast as fancy indexing on a few batch columns), combines
+    them and sums each segment with ``np.add.reduceat``, in one go or,
+    when wide, block by block (:func:`_mul_blocks`).  Either way the
+    width counts tensor and batch axes and no gathered temporary
+    outgrows ``BLOCK_BYTES``.
     """
-    I, J, starts = _mul_tables(k, n)
     first = _terms(n).nterms[k - 1] if top else 0
+    ra, rb = ranks
+    width = max(a.size // a.shape[ra], b.size // b.shape[rb])
+    if out_tensor:
+        batch = max(a.size // math.prod(a.shape[:ra + 1]), b.size // math.prod(b.shape[:rb + 1]))
+        width = max(width, batch * math.prod(out_tensor))
+    # a batch of B points is one trailing axis of B columns
+    wide = ((a.ndim > ra + 1 and a.shape[-1] >= PEEL_COLUMNS)
+            or (b.ndim > rb + 1 and b.shape[-1] >= PEEL_COLUMNS))
+    if wide and _peel_plan(k, n, first) is not None:
+        return _peeled_product(a, b, k, n, ranks, len(out_tensor), combine, first, width)
+    return _reduceat_product(a, b, k, n, ranks, out_tensor, combine, first, width)
+
+
+def _reduceat_product(a, b, k, n, ranks, out_tensor, combine, first, width):
+    """The product of :func:`_product` summed by ``np.add.reduceat``, in
+    one go or block by block (:func:`_mul_blocks`)."""
+    I, J, starts = _mul_tables(k, n)
     if first:
         s0 = starts[first]
         I, J, starts = I[s0:], J[s0:], starts[first:] - s0
     ra, rb = ranks
     axis = len(out_tensor)
-    width = max(a.size // a.shape[ra], b.size // b.shape[rb])
-    if axis:
-        batch = max(a.size // math.prod(a.shape[:ra + 1]), b.size // math.prod(b.shape[:rb + 1]))
-        width = max(width, batch * math.prod(out_tensor))
     if len(I) * width * 8 <= BLOCK_BYTES:
         return np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
                                axis=axis)

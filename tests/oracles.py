@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are nine exceptions.  ``tree_series`` walks an expression
+check.  There are ten exceptions.  ``reduceat_product`` is the series
+product summed by one ``np.add.reduceat`` over the package's product
+table, the reference for the peeled kernel.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
 sharing or rewriting.  ``full_horner`` composes a series with a full
 product at every Horner step, and ``full_order_compose`` is the Horner
@@ -35,7 +37,8 @@ from finslerem.expr import (BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_s
                             eval_values)
 from finslerem.geometry import Tower
 from finslerem.maxwell import fibre_tower
-from finslerem.series import NTERMS, TERMS, TSeries, _product, contract, jet_tensor
+from finslerem.series import (NTERMS, TERMS, TSeries, _mul_tables, _product, _terms, contract,
+                              jet_tensor)
 
 
 def tree_series(node, point, order, layout):
@@ -86,6 +89,21 @@ def tree_series(node, point, order, layout):
 
     out, = widen(walk(node))
     return TSeries(np.broadcast_to(out.coeffs, out.coeffs.shape[:1] + batch), order, layout)
+
+
+def reduceat_product(a, b, k, n=8, ranks=(0, 0), out_tensor=(), combine=np.multiply, top=False):
+    """``series._product`` as one ``np.add.reduceat`` over the whole product
+    table: gather both factors, ``combine`` them and sum each output
+    term's segment (with ``top``, only the segments of the degree-k
+    terms).  It was the product kernel of every width before wide
+    products summed their segments without ``reduceat``."""
+    I, J, starts = _mul_tables(k, n)
+    if top:
+        first = _terms(n).nterms[k - 1]
+        I, J, starts = I[starts[first]:], J[starts[first]:], starts[first:] - starts[first]
+    ra, rb = ranks
+    return np.add.reduceat(combine(a.take(I, axis=ra), b.take(J, axis=rb)), starts,
+                           axis=len(out_tensor))
 
 
 def full_horner(u, cs):

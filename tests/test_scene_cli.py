@@ -11,6 +11,7 @@ import pytest
 import finslerem
 from finslerem import series
 from finslerem.cli import identity_residuals, main, run_validation
+from finslerem.dynamics import ForceEvaluator
 from finslerem.errors import (
     HomogeneityViolationError,
     SceneParseError,
@@ -70,6 +71,51 @@ class TestIdentitySuiteWork:
         identity_residuals(space, xs, ys)
         assert {k: orders.count(k) for k in sorted(set(orders))} == self.COUNTS[name]
 
+    @staticmethod
+    def _kernels(monkeypatch):
+        """Record the (k, n, first term) of each product by the kernel that
+        sums it: ``reduceat`` (one-shot or, with a "blocked" entry, block by
+        block) or peeled."""
+        calls = {"reduceat": [], "blocked": [], "peeled": []}
+
+        def recording(kind, fn):
+            def wrapper(*args):
+                a, b, k, n, ranks, out, combine, first, width = args
+                calls[kind].append((k, n, first))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(series, "_reduceat_product",
+                            recording("reduceat", series._reduceat_product))
+        monkeypatch.setattr(series, "_peeled_product", recording("peeled", series._peeled_product))
+        blocks = series._mul_blocks
+        monkeypatch.setattr(series, "_mul_blocks",
+                            lambda k, n, width: calls["blocked"].append((k, n)) or blocks(k, n, width))
+        return calls
+
+    @pytest.mark.parametrize("name", list(COUNTS))
+    def test_only_long_segments_reach_reduceat(self, name, monkeypatch):
+        """At batch 100 a product reaches ``np.add.reduceat`` only if a
+        segment holds more than 8 summands (order 4 in 2 or more variables);
+        every other product is peeled.  A lone-point force call runs only
+        the one-shot ``reduceat``, so a silent fallback shows."""
+        space = load_scene(FIXTURES / f"{name}.scene").space
+        xs, ys = draw_admissible(space, np.random.default_rng(13), 100)
+        force = ForceEvaluator(space)
+        identity_residuals(space, xs, ys)  # programs and tables built
+        force(xs[:, 0], ys[:, 0])
+        calls = self._kernels(monkeypatch)
+        identity_residuals(space, xs, ys)
+        assert calls["peeled"]
+        for k, n, first in calls["reduceat"]:
+            assert series._peel_plan(k, n, first) is None, (k, n)
+            assert k >= 4
+        assert len(calls["peeled"]) + len(calls["reduceat"]) == sum(self.COUNTS[name].values())
+
+        for kernel in calls.values():
+            kernel.clear()
+        force(xs[:, 0], ys[:, 0])
+        assert calls["reduceat"] and not calls["blocked"] and not calls["peeled"]
 
     @pytest.mark.parametrize("name", [f[:-len(".scene")] for f in ALL_FIXTURES])
     def test_full_tower_reads_the_connection_off_its_series(self, name, monkeypatch):

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from finslerem.series import (
     jet_tensor,
 )
 
-from oracles import full_horner, full_order_compose
+from oracles import full_horner, full_order_compose, reduceat_product
 
 
 class TestTermTables:
@@ -281,14 +284,164 @@ class TestBlockedProduct:
         assert np.array_equal(out, ref)
 
 
+def _with_specials(rng, shape):
+    """Normal draws over a wide range of scales with 0.0, -0.0, +-inf and
+    NaN mixed in."""
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+    pick = rng.random(shape)
+    for value, p0, p1 in ((0.0, 0.0, 0.05), (-0.0, 0.05, 0.1), (np.inf, 0.1, 0.11),
+                          (-np.inf, 0.11, 0.12), (np.nan, 0.12, 0.13)):
+        x[(pick >= p0) & (pick < p1)] = value
+    return x
+
+
+def _same_bits(got, want):
+    """Equal values, NaN where ``want`` is NaN, and the same sign on every
+    other entry (zeros and infinities included).  Which NaN a sum of two
+    NaNs returns is not compared: numpy's own add loops do not fix it (a
+    vectorized body and its scalar tail may pick different operands)."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan]))
+
+
+WIDTHS = [(), (1,), (series.PEEL_COLUMNS - 1,), (series.PEEL_COLUMNS,), (100,), (300,)]
+#: most elements a reference product may gather, to keep the tests small
+GATHER_CAP = 3_000_000
+
+
+def _spec_args(spec, shapes):
+    """(ranks, out_tensor, combine) of ``contract(spec, ...)`` for factors
+    with tensor shapes ``shapes``."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    dims = dict(zip(sa + sb, shapes[0] + shapes[1]))
+    return ((len(sa), len(sb)), tuple(dims[c] for c in out),
+            functools.partial(np.einsum, f"{sa}...,{sb}...->{out}..."))
+
+
+class TestPeeledProduct:
+    """``_product`` against the one-shot ``reduceat`` kernel it replaces for
+    wide products (``oracles.reduceat_product``), bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, NVARS + 1))
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    def test_scalar_products(self, order, n):
+        rng = np.random.default_rng(100 * order + n)
+        size = _terms(n).nterms[order]
+        for batch in WIDTHS:
+            if len(_mul_tables(order, n)[0]) * math.prod(batch) > GATHER_CAP:
+                continue
+            a, b = _with_specials(rng, (2, size) + batch)
+            for top in (False, True) if order else (False,):
+                with np.errstate(invalid="ignore"):
+                    got = _product(a, b, order, n, top=top)
+                    want = reduceat_product(a, b, order, n, top=top)
+                assert _same_bits(got, want), (batch, top)
+
+    # every contract spec of the package, with the tensor shapes it takes there
+    SPECS = [
+        ("im,smh->sih", (4, 4), (2, 4, 4)),
+        ("sim,jm->sij", (2, 4, 4), (4, 4)),
+        ("im,mj->ij", (4, 4), (4, 4)),
+        ("m,m->", (6,), (6,)),
+        ("lk,k->l", (4, 4), (4,)),
+        ("a,ak->k", (4,), (4, 4)),
+        ("ba,ak->bk", (4, 4), (4, 4)),
+        ("bca,ak->bck", (4, 4, 4), (4, 4)),
+        ("ij,j->i", (4, 4), (4,)),
+    ]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("spec,sa,sb", SPECS)
+    def test_contractions(self, spec, sa, sb, n):
+        ranks, out_tensor, combine = _spec_args(spec, (sa, sb))
+        widest = max(math.prod(sa), math.prod(sb), math.prod(out_tensor))
+        rng = np.random.default_rng(n)
+        for order in range(5):
+            size = _terms(n).nterms[order]
+            for batch in WIDTHS:
+                if len(_mul_tables(order, n)[0]) * widest * math.prod(batch) > GATHER_CAP:
+                    continue
+                a = _with_specials(rng, sa + (size,) + batch)
+                b = _with_specials(rng, sb + (size,) + batch)
+                for top in (False, True) if order else (False,):
+                    with np.errstate(invalid="ignore"):
+                        got = _product(a, b, order, n, ranks, out_tensor, combine, top)
+                        want = reduceat_product(a, b, order, n, ranks, out_tensor, combine, top)
+                    assert _same_bits(got, want), (order, batch, top)
+
+    def test_kernel_choice(self, monkeypatch):
+        """Products of at least PEEL_COLUMNS batch columns with segments of
+        at most 8 summands are peeled; narrower ones and those with longer
+        segments are not."""
+        assert series._peel_plan(3, NVARS) is not None  # x0 x1 x2: 8 summands
+        assert series._peel_plan(4, 2) is None  # x0^2 x1^2: 9 summands
+        assert series._peel_plan(5, 1) is not None  # one variable: 6 summands
+        terms, offset, I, J = series._peel_plan(2, 2)
+        # x0 x1 has two interior pairs, x0^2 and x1^2 one each
+        assert list(terms) == [4, 3, 5] and offset == (0, 3, 4) and len(I) == 4
+        peeled = []
+        kernel = series._peeled_product
+        monkeypatch.setattr(series, "_peeled_product",
+                            lambda *args: peeled.append(args[2]) or kernel(*args))
+        rng = np.random.default_rng(3)
+        for order, n in ((3, 5), (4, 2), (4, 1)):
+            for columns in (series.PEEL_COLUMNS - 1, series.PEEL_COLUMNS):
+                a, b = rng.standard_normal((2, _terms(n).nterms[order], columns))
+                _product(a, b, order, n)
+        assert peeled == [3, 4]
+
+
+class TestNumpyReduceatRule:
+    """The rule of ``np.add.reduceat`` that the peeled kernel reproduces:
+    a segment of at most 8 summands sums as s0 + (((s1 + s2) + ...) + s_last),
+    the rest added one after the other from -0.0.  If a numpy release
+    changes it, this fails, and the peeled kernel no longer matches."""
+
+    @staticmethod
+    def _rule(segment):
+        rest = -0.0 * np.ones_like(segment[0])
+        for s in segment[1:]:
+            rest = rest + s
+        return segment[0] + rest
+
+    @pytest.mark.parametrize("shape,axis", [((200,), 0), ((200, 7), 0), ((3, 200, 5, 4), 1)])
+    def test_short_segments(self, shape, axis):
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-40, 40, shape))
+        # some segments of negative zeros only: a rest started from +0.0 would read +0.0
+        x[(slice(None),) * axis + (slice(0, 8),)] = -0.0
+        lengths = np.concatenate([[8], rng.integers(1, series.PAIRWISE_BLOCK + 1, shape[axis])])
+        starts = np.cumsum(np.concatenate([[0], lengths]))
+        starts = starts[starts < shape[axis]]
+        got = np.add.reduceat(x, starts, axis=axis)
+        bounds = np.append(starts, shape[axis])
+        regrouped = 0
+        for i in range(len(starts)):
+            segment = np.moveaxis(x.take(np.arange(bounds[i], bounds[i + 1]), axis=axis), axis, 0)
+            want = self._rule(segment)
+            assert _same_bits(got.take(i, axis=axis), want), i
+            in_order = segment[0]
+            for s in segment[1:]:
+                in_order = in_order + s
+            regrouped += not np.array_equal(in_order, want)
+        assert np.signbit(got.take(0, axis=axis)).all()
+        assert regrouped  # the data tells the two groupings apart
+
+
 class TestPlanCaches:
     def test_bounded_over_many_batch_widths(self):
         """The per-width plans of jets and of blocked products stay at most
-        PLAN_CACHE each, and a plan rebuilt after eviction gives the same bits."""
-        layout, n, k = (1, 4, 5, 6, 7), 5, 3
+        PLAN_CACHE each, and a plan rebuilt after eviction gives the same
+        bits.  Order 4 has segments of more than 8 summands, so its wide
+        products keep the blocked ``reduceat``; the peel plans of the
+        order-3 products at the same widths do not grow with the width."""
+        layout, n, k = (1, 4, 5, 6, 7), 5, 4
         rng = np.random.default_rng(50)
         I, J, starts = _mul_tables(k, n)
         first = None
+        peel = None
         for width in range(60, 110):  # 50 widths, each one a blocked product
             assert len(I) * width * 8 > series.BLOCK_BYTES
             a, b = rng.standard_normal((2, _terms(n).nterms[k], width))
@@ -299,11 +452,17 @@ class TestPlanCaches:
                 assert np.array_equal(got, np.moveaxis(jet_tensor(s, pattern), -1, 0))
             assert len(series._jets_cache) <= series.PLAN_CACHE
             assert len(_terms(n).blocks) <= series.PLAN_CACHE
+            a3, b3 = a[:_terms(n).nterms[3]], b[:_terms(n).nterms[3]]
+            assert np.array_equal(_product(a3, b3, 3, n), reduceat_product(a3, b3, 3, n))
+            if peel is None:
+                peel = dict(_terms(n).peel)
+            assert _terms(n).peel.keys() == peel.keys()
             if first is None:
                 first = a, b, prod, series.jets(s, ("yy", "yx"))
         # full, not emptier: only the oldest plans were dropped
         assert len(series._jets_cache) == len(_terms(n).blocks) == series.PLAN_CACHE
         assert all((k, w) in _terms(n).blocks for w in range(110 - series.PLAN_CACHE, 110))
+        assert all(_terms(n).peel[key] is plan for key, plan in peel.items())
         a, b, prod, jets = first
         assert (k, 60) not in _terms(n).blocks  # evicted, and rebuilt below
         assert np.array_equal(_product(a, b, k, n), prod)
@@ -367,19 +526,21 @@ class TestTensorSeries:
             scale = np.abs(want.coeffs).max()
             assert np.abs(got[i][j].coeffs - want.coeffs).max() <= 1e-14 * scale
 
-    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_batch_columns_round_as_lone_points(self, order):
         """Narrow and wide products sum in the same order: no column depends
-        on the batch width or on its position in the batch."""
-        a = self._random((4, 4), order, (40,), 4)
-        b = self._random((4,), order, (40,), 5)
-        matrix = contract("im,m->i", a, b)
-        elementwise = a * b
-        for col in (0, 17, 39):
-            ac = TSeries(a.coeffs[..., col], order, self.LAYOUT, 2)
-            bc = TSeries(b.coeffs[..., col], order, self.LAYOUT, 1)
-            assert np.array_equal(contract("im,m->i", ac, bc).coeffs, matrix.coeffs[..., col])
-            assert np.array_equal((ac * bc).coeffs, elementwise.coeffs[..., col])
+        on the batch width or on its position in the batch.  A lone point
+        runs the one-shot reduceat; at batch 100 orders 1-3 are peeled."""
+        for batch in (40, 100):
+            a = self._random((4, 4), order, (batch,), 4)
+            b = self._random((4,), order, (batch,), 5)
+            matrix = contract("im,m->i", a, b)
+            elementwise = a * b
+            for col in (0, 17, batch - 1):
+                ac = TSeries(a.coeffs[..., col], order, self.LAYOUT, 2)
+                bc = TSeries(b.coeffs[..., col], order, self.LAYOUT, 1)
+                assert np.array_equal(contract("im,m->i", ac, bc).coeffs, matrix.coeffs[..., col])
+                assert np.array_equal((ac * bc).coeffs, elementwise.coeffs[..., col])
 
     def test_constant_factor(self):
         a = self._random((4, 4), 2, (3,), 6)
