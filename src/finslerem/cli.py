@@ -9,6 +9,7 @@ can be diffed byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -121,10 +122,19 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _open_out(flag, scene):
+    """The output stream, opened before any work: ``--out`` if given, else
+    the scene's ``[output] path``, "-" being stdout.  A path that cannot
+    be opened is a bad flag or a load error."""
+    path = flag if flag is not None else scene.output.path
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        if flag is not None:
+            raise _FlagError(f"--out: {e}") from None
+        raise _LoadFailure(f"[output] path: {e}") from None
 
 
 # ----------------------------------------------------------------------
@@ -273,13 +283,11 @@ def cmd_validate(args):
 def cmd_trajectory(args):
     scene = _load(args.scene)
     it = scene.integrate
-    traj = integrate(
-        scene.space, scene.particle.x0, scene.particle.y0, it.t_end,
-        method=it.method, dt=it.dt, abs_tol=it.abs_tol, rel_tol=it.rel_tol,
-    )
-    path = args.out if args.out is not None else scene.output.path
-    out, close = _open_out(path)
-    try:
+    with _open_out(args.out, scene) as out:
+        traj = integrate(
+            scene.space, scene.particle.x0, scene.particle.y0, it.t_end,
+            method=it.method, dt=it.dt, abs_tol=it.abs_tol, rel_tol=it.rel_tol,
+        )
         cols = (
             ["t"]
             + [f"x{i}" for i in range(4)]
@@ -294,9 +302,6 @@ def cmd_trajectory(args):
                 + [s.F_value, s.ortho_F, s.ortho_Ftilde]
             )
             out.write(",".join(_fmt(v) for v in vals) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -330,11 +335,9 @@ def _grid(spec):
 
 def cmd_currents(args):
     scene = _load(args.scene)
-    path = args.out if args.out is not None else scene.output.path
-    out, close = _open_out(path)
     max_div = 0.0
     n_err = 0
-    try:
+    with _open_out(args.out, scene) as out:
         cols = (
             [f"x{i}" for i in range(4)] + [f"y{i}" for i in range(4)]
             + [f"J{i}" for i in range(4)] + [f"Jt{i}" for i in range(4)]
@@ -359,9 +362,6 @@ def cmd_currents(args):
                 continue
             max_div = max(max_div, abs(cs.continuity))
             out.write(",".join(_fmt(v) for v in vals) + ",ok\n")
-    finally:
-        if close:
-            out.close()
     print(
         f"currents: max |div J| = {_fmt(max_div)}  point errors: {n_err}",
         file=sys.stderr,
@@ -377,16 +377,6 @@ def cmd_currents(args):
 #: sweep runs in chunks of this many, so its memory stays flat in the
 #: number of kappas
 MEMBER_CHUNK = 8
-
-
-def _chunks(members):
-    """``members`` cut into consecutive chunks of MEMBER_CHUNK, the last one
-    taking a lone leftover member: a lone member would run as a lone point,
-    which rounds a power differently from a batch column."""
-    bounds = list(range(0, len(members), MEMBER_CHUNK)) + [len(members)]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _run_members(scene, space, members, draws):
@@ -423,15 +413,17 @@ def _run_members(scene, space, members, draws):
 
 
 def _member_runs(scene, y_ref, members, xs, ys):
-    """Yield each member's run, chunk by chunk (``_chunks``); each chunk is
-    one ensemble, or one member at a time if that fails.
+    """Yield each member's run, MEMBER_CHUNK members at a time; each chunk
+    is one ensemble, or one member at a time if that fails.  A member's
+    column rounds as it would alone, so the chunking does not show.
 
     The fallback reproduces a serial sweep: every member before the
     failing one, then the failing member's error.
     """
     space = anisotropy_ensemble(scene.space, y_ref, members)
     draws = fibre_tower(scene.space, xs, ys)
-    for chunk in _chunks(members):
+    for a in range(0, len(members), MEMBER_CHUNK):
+        chunk = members[a:a + MEMBER_CHUNK]
         try:
             runs = _run_members(scene, space, chunk, draws)
         except FinslerEMError:

@@ -82,11 +82,10 @@ class ForceEvaluator:
 
     Takes one point, x and y of shape (4,), or the member points of an
     ensemble, shape (4, B).  The members run as the Tower's (B, 4, 4)
-    stacks with batched det/inv/solve, and no step mixes members.  A batch
-    of one runs as a lone point, series included, so it rounds exactly as
-    a (4,) call: numpy's vectorized power may round a base value
-    differently from its scalar power.  A degenerate metric or singular
-    force matrix raises for the first failing member and names its index.
+    stacks with batched det/inv/solve, and no step mixes members, so a
+    member's column is bit for bit its lone point's call.  A degenerate
+    metric or singular force matrix raises for the first failing member
+    and names its index when there is more than one.
 
     A flat F is expanded to order 2 like L1, so the Tower runs the two
     generators as one program.
@@ -100,12 +99,9 @@ class ForceEvaluator:
         self.order_f = 3 if (self.has_em and not space.flat_x) else 2
 
     def __call__(self, x, y, monitors=False):
-        single = np.ndim(x) == 1
-        if not single and np.shape(x)[1] == 1:
-            x, y = x[:, 0], y[:, 0]
         t = Tower(self.space, x, y, order_f=self.order_f, order_l1=2)
         # every array below is (..., 4, ...), with the member axis first
-        # when there is more than one member
+        # for an ensemble
         g, ginv, yv = t.g_stack, t.ginv_stack, t.y_stack
         qc = self.qc
         if self.has_em:
@@ -124,21 +120,21 @@ class ForceEvaluator:
         # a flat F has no spray, and a - 2 * 0 is a, bit for bit
         dydt = a.copy() if self.space.flat_x else a - 2.0 * t.spray_stack[..., None]
         a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
-        if not single:
-            a_out, dydt_out = a_out.reshape(4, -1), dydt_out.reshape(4, -1)
         if not monitors:
             return a_out, dydt_out
-        force_v = (F_mix_v @ a).mT
         res = qc * (F @ yv) + (qc * Ft - g) @ a
+        # one einsum rounds a (4, 4) and a (B, 4, 4) operand alike; a matmul
+        # chain does not
+        ortho = "...i,...ij,...j->..."
         mon = {
             "F_value": t.f_value,
-            "ortho_F": (force_h.mT @ g @ yv)[..., 0, 0],
-            "ortho_Ftilde": (force_v @ g @ yv)[..., 0, 0],
+            "ortho_F": np.einsum(ortho, force_h[..., 0], g, yv[..., 0]),
+            "ortho_Ftilde": np.einsum(ortho, (F_mix_v @ a)[..., 0], g, yv[..., 0]),
             "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),
         }
-        if single:
-            return a_out, dydt_out, {k: float(v) for k, v in mon.items()}
-        return a_out, dydt_out, {k: np.reshape(v, -1) for k, v in mon.items()}
+        if np.ndim(x) == 1:
+            mon = {k: float(v) for k, v in mon.items()}
+        return a_out, dydt_out, mon
 
 
 def _record(states, t, x, y, a, mon):

@@ -97,11 +97,12 @@ class GeometrySample:
 
 
 def check_det(det, what, error):
-    """Raise ``error`` for the first member whose |det| is below the threshold."""
+    """Raise ``error`` for the first member whose |det| is below the threshold,
+    naming it when the batch holds more than one."""
     small = np.abs(det) < DEGENERACY_THRESHOLD
     if small.any():
         b = int(np.argmax(small))
-        member = f"member {b}: " if det.ndim else ""
+        member = f"member {b}: " if det.size > 1 else ""
         raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}")
 
 

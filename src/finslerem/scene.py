@@ -255,7 +255,7 @@ def load_scene(path, validate=True):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SceneParseError(f"cannot read {path}: {e}") from None
     scene = parse_scene_text(text)
     if validate:

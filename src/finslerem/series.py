@@ -881,6 +881,14 @@ def _u0(c, rank):
     return c[(slice(None),) * rank + (0,)]
 
 
+def _power(u0, e):
+    """u0 ** e, rounded as in a batch column: a numpy scalar's ``**`` calls
+    libm's ``pow``, which can round apart from numpy's array loop, so a lone
+    point raises a 0-d array, one exponent a call (a vector of exponents
+    takes other loops)."""
+    return np.asarray(u0) ** e
+
+
 def _compose(c, cs, n, rank=0):
     """sum_m cs[m] h^m for h = c - u0 in a layout of n variables: r_0 of
     Horner's rule r_m = r_{m+1} h + cs[m], down from r_k = cs[k].
@@ -941,7 +949,7 @@ def sqrt(c, k, n, rank=0):
     coef = 1.0
     for m in range(1, k + 1):
         coef *= (0.5 - (m - 1)) / m
-        cs.append(coef * u0 ** (0.5 - m))
+        cs.append(coef * _power(u0, 0.5 - m))
     return _compose(c, cs, n, rank)
 
 
@@ -956,7 +964,7 @@ def log(c, k, n, rank=0):
         raise DomainError("log of a nonpositive value")
     cs = [np.log(u0)]
     for m in range(1, k + 1):
-        cs.append((-1.0) ** (m - 1) / (m * u0**m))
+        cs.append((-1.0) ** (m - 1) / (m * _power(u0, m)))
     return _compose(c, cs, n, rank)
 
 
@@ -985,11 +993,11 @@ def powf(c, k, n, rank, p):
     u0 = _u0(c, rank)
     if (u0 <= 0.0).any():
         raise DomainError("non-integer power of a nonpositive value")
-    cs = [u0**p]
+    cs = [_power(u0, p)]
     coef = 1.0
     for m in range(1, k + 1):
         coef *= (p - (m - 1)) / m
-        cs.append(coef * u0 ** (p - m))
+        cs.append(coef * _power(u0, p - m))
     return _compose(c, cs, n, rank)
 
 

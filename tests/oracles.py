@@ -533,10 +533,7 @@ def reference_force(space, x, y):
     from F and L1 evaluated apart and every jet gathered by its own
     ``jet_tensor`` call.  A degenerate metric or singular force matrix is
     not checked."""
-    single = np.ndim(x) == 1
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not single and x.shape[1] == 1:
-        x, y = x[:, 0], y[:, 0]
     point = np.concatenate([x, y])
     yv = y.T.copy()[..., None] if point.ndim > 1 else y[:, None]
     qc = space.qc()
@@ -574,20 +571,17 @@ def reference_force(space, x, y):
         a = np.zeros(yv.shape)
     dydt = a - 2.0 * spray[..., None]
     a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
-    if not single:
-        a_out, dydt_out = a_out.reshape(4, -1), dydt_out.reshape(4, -1)
-    force_h = (F_mix_h @ yv).mT
-    force_v = (F_mix_v @ a).mT
     res = qc * (F @ yv) + (qc * Ft - g) @ a
+    ortho = "...i,...ij,...j->..."
     mon = {
         "F_value": f.value(),
-        "ortho_F": (force_h @ g @ yv)[..., 0, 0],
-        "ortho_Ftilde": (force_v @ g @ yv)[..., 0, 0],
+        "ortho_F": np.einsum(ortho, (F_mix_h @ yv)[..., 0], g, yv[..., 0]),
+        "ortho_Ftilde": np.einsum(ortho, (F_mix_v @ a)[..., 0], g, yv[..., 0]),
         "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),
     }
-    if single:
-        return a_out, dydt_out, {k: float(v) for k, v in mon.items()}
-    return a_out, dydt_out, {k: np.reshape(v, -1) for k, v in mon.items()}
+    if np.ndim(x) == 1:
+        mon = {k: float(v) for k, v in mon.items()}
+    return a_out, dydt_out, mon
 
 
 # ----------------------------------------------------------------------

@@ -124,11 +124,11 @@ class TestBatchedForce:
         a, dydt, mon = ForceEvaluator(curved_aniso)(xs, ys, monitors=True)
         assert np.array_equal(a[:, 0], a[:, 2]) and np.array_equal(dydt[:, 0], dydt[:, 2])
         assert all(v[0] == v[2] for v in mon.values())
-        # and agree with the single calls to rounding
+        # and equal the single calls
         for b in range(3):
             a1, dydt1 = ForceEvaluator(curved_aniso)(xs[:, b], ys[:, b])
-            assert np.allclose(a[:, b], a1, rtol=1e-12, atol=1e-15)
-            assert np.allclose(dydt[:, b], dydt1, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(a[:, b], a1)
+            assert np.array_equal(dydt[:, b], dydt1)
 
     def test_singular_member_is_named(self, probe_point):
         x, y = probe_point
@@ -146,8 +146,10 @@ class TestBatchedForce:
         ys = np.stack([np.array([1.0, 0.0, 0.0, 0.0]), y], axis=1)
         with pytest.raises(SingularForceMatrixError, match=r"^member 1: \|det"):
             ForceEvaluator(singular)(xs, ys)
-        with pytest.raises(SingularForceMatrixError, match=r"^\|det"):
-            ForceEvaluator(singular)(x, y)
+        # a batch of one fails with its lone point's message
+        for args in ((x, y), (xs[:, 1:], ys[:, 1:])):
+            with pytest.raises(SingularForceMatrixError, match=r"^\|det"):
+                ForceEvaluator(singular)(*args)
 
 
 class TestReferenceForce:
@@ -241,8 +243,8 @@ class TestEnsemble:
             else:
                 serial_space = blend_anisotropy(curved_aniso, self.Y_REF, kappa)
             xe, ye = integrate(serial_space, X0, Y0, 0.1, dt=5e-3).endpoint
-            assert np.allclose(x_ens[:, b], xe, rtol=1e-12, atol=1e-15)
-            assert np.allclose(y_ens[:, b], ye, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(x_ens[:, b], xe)
+            assert np.array_equal(y_ens[:, b], ye)
         # kappa = 0 reads s_iso + 0 (s_full - s_iso): the truncation's worldline
         assert np.array_equal(x_ens[:, 1], x_ens[:, 0])
         assert np.array_equal(y_ens[:, 1], y_ens[:, 0])

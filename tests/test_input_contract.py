@@ -33,7 +33,8 @@ def scene_texts(draw):
     text = (FIXTURES / draw(st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.scene"))))
             ).read_text()
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["number", "expression", "drop", "repeat", "cut"]))
+        kind = draw(st.sampled_from(["number", "expression", "drop", "repeat", "cut",
+                                     "output", "undecodable"]))
         lines = text.splitlines(keepends=True)
         if not lines:
             break
@@ -52,6 +53,10 @@ def scene_texts(draw):
         elif kind == "repeat":
             i = draw(st.integers(0, len(lines) - 1))
             text = "".join(lines[:i + 1] + lines[i:])
+        elif kind == "output":
+            text += f"\n[output]\npath = {draw(st.sampled_from(OUT_PATHS))}\n"
+        elif kind == "undecodable":
+            text = BYTE_ORDER_MARK + text
         else:
             text = text[:draw(st.integers(0, len(text)))]
     return text
@@ -65,8 +70,17 @@ def _short_worldline(text):
     return text + "\n[integrate]\nt_end = 0.01\ndt = 0.005\n"
 
 
+# stand-ins for an output path in a missing directory and for a directory,
+# made real under each example's own temporary directory
+OUT_PATHS = ("@missing", "@dir")
+# the bytes ff fe, a UTF-16 byte-order mark that is not UTF-8, written
+# through surrogateescape
+BYTE_ORDER_MARK = "\udcff\udcfe"
+
 GOOD_GRID = "0:1:2,0:0:1,0:0:1,0:0:1,1:1.1:1,0.1:0.1:1,0:0:1,0:0:1"
 # good flag values come up most often, so most runs get past the parser
+OUT_FLAGS = st.sampled_from([["--out", "-"], ["--out", "-"], [], ["--out", "@missing"],
+                             ["--out", "@dir"]])
 COMMANDS = st.one_of(
     st.tuples(st.just("validate"),
               st.sampled_from([["--samples", v] for v in ("1", "2", "3", "3", "0", "x")]),
@@ -81,13 +95,13 @@ COMMANDS = st.one_of(
                   ["--grid", "nan:1:2"],
               ]),
               st.just([]),
-              st.just(["--out", "-"])),
+              OUT_FLAGS),
     st.tuples(st.just("compare"),
               st.sampled_from([["--kappa-sweep", v]
                                for v in ("0,0.5", "0,0.5", "1", "1", "nan", "0,,1", "4")]),
               st.sampled_from([[], [], [], ["--ref", "1,0.1,0,0"], ["--ref", "0,0,0,0"]]),
               st.just([])),
-    st.tuples(st.just("trajectory"), st.just(["--out", "-"]), st.just([]), st.just([])),
+    st.tuples(st.just("trajectory"), OUT_FLAGS, st.just([]), st.just([])),
 )
 
 
@@ -115,9 +129,13 @@ def test_every_run_ends_in_a_contract_exit(text, command, tmp_path_factory):
     name, *flag_groups = command
     if name in ("compare", "trajectory"):
         text = _short_worldline(text)
-    path = tmp_path_factory.mktemp("contract") / "mutated.scene"
-    path.write_text(text)
-    argv = [name, str(path)] + [f for group in flag_groups for f in group]
+    tmp = tmp_path_factory.mktemp("contract")
+    real = {"@missing": str(tmp / "missing" / "out.csv"), "@dir": str(tmp)}
+    for stand_in, out_path in real.items():
+        text = text.replace(stand_in, out_path)
+    path = tmp / "mutated.scene"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = [name, str(path)] + [real.get(f, f) for group in flag_groups for f in group]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

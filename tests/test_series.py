@@ -430,6 +430,32 @@ class TestNumpyReduceatRule:
         assert regrouped  # the data tells the two groupings apart
 
 
+class TestNumpyPowerRule:
+    """The rule of numpy that ``series._power`` relies on: a 0-d array
+    raised to one exponent rounds as the same element of the array power,
+    at any width and position, and np.sqrt, np.exp, np.log, np.sin and
+    np.cos of a numpy scalar round as the array call.  If a numpy release
+    changes it, a batch column no longer rounds as its lone point."""
+
+    # the exponents of sqrt and log to MAX_ORDER, and of powf at a few p
+    EXPONENTS = sorted(
+        {0.5 - m for m in range(1, MAX_ORDER + 1)} | set(range(1, MAX_ORDER + 1))
+        | {p - m for p in (1 / 3, 2.5, -1.5, 0.7) for m in range(MAX_ORDER + 1)}
+    )
+
+    @pytest.mark.parametrize("width", [1, 7, 48, 64, 100])
+    def test_lone_value_rounds_as_its_column(self, width):
+        rng = np.random.default_rng(width)
+        for row in rng.uniform(0.05, 3.0, (20, width)):
+            for e in self.EXPONENTS:
+                assert np.array_equal([np.asarray(v) ** e for v in row], row ** e), e
+            for fn in (np.sqrt, np.log):
+                assert np.array_equal([fn(v) for v in row], fn(row)), fn
+        for row in rng.uniform(-20.0, 20.0, (20, width)):
+            for fn in (np.exp, np.sin, np.cos):
+                assert np.array_equal([fn(v) for v in row], fn(row)), fn
+
+
 class TestPlanCaches:
     def test_bounded_over_many_batch_widths(self):
         """The per-width plans of jets and of blocked products stay at most
