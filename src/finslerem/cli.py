@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -422,6 +423,7 @@ def _member_runs(scene, y_ref, members, xs, ys):
     """
     space = anisotropy_ensemble(scene.space, y_ref, members)
     draws = fibre_tower(scene.space, xs, ys)
+    draws.fused = False  # ``tiled`` reads only its F-only stages: F runs alone
     for a in range(0, len(members), MEMBER_CHUNK):
         chunk = members[a:a + MEMBER_CHUNK]
         try:
@@ -506,10 +508,28 @@ def build_parser():
     return p
 
 
+def _drop_stdout():
+    """Point the stdout file descriptor at devnull, so that what is still
+    buffered for a closed stdout goes nowhere at exit instead of failing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as e:
+        _drop_stdout()
+        print(f"error: cannot write output: {e.strerror}", file=sys.stderr)
+        return 1
     except _FlagError as e:
         print(f"bad flag: {e}", file=sys.stderr)
         return 2

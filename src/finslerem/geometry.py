@@ -20,7 +20,8 @@ import numpy as np
 from . import expr
 from .errors import DegenerateMetricError, DomainError, SignatureMismatchError
 from .expr import ScalarField
-from .series import BASE_VARS, FIBRE_VARS, TSeries, contract, jet_tensor, jets, solve
+from .series import (BASE_VARS, FIBRE_VARS, TSeries, contract, coordinate_contraction, jet_tensor,
+                     jets, solve)
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -118,23 +119,31 @@ class _stage(cached_property):
         return value
 
 
+def _batch_last(stack):
+    """A member-first stack moved to the batch axis last, C-ordered: an
+    einsum over a view whose batch axis strides across the members runs
+    several times slower."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+
+
 def _trailing(name):
-    """A cached view of the member-first value stage ``name``, batch axis last."""
-    return _stage(lambda t: np.moveaxis(getattr(t, name), 0, -1) if t.batch else getattr(t, name))
+    """The member-first value stage ``name`` with its batch axis last (a
+    lone point's stage as it is)."""
+    return _stage(lambda t: _batch_last(getattr(t, name)) if t.batch else getattr(t, name))
 
 
 def _connection(series_name, stack_name, rank):
     """The values of the spray (rank 1) or the connection (rank 2), batch
     axis last: zero where F does not use x, read off the series stage
     ``series_name`` by a Tower that builds it (``series_connection``),
-    else a view of the gathered ``stack_name``."""
+    else the gathered ``stack_name``."""
     def values(t):
         if t.flat_x:
             return np.zeros((4,) * rank + t.batch)
         if t.series_connection:
-            return getattr(t, series_name).value()
+            return np.ascontiguousarray(getattr(t, series_name).value())
         stack = getattr(t, stack_name)
-        return np.moveaxis(stack, 0, -1) if t.batch else stack
+        return _batch_last(stack) if t.batch else stack
     return _stage(values)
 
 
@@ -153,7 +162,8 @@ class Tower:
     every stage reads the same values as at ``order_f``.
     When the two orders are equal and L1 is not zero, F's and L1's series
     come from one program (``space.program``), which runs every
-    subexpression they share once.
+    subexpression they share once (``fused``; a Tower whose L1 is never
+    read clears it before its first stage, and F runs alone).
 
     The spray G and the connection N have two routes.  A Tower with F to
     order 4 or more that uses x (``series_connection``) builds their
@@ -361,13 +371,13 @@ class Tower:
     def spray(self):
         """G^i = 1/4 g^{il} b_l with b_l = (F^2)_{.l,k} y^k - (F^2)_{,l}: the
         series solution of g_il G^l = 1/4 b_l, degree by degree
-        (``series.solve``, with g0^{-1} = ``ginv_values``)."""
+        (``series.solve``, with g0^{-1} = ``ginv_values``).  The
+        contraction with the coordinate series y^k runs no product
+        (``series.coordinate_contraction``)."""
         if self.flat_x:
             return TSeries.zeros((4,), self.kf, self.batch, self.layout)
-        ey = self.e.grad(FIBRE_VARS)
-        y = TSeries.stack([TSeries.coordinate(v, self.point[v], self.kf - 2, self.batch,
-                                              self.layout) for v in FIBRE_VARS])
-        b = contract("lk,k->l", ey.grad(BASE_VARS), y) - self.e.grad(BASE_VARS)
+        e_yx = self.e.grad(FIBRE_VARS).grad(BASE_VARS)
+        b = coordinate_contraction(e_yx, self.y) - self.e.grad(BASE_VARS)
         return solve(self.g, b * 0.25, self.ginv_values)
 
     @_stage

@@ -227,7 +227,7 @@ def validate_space(scene, probes=8):
     xs, ys = geometry.draw_admissible(
         scene.space, rng, probes, scene.sampling.x_box, scene.sampling.y_box
     )
-    lams = (0.5, 1.7)
+    lams = np.array([0.5, 1.7])
     pts = np.concatenate([xs, ys])
     # the probes, then the probes with y scaled by each lam, as one batch
     stacked = np.concatenate(
@@ -237,15 +237,17 @@ def validate_space(scene, probes=8):
         if fld.is_zero():
             continue
         vals = expr.eval_values(fld, stacked).reshape(1 + len(lams), -1)
-        # checked probe by probe, in the order the single-point checks ran
-        for k in range(pts.shape[1]):
-            f0 = vals[0, k]
-            for m, lam in enumerate(lams, start=1):
-                if not (np.isfinite(f0) and np.isfinite(vals[m, k])):
-                    raise DomainError("field not finite at point", fld.source())
-                r = abs(vals[m, k] - lam * f0)
-                if r / max(1.0, abs(f0)) > HOMOGENEITY_TOL:
-                    raise HomogeneityViolationError(name, r, point=pts[:, k])
+        f0 = vals[0]
+        finite = np.isfinite(f0) & np.isfinite(vals[1:])
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = np.abs(vals[1:] - lams[:, None] * f0)
+            bad = ~finite | (r / np.maximum(1.0, np.abs(f0)) > HOMOGENEITY_TOL)
+        if bad.any():
+            # the first failure probe by probe, each probe lam by lam
+            k, m = divmod(int(np.argmax(bad.T)), len(lams))
+            if not finite[m, k]:
+                raise DomainError("field not finite at point", fld.source())
+            raise HomogeneityViolationError(name, r[m, k], point=pts[:, k])
     # signature check raises SignatureMismatchError / DegenerateMetricError
     geometry.metric(scene.space, xs, ys, check_signature=True)
 

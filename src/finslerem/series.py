@@ -32,8 +32,11 @@ term K of a product sums the segment of pairs a_I b_J with I + J = K,
 by rising I; a pair is multiplied elementwise, or summed over a
 contracted tensor index in :func:`contract`.  A narrow product gathers
 both factors along the term axis and sums every segment with one
-``np.add.reduceat``; a wide one with short segments is peeled
-(:func:`_product`).
+``np.add.reduceat``; a wide one is peeled (:func:`_product`).  An array
+of values that a contraction reads (the constant factor of
+:func:`contract`, the inverse value of :func:`solve`) is best C-ordered
+with its batch axis last: einsum runs several times slower over a view
+whose batch axis strides across a stack of tensors.
 
 The kernels work on bare coefficient arrays, and so do the analytic
 functions (:func:`sqrt`, :func:`reciprocal`, :func:`sin`, ... in
@@ -44,16 +47,21 @@ a program wraps only its results in ``TSeries``.  :func:`jets` reads
 several derivative tensors of a series with one ``take``.
 
 ``np.add.reduceat`` sums a segment as its first summand plus a pairwise
-sum of the rest, whatever the array's shape; numpy adds a rest of fewer
-than ``PAIRWISE_BLOCK`` terms one after the other, from -0.0, and the
-peeled kernel (:func:`_peeled_product`) reproduces that order.  Dropping
-exact zeros from a segment with three or more nonzero summands would
-regroup it and can move a rounding, so products are never pruned by
-degree.  A segment with at most two nonzero summands sums to the same
-value in any grouping (up to the sign of a zero), and two products have
-only such segments: a product with a chart coordinate
+sum of the rest, whatever the array's shape.  numpy adds a rest of fewer
+than ``PAIRWISE_BLOCK`` terms one after the other, from -0.0, and a rest
+of 8 to 128 terms in eight running sums, which it adds as a tree before
+the last m % 8 terms in order.  A segment holds at most 2^MAX_ORDER = 32
+summands, and the peeled kernel (:func:`_peeled_product`) reproduces
+both orders.  Dropping exact zeros from a segment with three or more
+nonzero summands would regroup it and can move a rounding, so products
+are never pruned by degree.  A segment with at most two nonzero summands
+sums to the same value in any grouping (up to the sign of a zero), and
+two products have only such segments: a product with a chart coordinate
 (:func:`_coordinate_product`) and the first Horner step of a
-composition (:func:`_compose`).  Both skip the product kernel.
+composition (:func:`_compose`).  Both skip the product kernel, and so
+does the contraction with the fibre coordinates
+(:func:`coordinate_contraction`), which adds its nonzero summands in
+the order of their segment.
 
 A series that does not use some variables of its layout has exact zeros
 at every term in them, as long as its coefficients are finite (a
@@ -114,8 +122,13 @@ BLOCK_BYTES = 128 * 1024
 #: ``reduceat``, which takes fewer numpy calls
 PEEL_COLUMNS = 48
 
-#: numpy's pairwise sum adds fewer terms than this one after the other
+#: numpy's pairwise sum adds fewer terms than this one after the other, and
+#: more in this many running sums
 PAIRWISE_BLOCK = 8
+
+#: the order of numpy's eight running sums in a block of :func:`_peel_plan`,
+#: which pairs them as the halves of each level of their add tree
+_TREE = (0, 4, 2, 6, 1, 5, 3, 7)
 
 #: most plans a cache keyed by batch width keeps (:func:`jets`, :func:`_mul_blocks`)
 PLAN_CACHE = 32
@@ -242,18 +255,40 @@ def _mul_blocks(k, n, width):
     return blocks
 
 
+def _slots(lo, counts):
+    """(offset, rows) of :func:`_peel_plan`'s slots: slot s holds row
+    ``lo[t] + s`` of each term t with ``counts[t] > s``, which must be the
+    first ones."""
+    slots = [int(np.count_nonzero(counts > s)) for s in range(counts.max(initial=0))]
+    rows = [lo[:m] + s for s, m in enumerate(slots)]
+    return (tuple(itertools.accumulate(slots, initial=0)),
+            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64))
+
+
 def _peel_plan(k, n, first=0):
-    """The interior summands of the order-k product tables from output
-    term ``first`` on (:func:`_peeled_product`), or None if a segment
-    holds more than ``PAIRWISE_BLOCK`` summands.
+    """The summands after the first of each segment of the order-k product
+    tables from output term ``first`` on (:func:`_peeled_product`).
 
     Segment K lists its pairs by rising I: (0, K), the interior pairs,
-    then (K, 0).  Returns ``(terms, offset, I, J)``: the terms with an
-    interior, counted from ``first`` and sorted by falling interior count,
-    and their interior pairs slot by slot.  Slot s, ``I[offset[s]:
-    offset[s + 1]]`` (and J), holds the (s+1)-th interior pair of each
-    term with more than s of them, which are the first terms of
-    ``terms``.  The plan does not depend on the batch width.
+    then (K, 0).  Its rest, the segment after (0, K), is short when it
+    holds fewer than ``PAIRWISE_BLOCK`` summands and long otherwise.
+    Terms are counted from ``first``, and the plan does not depend on the
+    batch width.  Returns ``(short, long)``.
+
+    ``short`` is ``(terms, offset, I, J)``: the short terms with an
+    interior, sorted by falling interior count, and their interior pairs
+    slot by slot.  Slot s, ``I[offset[s]:offset[s + 1]]`` (and J), holds
+    the (s+1)-th interior pair of each term with more than s of them,
+    which are the first terms of ``terms``.
+
+    ``long`` is None or ``(terms, blocks, perm, offset, I, J)``.  Sorted
+    by falling rest length m, the long terms run blocks of eight running
+    sums over the first m - m % 8 summands of their rests: block b,
+    ``(count, I, J)`` with I and J shaped ``(8, count)``, holds summand
+    8b + j of the first ``count`` terms in row ``_TREE.index(j)``.
+    ``perm`` sorts them by falling m % 8, into ``terms``, and slot s of
+    ``offset``, I and J holds summand m - m % 8 + s of each term with
+    m % 8 > s.  The pair (K, 0) is among the blocks or the slots.
     """
     t = _terms(n)
     key = (k, first)
@@ -261,15 +296,27 @@ def _peel_plan(k, n, first=0):
         I, J, starts = _mul_tables(k, n)
         bounds = np.append(starts, len(I))[first:]
         counts = np.diff(bounds)
-        plan = None
-        if counts.max() <= PAIRWISE_BLOCK:
-            inner = np.maximum(counts - 2, 0)
-            terms = np.argsort(-inner, kind="stable")[:np.count_nonzero(inner)]
-            slots = [int(np.count_nonzero(inner > s)) for s in range(inner.max())]
-            rows = np.array([r for s, m in enumerate(slots) for r in bounds[terms[:m]] + 1 + s],
-                            dtype=np.int64)
-            plan = (terms, tuple(itertools.accumulate(slots, initial=0)), I[rows], J[rows])
-        t.peel[key] = plan
+        # a segment holds at most 2^MAX_ORDER = 32 summands, and numpy
+        # splits only a rest of more than 16 * PAIRWISE_BLOCK = 128
+        rest = counts - 1
+        inner = np.where(rest < PAIRWISE_BLOCK, np.maximum(rest - 1, 0), 0)
+        terms = np.argsort(-inner, kind="stable")[:np.count_nonzero(inner)]
+        offset, rows = _slots(bounds[terms] + 1, inner[terms])
+        short = (terms, offset, I[rows], J[rows])
+        long = None
+        if rest.max() >= PAIRWISE_BLOCK:
+            terms = np.argsort(-rest, kind="stable")[:np.count_nonzero(rest >= PAIRWISE_BLOCK)]
+            full = rest[terms] - rest[terms] % PAIRWISE_BLOCK
+            blocks = []
+            for b in range(0, full[0], PAIRWISE_BLOCK):
+                count = int(np.count_nonzero(full > b))
+                rows = bounds[terms[:count]] + 1 + b + np.array(_TREE)[:, None]
+                blocks.append((count, I[rows], J[rows]))
+            perm = np.argsort(full - rest[terms], kind="stable")
+            terms, full = terms[perm], full[perm]
+            offset, rows = _slots(bounds[terms] + 1 + full, rest[terms] - full)
+            long = (terms, blocks, perm, offset, I[rows], J[rows])
+        t.peel[key] = (short, long)
     return t.peel[key]
 
 
@@ -277,18 +324,22 @@ def _peeled_product(a, b, k, n, ranks, axis, combine, first, width):
     """The product of :func:`_product`, its segments summed without
     ``reduceat``.
 
-    ``np.add.reduceat`` sums a segment s0, s1, ..., s_last of at most
-    ``PAIRWISE_BLOCK`` summands as s0 + (((s1 + s2) + ...) + s_last): the
-    rest is a pairwise sum too short to be split, added in order from
-    -0.0, which changes no summand.  Here s0 = a_0 b_K and s_last = a_K b_0
-    are broadcast products with no gather.  Only the interior pairs are
-    gathered (:func:`_peel_plan`), in runs of at most ``BLOCK_BYTES``
-    per temporary, and summed slot by slot with prefix-slice additions.
-    Every sum is bit for bit that of ``reduceat``, the sign of a zero and
-    of an infinity included.  Which NaN a sum of two NaNs returns is not
-    fixed: numpy's own add loops differ in it.
+    ``np.add.reduceat`` sums a segment s0, s1, ..., s_last as s0 plus a
+    pairwise sum of the rest.  A rest of fewer than ``PAIRWISE_BLOCK``
+    summands is added in order from -0.0, which changes no summand:
+    s0 + (((s1 + s2) + ...) + s_last).  Here s0 = a_0 b_K and
+    s_last = a_K b_0 are broadcast products with no gather; only the
+    interior pairs are gathered and summed slot by slot with prefix-slice
+    additions.  A longer rest of m summands is summed in eight running
+    sums r_j of its summands j, j + 8, ... below m - m % 8, added as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then its last
+    m % 8 summands in order (:func:`_long_rests`).  Gathers run in pieces
+    of at most ``BLOCK_BYTES`` per temporary.  Every sum is bit for bit
+    that of ``reduceat``, the sign of a zero and of an infinity included.
+    Which NaN a sum of two NaNs returns is not fixed: numpy's own add
+    loops differ in it.
     """
-    terms, offset, I, J = _peel_plan(k, n, first)
+    (terms, offset, I, J), long = _peel_plan(k, n, first)
     nterms = _terms(n).nterms[k]
     ra, rb = ranks
     ia, ib, head = (slice(None),) * ra, (slice(None),) * rb, (slice(None),) * axis
@@ -297,31 +348,79 @@ def _peeled_product(a, b, k, n, ranks, axis, combine, first, width):
     if one == nterms:
         return out
     rest = combine(a[ia + (slice(one, nterms),)], b[ib + (slice(0, 1),)])
+    step = max(BLOCK_BYTES // (8 * width), 1)
     if len(terms):
-        step = max(BLOCK_BYTES // (8 * width), 1)
-        acc = None
-        for p0 in range(0, len(I), step):
-            p1 = min(p0 + step, len(I))
-            g = combine(a.take(I[p0:p1], axis=ra), b.take(J[p0:p1], axis=rb))
-            for s in range(len(offset) - 1):
-                lo, hi = max(p0, offset[s]), min(p1, offset[s + 1])
-                if lo >= hi:
-                    continue
-                part = g[head + (slice(lo - p0, hi - p0),)]
-                if not s and hi - lo == offset[1]:  # all of slot 0 in one run
-                    acc = part
-                    continue
-                if acc is None:
-                    acc = np.empty(part.shape[:axis] + (offset[1],) + part.shape[axis + 1:])
-                at = head + (slice(lo - offset[s], hi - offset[s]),)
-                if s:
-                    acc[at] += part
-                else:
-                    acc[at] = part
+        acc = _add_slots(a, b, ranks, axis, combine, step, offset, I, J)
         idx = terms + (first - one)
         acc += rest.take(idx, axis=axis)
         rest[head + (idx,)] = acc
+    if long is not None:
+        terms, blocks, perm, offset, I, J = long
+        acc = _long_rests(a, b, ranks, axis, combine, step, blocks).take(perm, axis=axis)
+        rest[head + (terms + (first - one),)] = _add_slots(a, b, ranks, axis, combine, step,
+                                                           offset, I, J, acc)
     out[head + (slice(one - first, None),)] += rest
+    return out
+
+
+def _add_slots(a, b, ranks, axis, combine, step, offset, I, J, acc=None):
+    """``acc`` plus, slot after slot, the products of the pairs of each
+    slot of a :func:`_peel_plan`, slot s onto the first ``offset[s + 1] -
+    offset[s]`` entries; with no ``acc``, slot 0 starts the sums."""
+    ra, rb = ranks
+    head = (slice(None),) * axis
+    start = acc is None
+    for p0 in range(0, len(I), step):
+        p1 = min(p0 + step, len(I))
+        g = combine(a.take(I[p0:p1], axis=ra), b.take(J[p0:p1], axis=rb))
+        for s in range(len(offset) - 1):
+            lo, hi = max(p0, offset[s]), min(p1, offset[s + 1])
+            if lo >= hi:
+                continue
+            part = g[head + (slice(lo - p0, hi - p0),)]
+            if acc is None and hi - lo == offset[1]:  # all of slot 0 in one run
+                acc = part
+                continue
+            if acc is None:
+                acc = np.empty(part.shape[:axis] + (offset[1],) + part.shape[axis + 1:])
+            at = head + (slice(lo - offset[s], hi - offset[s]),)
+            if s or not start:
+                acc[at] += part
+            else:
+                acc[at] = part
+    return acc
+
+
+def _long_rests(a, b, ranks, axis, combine, step, blocks):
+    """The tree sums of the eight running sums of :func:`_peeled_product`
+    over the ``blocks`` of the long rests of a :func:`_peel_plan`, term by
+    term, in runs of as many terms as one gathered temporary holds.
+
+    The running sums lie in the order ``_TREE`` along a leading axis of
+    eight, so each level of the tree adds the two halves of the last:
+    (r0+r1, r4+r5, r2+r3, r6+r7), then ((r0+r1)+(r2+r3), (r4+r5)+(r6+r7)).
+    """
+    ra, rb = ranks
+    head = (slice(None),) * axis
+    per = max(step // PAIRWISE_BLOCK, 1)
+    count = blocks[0][0]
+    out = None
+    for c0 in range(0, count, per):
+        c1 = min(c0 + per, count)
+        acc = None
+        for m, I, J in blocks:
+            if m <= c0:
+                break
+            g = combine(a.take(I[:, c0:c1], axis=ra), b.take(J[:, c0:c1], axis=rb))
+            if acc is None:
+                acc = g
+            else:
+                acc[head + (slice(None), slice(0, g.shape[axis + 1]))] += g
+        for half in (4, 2):
+            acc = acc[head + (slice(0, half),)] + acc[head + (slice(half, 2 * half),)]
+        if out is None:
+            out = np.empty(acc.shape[:axis] + (count,) + acc.shape[axis + 2:])
+        np.add(acc[head + (0,)], acc[head + (1,)], out=out[head + (slice(c0, c1),)])
     return out
 
 
@@ -336,15 +435,16 @@ def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply,
     terms of the full product.
 
     Two kernels give the same bits.  A product of at least
-    ``PEEL_COLUMNS`` batch columns whose segments hold at most
-    ``PAIRWISE_BLOCK`` summands (every product to order 3) is peeled
-    (:func:`_peeled_product`): its first and last summands need no
-    gather.  Any other product gathers both factors (``take``, about
-    twice as fast as fancy indexing on a few batch columns), combines
-    them and sums each segment with ``np.add.reduceat``, in one go or,
-    when wide, block by block (:func:`_mul_blocks`).  Either way the
-    width counts tensor and batch axes and no gathered temporary
-    outgrows ``BLOCK_BYTES``.
+    ``PEEL_COLUMNS`` batch columns is peeled (:func:`_peeled_product`):
+    the first and last summands of a short segment need no gather, and
+    a segment of more than ``PAIRWISE_BLOCK`` summands (order 4 and up
+    in two or more variables) sums in numpy's eight running sums.  A
+    narrower product gathers both factors (``take``, about twice as fast
+    as fancy indexing on a few batch columns), combines them and sums
+    each segment with ``np.add.reduceat``, in one go or, when wide,
+    block by block (:func:`_mul_blocks`).  Either way the width counts
+    tensor and batch axes and no gathered temporary outgrows
+    ``BLOCK_BYTES``.
     """
     first = _terms(n).nterms[k - 1] if top else 0
     ra, rb = ranks
@@ -355,7 +455,7 @@ def _product(a, b, k, n=NVARS, ranks=(0, 0), out_tensor=(), combine=np.multiply,
     # a batch of B points is one trailing axis of B columns
     wide = ((a.ndim > ra + 1 and a.shape[-1] >= PEEL_COLUMNS)
             or (b.ndim > rb + 1 and b.shape[-1] >= PEEL_COLUMNS))
-    if wide and _peel_plan(k, n, first) is not None:
+    if wide:
         return _peeled_product(a, b, k, n, ranks, len(out_tensor), combine, first, width)
     return _reduceat_product(a, b, k, n, ranks, out_tensor, combine, first, width)
 
@@ -393,6 +493,29 @@ def _coordinate_product(a, v0, src):
     c = a * v0
     c[src] += a[:len(src)]
     return c
+
+
+def coordinate_contraction(a, values):
+    """The series of ``contract("lk,k->l", a, y)`` for the fibre coordinate
+    series y^k of base values ``values`` (shaped ``(4, *batch)``), without
+    a product.
+
+    Output term K of the product sums a_{K-e_k} (times the degree-1
+    coefficient 1 of y^k) for each fibre variable k in K, by rising I and
+    so by rising k, then a_K y as its last summand; every other summand
+    is an exact zero.  Here the same summands are added in the same
+    order, from -0.0, each read off with a shift (the ``src`` of
+    :func:`_deriv_tables`).  To order 3, where a segment's rest is added
+    in order, the terms are those of the product wherever ``a`` is finite.
+    """
+    n, k = len(a.layout), a.order
+    c = np.einsum("lk...,k...->l...", a.coeffs, np.expand_dims(values, 1))
+    out = np.full(c.shape, -0.0)
+    for i, v in enumerate(FIBRE_VARS):
+        src, _ = _deriv_tables(k, a.layout.index(v), n)
+        out[:, src] += a.coeffs[:, i, :len(src)]
+    out += c
+    return TSeries(out, k, a.layout, 1)
 
 
 def _outer_product(a, b, ia, ib):

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are ten exceptions.  ``reduceat_product`` is the series
+check.  There are eleven exceptions.  ``reduceat_product`` is the series
 product summed by one ``np.add.reduceat`` over the package's product
 table, the reference for the peeled kernel.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
@@ -24,6 +24,9 @@ curvature and the field densities, a different formula from the
 divergence of the currents that ``continuity_residual`` takes.
 ``UncappedTower`` is a Tower that expands a flat F to the order it is
 asked for, as every Tower did before a flat F was capped at L1's order.
+``validate_space_loop`` is the scene load probe as a loop over probes
+and scalings, which ``scene.validate_space`` ran before it checked them
+as arrays.
 """
 
 import itertools
@@ -31,12 +34,14 @@ import math
 
 import numpy as np
 
+from finslerem import expr, geometry
 from finslerem.em import em_series
-from finslerem.errors import DomainError
+from finslerem.errors import DomainError, HomogeneityViolationError
 from finslerem.expr import (BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_series, eval_value,
                             eval_values)
 from finslerem.geometry import Tower
 from finslerem.maxwell import fibre_tower
+from finslerem.scene import HOMOGENEITY_TOL
 from finslerem.series import (NTERMS, TERMS, TSeries, _mul_tables, _product, _terms, contract,
                               jet_tensor)
 
@@ -650,3 +655,30 @@ class UncappedTower(Tower):
         super().__init__(space, x, y, order_f, order_l1)
         self.kf = order_f
         self.fused = order_f == order_l1 and space.has_field
+
+
+def validate_space_loop(scene, probes=8):
+    """The load checks of ``scene.validate_space``, probe by probe and
+    each probe scaling by scaling, in numpy scalars: the first failing
+    (field, probe, lam) raises."""
+    xs, ys = geometry.draw_admissible(
+        scene.space, scene.rng(), probes, scene.sampling.x_box, scene.sampling.y_box
+    )
+    lams = (0.5, 1.7)
+    pts = np.concatenate([xs, ys])
+    stacked = np.concatenate(
+        [pts] + [np.concatenate([xs, lam * ys]) for lam in lams], axis=1
+    )
+    for name, fld in (("F", scene.space.F), ("L1", scene.space.L1)):
+        if fld.is_zero():
+            continue
+        vals = expr.eval_values(fld, stacked).reshape(1 + len(lams), -1)
+        for k in range(pts.shape[1]):
+            f0 = vals[0, k]
+            for m, lam in enumerate(lams, start=1):
+                if not (np.isfinite(f0) and np.isfinite(vals[m, k])):
+                    raise DomainError("field not finite at point", fld.source())
+                r = abs(vals[m, k] - lam * f0)
+                if r / max(1.0, abs(f0)) > HOMOGENEITY_TOL:
+                    raise HomogeneityViolationError(name, r, point=pts[:, k])
+    geometry.metric(scene.space, xs, ys, check_signature=True)

@@ -388,6 +388,25 @@ class TestValueStages:
         for stack, block in zip(force.field_stack, ("F_hh", "F_hv")):
             self._close(trailing(stack), values(em[block]))
 
+    #: the value stages a force's Tower (F to order 3) can read
+    GATHERED = ("g_values", "ginv_values", "det_values", "spray_values", "nonlinear_values")
+
+    @pytest.mark.parametrize("orders", [(4, 3), (5, 4), (3, 2)])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.scene")))
+    def test_batched_values_are_c_ordered(self, name, orders):
+        """Every value stage of a batched Tower, gathered or read off a
+        series, is C-contiguous with its batch axis last, so the einsums
+        that read it run over unit-stride columns."""
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        xs, ys = draw_admissible(scene.space, scene.rng(), 8, scene.sampling.x_box,
+                                 scene.sampling.y_box)
+        t = Tower(scene.space, xs, ys, *orders)
+        names = [n for n in dir(Tower) if n.endswith("_values")]
+        assert len(names) == 9 and set(self.GATHERED) <= set(names)
+        for n in names if orders[0] >= 4 else self.GATHERED:
+            v = getattr(t, n)
+            assert v.flags.c_contiguous and v.shape[-1] == 8, n
+
     def test_degenerate_member_is_named(self):
         # g_11 = -x1^2 vanishes at x1 = 0, so det g is exactly 0 there
         space = SpaceDef(F=parse("sqrt(y0^2 - x1^2*y1^2 - y2^2 - y3^2)"))
@@ -421,6 +440,25 @@ class TestSpraySolve:
         assert np.abs(residual).max() <= 1e-13 * max(1.0, np.abs(b.coeffs).max())
         want = contract("il,l->i", neumann_inverse(t.g, t.ginv_values), b) * 0.25
         assert np.abs((G - want).coeffs).max() <= 1e-13 * max(1.0, np.abs(G.coeffs).max())
+
+    @pytest.mark.parametrize("orders", [(4, 3), (5, 4)])
+    @pytest.mark.parametrize("cols", [0, slice(7), slice(64)], ids=["lone", "b7", "b64"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.scene")))
+    def test_b_is_the_contraction_with_y_bit_for_bit(self, name, cols, orders):
+        """The spray's (F^2)_{.l,k} y^k, summed without a product, has the
+        bits of the product with the coordinate series, zero signs included."""
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        xs, ys = draw_admissible(scene.space, scene.rng(), 64, scene.sampling.x_box,
+                                 scene.sampling.y_box)
+        t = Tower(scene.space, xs[:, cols], ys[:, cols], *orders)
+        e_yx = t.e.grad(FIBRE_VARS).grad(BASE_VARS)
+        y = TSeries.stack([TSeries.coordinate(v, t.point[v], e_yx.order, t.batch, t.layout)
+                           for v in FIBRE_VARS])
+        want = contract("lk,k->l", e_yx, y).coeffs
+        got = series.coordinate_contraction(e_yx, t.y)
+        assert (got.order, got.rank, got.layout) == (e_yx.order, 1, t.layout)
+        assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(np.signbit(got.coeffs), np.signbit(want))
 
     def test_solve_is_exact_on_a_triangular_system(self):
         """With powers of two for coefficients, each degree step is exact:

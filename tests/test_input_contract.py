@@ -10,12 +10,18 @@ and ``trajectory`` is cut to two steps so each example stays short.
 import contextlib
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import finslerem
 from finslerem.cli import main
 
 from conftest import FIXTURES
@@ -146,3 +152,24 @@ def test_every_run_ends_in_a_contract_exit(text, command, tmp_path_factory):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert _finite_output(name, argv, out.getvalue()), (argv, text, out.getvalue())
+
+
+@pytest.mark.parametrize("command", [["trajectory", "--out", "-"], ["currents", "--grid", GOOD_GRID]],
+                         ids=["trajectory", "currents"])
+def test_closed_stdout_is_one_line_and_exit_1(command, tmp_path):
+    """A reader that closes stdout before the rows arrive (``| head -1``
+    that has read its line) ends the run with exit 1 and at most one
+    stderr line: no traceback, and no "Exception ignored" at exit."""
+    path = tmp_path / "short.scene"
+    path.write_text(_short_worldline((FIXTURES / "curved-aniso.scene").read_text()))
+    src = str(pathlib.Path(finslerem.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "finslerem.cli", command[0], str(path),
+                             *command[1:]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()  # no reader is left, so every write fails
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1, err
+    assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err

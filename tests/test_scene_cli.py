@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import finslerem
-from finslerem import series
+from finslerem import expr, series
 from finslerem.cli import identity_residuals, main, run_validation
 from finslerem.dynamics import ForceEvaluator
 from finslerem.errors import (
@@ -47,11 +47,13 @@ class TestIdentitySuiteWork:
     # steps of the solve and drops the order-2 products of the inverse):
     # curved-aniso {0: 2, 1: 10, 2: 5, 3: 7, 4: 4}, randers-aniso
     # {1: 9, 2: 2, 3: 6}, pr-curved {0: 2, 1: 10, 2: 5, 3: 2, 4: 4},
-    # aniso-wave {1: 9, 2: 2, 3: 8}
+    # aniso-wave {1: 9, 2: 2, 3: 8}.  Before the spray's contraction with
+    # the coordinate series ran without a product: curved-aniso
+    # {0: 2, 1: 11, 2: 8, 3: 5, 4: 2}, pr-curved {0: 2, 1: 11, 2: 6, 3: 2, 4: 2}
     COUNTS = {
-        "curved-aniso": {0: 2, 1: 11, 2: 8, 3: 5, 4: 2},
+        "curved-aniso": {0: 2, 1: 11, 2: 7, 3: 5, 4: 2},
         "randers-aniso": {1: 9, 2: 4, 3: 4},
-        "pr-curved": {0: 2, 1: 11, 2: 6, 3: 2, 4: 2},
+        "pr-curved": {0: 2, 1: 11, 2: 5, 3: 2, 4: 2},
         "aniso-wave": {1: 9, 2: 5, 3: 5},
     }
 
@@ -94,23 +96,32 @@ class TestIdentitySuiteWork:
         return calls
 
     @pytest.mark.parametrize("name", list(COUNTS))
-    def test_only_long_segments_reach_reduceat(self, name, monkeypatch):
-        """At batch 100 a product reaches ``np.add.reduceat`` only if a
-        segment holds more than 8 summands (order 4 in 2 or more variables);
-        every other product is peeled.  A lone-point force call runs only
-        the one-shot ``reduceat``, so a silent fallback shows."""
+    def test_wide_products_never_reach_reduceat(self, name, monkeypatch):
+        """At batch 100 every product is peeled, whatever its segments
+        hold; at batch PEEL_COLUMNS - 1 every product takes
+        ``np.add.reduceat``, and those of order 4 run block by block.  A
+        lone-point force call runs only the one-shot ``reduceat``, so a
+        silent fallback shows."""
         space = load_scene(FIXTURES / f"{name}.scene").space
         xs, ys = draw_admissible(space, np.random.default_rng(13), 100)
+        narrow = series.PEEL_COLUMNS - 1
         force = ForceEvaluator(space)
         identity_residuals(space, xs, ys)  # programs and tables built
+        identity_residuals(space, xs[:, :narrow], ys[:, :narrow])
         force(xs[:, 0], ys[:, 0])
         calls = self._kernels(monkeypatch)
         identity_residuals(space, xs, ys)
-        assert calls["peeled"]
-        for k, n, first in calls["reduceat"]:
-            assert series._peel_plan(k, n, first) is None, (k, n)
-            assert k >= 4
-        assert len(calls["peeled"]) + len(calls["reduceat"]) == sum(self.COUNTS[name].values())
+        assert calls["peeled"] and not calls["reduceat"]
+        assert len(calls["peeled"]) == sum(self.COUNTS[name].values())
+
+        for kernel in calls.values():
+            kernel.clear()
+        identity_residuals(space, xs[:, :narrow], ys[:, :narrow])
+        assert calls["reduceat"] and not calls["peeled"]
+        assert len(calls["reduceat"]) == sum(self.COUNTS[name].values())
+        long = {(k, n) for k, n, first in calls["reduceat"] if k >= 4}
+        assert len(long) == (4 in self.COUNTS[name])
+        assert long <= set(calls["blocked"])
 
         for kernel in calls.values():
             kernel.clear()
@@ -573,6 +584,71 @@ class TestBatchedLoadChecks:
         nan_l1 = parse_scene_text(f'[space]\nF = "{root}"\nL1 = "log(x1)*y0"\n')
         with pytest.raises(DomainError, match="not finite"):
             validate_space(nan_l1)
+
+
+class TestLoadProbeInjection:
+    """validate_space checks its probes as arrays; with violations
+    injected into the probe values it raises for the same first (field,
+    probe, lam) as the probe-by-probe loop (``oracles.validate_space_loop``),
+    with the same exception and message."""
+
+    PROBES = 8
+
+    @staticmethod
+    def _inject(monkeypatch, space, faults):
+        """Make expr.eval_values return the load probe's values with
+        ``faults`` applied: (field, probe, row, value), row 0 being the
+        probe and row m its y scaled by the m-th lam; a value of None
+        scales the entry by 1 + 1e-6."""
+        evaluate = expr.eval_values
+
+        def injected(fld, points):
+            vals = evaluate(fld, points)
+            if points.shape[1] != 3 * TestLoadProbeInjection.PROBES:
+                return vals  # the admissible draws, not the probe
+            vals = vals.reshape(3, -1).copy()
+            for name, probe, row, value in faults:
+                if fld is getattr(space, name):
+                    vals[row, probe] = vals[row, probe] * (1 + 1e-6) if value is None else value
+            return vals.ravel()
+
+        monkeypatch.setattr(expr, "eval_values", injected)
+
+    @pytest.mark.parametrize("faults", [
+        [("F", 0, 1, None)],
+        [("L1", 3, 2, None), ("L1", 5, 1, None)],
+        [("L1", 5, 1, None), ("L1", 3, 2, np.nan)],
+        [("L1", 4, 0, np.inf), ("L1", 4, 1, None)],
+        [("L1", 6, 2, None), ("F", 7, 2, None)],
+        [("F", 2, 1, -np.inf), ("F", 2, 2, np.nan), ("L1", 0, 1, None)],
+        [("F", 7, 2, 1e308)],
+        [],
+    ], ids=["F-homogeneity", "L1-later-probe-second", "L1-nan-first", "L1-inf-base",
+            "F-before-L1", "F-not-finite", "F-overflow", "none"])
+    def test_first_failure_matches_the_loop(self, faults, monkeypatch):
+        from finslerem.errors import FinslerEMError
+        from finslerem.scene import validate_space
+
+        from oracles import validate_space_loop
+
+        scene = load_scene(FIXTURES / "curved-aniso.scene", validate=False)
+        self._inject(monkeypatch, scene.space, faults)
+        errors = []
+        for check in (validate_space_loop, validate_space):
+            try:
+                check(scene, self.PROBES)
+                errors.append(None)
+            except FinslerEMError as e:
+                errors.append(e)
+        ref, got = errors
+        assert (ref is None) == (not faults)
+        if ref is None:
+            assert got is None
+            return
+        assert type(got) is type(ref) and str(got) == str(ref)
+        if isinstance(ref, HomogeneityViolationError):
+            assert np.array_equal(got.point, ref.point)
+            assert got.field_name == ref.field_name
 
 
 class TestSceneValueContract:

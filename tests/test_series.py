@@ -339,6 +339,25 @@ class TestPeeledProduct:
                     want = reduceat_product(a, b, order, n, top=top)
                 assert _same_bits(got, want), (batch, top)
 
+    @pytest.mark.parametrize("width", [series.PEEL_COLUMNS, 100, 300])
+    @pytest.mark.parametrize("n", range(2, NVARS + 1))
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_long_segments(self, order, n, width):
+        """Orders 4 and 5 in two or more variables have segments of more
+        than 8 summands.  The reference runs on as many columns at a time
+        as ``GATHER_CAP`` allows: a column's sums do not depend on the
+        others."""
+        rng = np.random.default_rng(1000 * order + 10 * n + width)
+        a, b = _with_specials(rng, (2, _terms(n).nterms[order], width))
+        per = max(GATHER_CAP // len(_mul_tables(order, n)[0]), 1)
+        for top in (False, True):
+            with np.errstate(invalid="ignore"):
+                got = _product(a, b, order, n, top=top)
+                want = np.concatenate(
+                    [reduceat_product(a[:, c:c + per], b[:, c:c + per], order, n, top=top)
+                     for c in range(0, width, per)], axis=1)
+            assert _same_bits(got, want), top
+
     # every contract spec of the package, with the tensor shapes it takes there
     SPECS = [
         ("im,smh->sih", (4, 4), (2, 4, 4)),
@@ -372,15 +391,20 @@ class TestPeeledProduct:
                     assert _same_bits(got, want), (order, batch, top)
 
     def test_kernel_choice(self, monkeypatch):
-        """Products of at least PEEL_COLUMNS batch columns with segments of
-        at most 8 summands are peeled; narrower ones and those with longer
-        segments are not."""
-        assert series._peel_plan(3, NVARS) is not None  # x0 x1 x2: 8 summands
-        assert series._peel_plan(4, 2) is None  # x0^2 x1^2: 9 summands
-        assert series._peel_plan(5, 1) is not None  # one variable: 6 summands
-        terms, offset, I, J = series._peel_plan(2, 2)
+        """Products of at least PEEL_COLUMNS batch columns are peeled, with
+        segments of any length; narrower ones are not."""
+        assert series._peel_plan(3, NVARS)[1] is None  # x0 x1 x2: 8 summands
+        assert series._peel_plan(5, 1)[1] is None  # one variable: 6 summands
+        (terms, offset, I, J), long = series._peel_plan(2, 2)
         # x0 x1 has two interior pairs, x0^2 and x1^2 one each
         assert list(terms) == [4, 3, 5] and offset == (0, 3, 4) and len(I) == 4
+        assert long is None
+        # x0^2 x1^2 (term 12) has 9 summands: a rest of 8 in one block of eight
+        # running sums, the last of them the pair (K, 0), and no slots
+        terms, blocks, perm, offset, I, J = series._peel_plan(4, 2)[1]
+        assert list(terms) == [12] and list(perm) == [0] and offset == (0,) and len(I) == 0
+        (count, I, J), = blocks
+        assert count == 1 and I.shape == (8, 1) and (I[7, 0], J[7, 0]) == (12, 0)
         peeled = []
         kernel = series._peeled_product
         monkeypatch.setattr(series, "_peeled_product",
@@ -390,21 +414,63 @@ class TestPeeledProduct:
             for columns in (series.PEEL_COLUMNS - 1, series.PEEL_COLUMNS):
                 a, b = rng.standard_normal((2, _terms(n).nterms[order], columns))
                 _product(a, b, order, n)
-        assert peeled == [3, 4]
+        assert peeled == [3, 4, 4]
 
 
 class TestNumpyReduceatRule:
     """The rule of ``np.add.reduceat`` that the peeled kernel reproduces:
-    a segment of at most 8 summands sums as s0 + (((s1 + s2) + ...) + s_last),
-    the rest added one after the other from -0.0.  If a numpy release
-    changes it, this fails, and the peeled kernel no longer matches."""
+    a segment sums as s0 + (the rest), where a rest of fewer than 8
+    summands is added one after the other from -0.0, s0 + (((s1 + s2) +
+    ...) + s_last), and a rest of 8 to 128 summands runs eight running
+    accumulators over its first 8*floor(m/8) summands, adds them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the
+    remainder in order.  If a numpy release changes it, this fails, and
+    the peeled kernel no longer matches."""
 
     @staticmethod
     def _rule(segment):
-        rest = -0.0 * np.ones_like(segment[0])
+        rest = segment[1:]
+        m = len(rest)
+        if m < series.PAIRWISE_BLOCK:
+            total = -0.0 * np.ones_like(segment[0])
+            done = 0
+        else:
+            r = list(rest[:8])
+            done = m - m % 8
+            for i in range(8, done, 8):
+                r = [r[j] + rest[i + j] for j in range(8)]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for s in rest[done:]:
+            total = total + s
+        return segment[0] + total
+
+    @staticmethod
+    def _in_order(segment):
+        total = segment[0]
         for s in segment[1:]:
-            rest = rest + s
-        return segment[0] + rest
+            total = total + s
+        return total
+
+    @pytest.mark.parametrize("shape,axis", [((9000,), 0), ((9000, 7), 0), ((3, 9000, 5, 4), 1)])
+    def test_long_segments(self, shape, axis):
+        """Rests of every length from 8 to 128 summands, some of them of
+        negative zeros only (eight accumulators of -0.0 sum to -0.0)."""
+        rng = np.random.default_rng(10 + len(shape))
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-40, 40, shape))
+        x[(slice(None),) * axis + (slice(0, 20),)] = -0.0
+        lengths = np.concatenate([[20], rng.permutation(np.arange(9, 130))])
+        # the segments listed, then one more over the tail
+        starts = np.cumsum(np.concatenate([[0], lengths]))
+        assert starts[-1] < shape[axis]
+        got = np.add.reduceat(x, starts, axis=axis)
+        regrouped = 0
+        for i, (s0, length) in enumerate(zip(starts, lengths)):
+            segment = np.moveaxis(x.take(np.arange(s0, s0 + length), axis=axis), axis, 0)
+            want = self._rule(segment)
+            assert _same_bits(got.take(i, axis=axis), want), length
+            regrouped += not np.array_equal(self._in_order(segment), want)
+        assert np.signbit(got.take(0, axis=axis)).all()
+        assert regrouped  # the data tells the groupings apart
 
     @pytest.mark.parametrize("shape,axis", [((200,), 0), ((200, 7), 0), ((3, 200, 5, 4), 1)])
     def test_short_segments(self, shape, axis):
@@ -457,18 +523,23 @@ class TestNumpyPowerRule:
 
 
 class TestPlanCaches:
-    def test_bounded_over_many_batch_widths(self):
+    def test_bounded_over_many_batch_widths(self, monkeypatch):
         """The per-width plans of jets and of blocked products stay at most
         PLAN_CACHE each, and a plan rebuilt after eviction gives the same
-        bits.  Order 4 has segments of more than 8 summands, so its wide
-        products keep the blocked ``reduceat``; the peel plans of the
-        order-3 products at the same widths do not grow with the width."""
-        layout, n, k = (1, 4, 5, 6, 7), 5, 4
+        bits.  A product narrower than PEEL_COLUMNS keeps the blocked
+        ``reduceat``; the peel plans of the order-3 and order-4 products at
+        as many wide widths do not grow with the width."""
+        layout, n, k = (0, 1, 4, 5, 6, 7), 6, 4
+        # empty caches: a plan another test built at one of these widths
+        # would keep its older place
+        monkeypatch.setattr(_terms(n), "blocks", {})
+        monkeypatch.setattr(series, "_jets_cache", {})
         rng = np.random.default_rng(50)
         I, J, starts = _mul_tables(k, n)
+        widths = range(series.PEEL_COLUMNS - 38, series.PEEL_COLUMNS)
         first = None
         peel = None
-        for width in range(60, 110):  # 50 widths, each one a blocked product
+        for width in widths:  # 38 widths, each one a blocked product
             assert len(I) * width * 8 > series.BLOCK_BYTES
             a, b = rng.standard_normal((2, _terms(n).nterms[k], width))
             prod = _product(a, b, k, n)
@@ -478,8 +549,11 @@ class TestPlanCaches:
                 assert np.array_equal(got, np.moveaxis(jet_tensor(s, pattern), -1, 0))
             assert len(series._jets_cache) <= series.PLAN_CACHE
             assert len(_terms(n).blocks) <= series.PLAN_CACHE
-            a3, b3 = a[:_terms(n).nterms[3]], b[:_terms(n).nterms[3]]
-            assert np.array_equal(_product(a3, b3, 3, n), reduceat_product(a3, b3, 3, n))
+            wide = rng.standard_normal((2, _terms(n).nterms[k], width + series.PEEL_COLUMNS))
+            for order in (3, 4):
+                wa, wb = wide[:, :_terms(n).nterms[order]]
+                assert np.array_equal(_product(wa, wb, order, n),
+                                      reduceat_product(wa, wb, order, n))
             if peel is None:
                 peel = dict(_terms(n).peel)
             assert _terms(n).peel.keys() == peel.keys()
@@ -487,10 +561,10 @@ class TestPlanCaches:
                 first = a, b, prod, series.jets(s, ("yy", "yx"))
         # full, not emptier: only the oldest plans were dropped
         assert len(series._jets_cache) == len(_terms(n).blocks) == series.PLAN_CACHE
-        assert all((k, w) in _terms(n).blocks for w in range(110 - series.PLAN_CACHE, 110))
+        assert all((k, w) in _terms(n).blocks for w in widths[-series.PLAN_CACHE:])
         assert all(_terms(n).peel[key] is plan for key, plan in peel.items())
         a, b, prod, jets = first
-        assert (k, 60) not in _terms(n).blocks  # evicted, and rebuilt below
+        assert (k, widths[0]) not in _terms(n).blocks  # evicted, and rebuilt below
         assert np.array_equal(_product(a, b, k, n), prod)
         for got, want in zip(series.jets(TSeries(a, k, layout), ("yy", "yx")), jets):
             assert np.array_equal(got, want)
