@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -470,7 +471,9 @@ def cmd_compare(args):
 # entry point
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once: parsing does not change it."""
     p = argparse.ArgumentParser(
         prog="finslerem",
         description="Direction-dependent electromagnetism on pseudo-Finsler spacetimes",

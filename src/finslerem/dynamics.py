@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DegenerateMetricError,
@@ -27,7 +28,7 @@ from .errors import (
     SingularForceMatrixError,
     StepRejectionLimitError,
 )
-from .geometry import Tower, check_det
+from .geometry import Tower, check_det, lapack
 
 __all__ = [
     "TrajectoryState",
@@ -109,9 +110,10 @@ class ForceEvaluator:
             F_mix_h = ginv @ F
             F_mix_v = ginv @ Ft
             M = _EYE - qc * F_mix_v
-            check_det(np.linalg.det(M), "det(I - (q/c)Ft)", SingularForceMatrixError)
+            det = _umath_linalg.det(M, signature="d->d")
+            check_det(det, "det(I - (q/c)Ft)", SingularForceMatrixError)
             force_h = F_mix_h @ yv
-            a = np.linalg.solve(M, qc * force_h)
+            a = lapack(_umath_linalg.solve, M, qc * force_h)
         else:
             F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
             force_h = F_mix_h @ yv
@@ -130,7 +132,7 @@ class ForceEvaluator:
             "F_value": t.f_value,
             "ortho_F": np.einsum(ortho, force_h[..., 0], g, yv[..., 0]),
             "ortho_Ftilde": np.einsum(ortho, (F_mix_v @ a)[..., 0], g, yv[..., 0]),
-            "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),
+            "eq_motion_residual": np.maximum.reduce(np.abs(res), axis=(-2, -1)),
         }
         if np.ndim(x) == 1:
             mon = {k: float(v) for k, v in mon.items()}

@@ -199,9 +199,10 @@ class AnisotropyBlend:
 
     @cached_property
     def _masks(self):
-        """kappa (0 for the truncation), the truncation's members, kappa == 1."""
+        """kappa (0 for the truncation), kappa == 1, the truncation: a mask None if empty."""
         kappa = np.array([0.0 if k is None else k for k in self.kappas])
-        return kappa, np.array([k is None for k in self.kappas]), kappa == 1.0
+        one, iso = kappa == 1.0, np.array([k is None for k in self.kappas])
+        return kappa, one if one.any() else None, iso if iso.any() else None
 
     @cached_property
     def _tape(self):
@@ -214,9 +215,11 @@ class AnisotropyBlend:
         if len(parts) == 1:
             return parts[0]
         s_iso, s_full = parts
-        kappa, iso, one = (m.reshape(batch) for m in self._masks)
-        blend = s_iso.coeffs + (s_full.coeffs - s_iso.coeffs) * kappa
-        coeffs = np.where(iso, s_iso.coeffs, np.where(one, s_full.coeffs, blend))
+        kappa, one, iso = self._masks
+        coeffs = s_iso.coeffs + (s_full.coeffs - s_iso.coeffs) * kappa.reshape(batch)
+        for mask, s in ((one, s_full), (iso, s_iso)):
+            if mask is not None:
+                coeffs = np.where(mask.reshape(batch), s.coeffs, coeffs)
         return TSeries(coeffs, s_iso.order, s_iso.layout)
 
     def series(self, point, order, layout):

@@ -428,8 +428,9 @@ class _Tape:
     - A composition (``sqrt``, ``sin``, a reciprocal, ...) whose argument
       uses fewer variables than the layout, such as ``sin(x1)``, runs in
       the layout of those variables and is scattered back
-      (:func:`series._restricted`), from order 2 on, where its Horner
-      loop multiplies.
+      (:func:`series._restricted`), from order 3 on; at order 2 its one
+      product costs less than the gather and the scatter.  A result that
+      only such compositions read stays in the smaller layout.
 
     Apart from that the results are those of a plain tree walk.
     """
@@ -559,6 +560,11 @@ class _Tape:
         # fold, and a constant with a higher term keeps the product.
         var = dict(coords)
         value_slot = {}
+        # a restricted composition that only compositions read keeps its layout
+        other = {a for _, op, args in steps if op[0] not in series.COMPOSITIONS
+                 for a in args}.union(self.roots)
+        small = {slot for slot, op, _ in steps if order >= 3 and op[0] in series.COMPOSITIONS
+                 and self.support[slot].bit_count() < n and slot not in other}
         for i, (slot, op, args) in enumerate(steps):
             fn = None
             if op[0] == "*":
@@ -573,17 +579,20 @@ class _Tape:
                 elif not self.support[c] & self.support[other]:
                     positions = tuple(i for i, v in enumerate(layout) if self.support[c] >> v & 1)
                     fn = partial(_outer_step, *series._outer_index(positions, n, order))
-            elif op[0] in series.COMPOSITIONS and order >= 2:
+            elif op[0] in series.COMPOSITIONS and order >= 3:
                 sub = tuple(v for v in layout if self.support[args[0]] >> v & 1)
                 if len(sub) < n:
                     inner = _array_fn(op, order, len(sub))
                     fn = partial(series._restricted, inner,
-                                 series._lift_index(sub, layout, order))
+                                 series._lift_index(sub, layout, order),
+                                 gather=args[0] not in small, size=0 if slot in small else nterms)
             steps[i] = (slot, fn or _array_fn(op, order, n), args)
         # a coordinate is expanded only where a step reads its series
         read = {a for _, _, args in steps for a in args}.union(self.roots)
-        leaves = [(slot, v, nterms, n - layout.index(v) if order else None)
-                  for slot, v in coords if slot in read]
+        slots = tuple(slot for slot, _ in coords if slot in read)
+        # the rows of one array, each a value and a degree-1 term of 1
+        lvars = [var[s] for s in slots]
+        leaves = (slots, lvars, nterms, [n - layout.index(v) for v in lvars] if order else None)
         values = [(v0, var[c]) for c, v0 in value_slot.items()]
         # shared by every call: broadcast over the batch axes, read-only
         pad = (1,) * ndim
@@ -608,13 +617,15 @@ class _Tape:
         program = self._programs.get(key)
         if program is None:
             program = self._programs[key] = self._build(*key)
-        init, leaves, values, steps, failure = program
+        init, (slots, lvars, nterms, e), values, steps, failure = program
         vals = list(init)
-        for slot, var, nterms, e in leaves:
-            c = vals[slot] = np.zeros((nterms,) + batch)
-            c[0] = point[var]
+        if slots:
+            c = np.zeros((len(slots), nterms) + batch)
+            c[:, 0] = point[lvars]
             if e is not None:
-                c[e] = 1.0
+                c[range(len(slots)), e] = 1.0
+            for i, slot in enumerate(slots):
+                vals[slot] = c[i]
         for slot, var in values:
             vals[slot] = point[var]
         try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from . import expr
 from .errors import DegenerateMetricError, DomainError, SignatureMismatchError
@@ -101,10 +102,22 @@ def check_det(det, what, error):
     """Raise ``error`` for the first member whose |det| is below the threshold,
     naming it when the batch holds more than one."""
     small = np.abs(det) < DEGENERACY_THRESHOLD
-    if small.any():
+    if np.count_nonzero(small):
         b = int(np.argmax(small))
         member = f"member {b}: " if det.size > 1 else ""
         raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}")
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def lapack(gufunc, *args):
+    """``np.linalg``'s inv or solve of float stacks by its ``gufunc``, under
+    its error state: a singular matrix raises LinAlgError, with no warning."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return gufunc(*args, signature="d" * len(args) + "->d")
 
 
 class _stage(cached_property):
@@ -273,12 +286,12 @@ class Tower:
 
     @_stage
     def det_values(self):
-        return np.linalg.det(self.g_stack)
+        return _umath_linalg.det(self.g_stack, signature="d->d")
 
     @_stage
     def ginv_stack(self):
         check_det(self.det_values, "det g", DegenerateMetricError)
-        return np.linalg.inv(self.g_stack)
+        return lapack(_umath_linalg.inv, self.g_stack)
 
     @_stage
     def _spray_rhs(self):

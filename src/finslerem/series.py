@@ -72,8 +72,8 @@ with that caveat and up to the sign of a zero:
   nonzero summand per segment: term K is the first factor at K's
   exponents in its variables times the second at the rest of K
   (:func:`_outer_product`, two ``take`` and one multiply);
-- a composition of a series in a subset S of the layout runs in the
-  layout S and is scattered back (:func:`_restricted`): a term in S
+- a composition of a series in a subset S of the layout can run in the
+  layout S and be scattered back (:func:`_restricted`): a term in S
   splits only into terms in S, so each product segment holds the same
   summands in the same order as in the full layout, and a term outside
   S is exactly zero.
@@ -491,7 +491,10 @@ def _coordinate_product(a, v0, src):
     T + e (the ``src`` of :func:`_deriv_tables`).
     """
     c = a * v0
-    c[src] += a[:len(src)]
+    if a.ndim == 1:  # a fancy in-place add is fastest on one column, a take on several
+        c[src] += a[:len(src)]
+    else:
+        c[src] = c.take(src, axis=0) + a[:len(src)]
     return c
 
 
@@ -544,12 +547,17 @@ def _outer_index(positions, n, k):
 _outer_cache = {}
 
 
-def _restricted(fn, idx, c):
+def _restricted(fn, idx, c, gather=True, size=None):
     """``fn`` of the coefficients ``c`` run on the terms at ``idx`` alone,
     the terms of a smaller layout (:func:`_lift_index`) outside which
-    ``c`` is zero, and scattered back into ``c``'s layout."""
-    out = np.zeros(c.shape)
-    out[idx] = fn(c.take(idx, axis=0))
+    ``c`` is zero, and scattered back into ``size`` terms (``c``'s).  A
+    chain of such steps skips the scatter (``size`` 0) and the next
+    gather (``gather`` False): the same bits."""
+    r = fn(c.take(idx, axis=0) if gather else c)
+    if size == 0:
+        return r
+    out = np.zeros((c.shape[0] if size is None else size,) + r.shape[1:])
+    out[idx] = r
     return out
 
 
@@ -567,18 +575,18 @@ def _deriv_tables(k, pos, n):
 
 
 def _grad_tables(k, variables, layout):
-    """(src, fac, absent): :func:`_deriv_tables` stacked for each of
-    ``variables``; ``absent`` lists those outside the layout, whose
-    partials are zero, or is None."""
+    """(src, fac, rows): :func:`_deriv_tables` stacked for each of
+    ``variables`` in the layout, and their rows among ``variables``, or
+    None if every one is in it (the partial by any other is zero)."""
     key = (k, variables, layout)
     if key not in _grad_cache:
         n = len(layout)
+        rows = [r for r, v in enumerate(variables) if v in layout]
+        tables = [_deriv_tables(k, layout.index(variables[r]), n) for r in rows]
         nout = _terms(n).nterms[k - 1]
-        rows = [_deriv_tables(k, layout.index(v), n) if v in layout
-                else (np.zeros(nout, dtype=np.int64), np.zeros(nout)) for v in variables]
-        absent = [r for r, v in enumerate(variables) if v not in layout]
-        _grad_cache[key] = (np.stack([src for src, _ in rows]),
-                            np.stack([fac for _, fac in rows]), absent or None)
+        _grad_cache[key] = (np.array([src for src, _ in tables], dtype=np.int64).reshape(-1, nout),
+                            np.array([fac for _, fac in tables]).reshape(-1, nout),
+                            None if len(rows) == len(variables) else np.array(rows, dtype=np.int64))
     return _grad_cache[key]
 
 
@@ -847,10 +855,13 @@ class TSeries:
         last tensor axis; drops one trusted order."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 series")
-        src, fac, absent = _grad_tables(self.order, tuple(variables), self.layout)
+        variables = tuple(variables)
+        src, fac, rows = _grad_tables(self.order, variables, self.layout)
         c = self.coeffs.take(src, axis=self.rank) * fac.reshape(fac.shape + (1,) * len(self.batch))
-        if absent is not None:
-            c[self._at(absent)] = 0.0
+        if rows is not None:  # the other partials are +0
+            full = np.zeros(self.shape + (len(variables),) + c.shape[self.rank + 1:])
+            full[self._at(rows)] = c
+            c = full
         return TSeries(c, self.order - 1, self.layout, self.rank + 1)
 
     def deriv(self, var):
@@ -1025,7 +1036,7 @@ def _compose(c, cs, n, rank=0):
     the last summand of its segment, where a full-order step adds
     r_K h_0, so on finite coefficients every term is that of full-order
     steps up to the sign of a zero (see the module notes).  Orders 0-2
-    run every step at order k.
+    run every step at order k, order 2 in :func:`_square_step`.
     """
     k = len(cs) - 1
     head = (slice(None),) * rank
@@ -1038,7 +1049,7 @@ def _compose(c, cs, n, rank=0):
         r = h * scale
         r[i] = cs[-1] if k == 0 else r[i] + cs[-2]
         if k == 2:
-            r = _product(r, h, k, n, ranks, shape)
+            r = _square_step(r, h, n, rank)
             r[i] = r[i] + cs[0]
         return r
     nterms = _terms(n).nterms
@@ -1053,9 +1064,20 @@ def _compose(c, cs, n, rank=0):
     return r
 
 
+def _square_step(r, h, n, rank):
+    """The order-2 Horner step r h of :func:`_compose` as :func:`_product`
+    sums it: below ``PEEL_COLUMNS`` columns one gather, multiply and
+    ``reduceat`` (no order-2 product outgrows ``BLOCK_BYTES``)."""
+    if h.ndim > rank + 1 and h.shape[-1] >= PEEL_COLUMNS:
+        return _peeled_product(r, h, 2, n, (rank, rank), rank, np.multiply, 0,
+                               h.size // h.shape[rank])
+    I, J, starts = _mul_tables(2, n)
+    return np.add.reduceat(r.take(I, axis=rank) * h.take(J, axis=rank), starts, axis=rank)
+
+
 def reciprocal(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if (u0 == 0.0).any():
+    if np.count_nonzero(u0 == 0.0):
         raise DomainError("division by zero")
     cs = [1.0 / u0]
     for _ in range(k):
@@ -1065,7 +1087,7 @@ def reciprocal(c, k, n, rank=0):
 
 def sqrt(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if (u0 <= 0.0).any():
+    if np.count_nonzero(u0 <= 0.0):
         raise DomainError("sqrt of a nonpositive value")
     cs = [np.sqrt(u0)]
     # d^m sqrt / m! = binom(1/2, m) u0^(1/2 - m)
@@ -1076,14 +1098,20 @@ def sqrt(c, k, n, rank=0):
     return _compose(c, cs, n, rank)
 
 
+def _taylor_row(derivs, k):
+    """d_m / m! for m <= k, the derivatives d_m cycling through ``derivs``;
+    d_0 and d_1 are not divided, which changes no bit."""
+    return [d if m < 2 else d / math.factorial(m)
+            for m, d in zip(range(k + 1), itertools.cycle(derivs))]
+
+
 def exp(c, k, n, rank=0):
-    e = np.exp(_u0(c, rank))
-    return _compose(c, [e / math.factorial(m) for m in range(k + 1)], n, rank)
+    return _compose(c, _taylor_row([np.exp(_u0(c, rank))], k), n, rank)
 
 
 def log(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if (u0 <= 0.0).any():
+    if np.count_nonzero(u0 <= 0.0):
         raise DomainError("log of a nonpositive value")
     cs = [np.log(u0)]
     for m in range(1, k + 1):
@@ -1094,27 +1122,25 @@ def log(c, k, n, rank=0):
 def sin(c, k, n, rank=0):
     u0 = _u0(c, rank)
     s, co = np.sin(u0), np.cos(u0)
-    cycle = [s, co, -s, -co]
-    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], n, rank)
+    return _compose(c, _taylor_row([s, co, -s, -co][:k + 1], k), n, rank)
 
 
 def cos(c, k, n, rank=0):
     u0 = _u0(c, rank)
     s, co = np.sin(u0), np.cos(u0)
-    cycle = [co, -s, -co, s]
-    return _compose(c, [cycle[m % 4] / math.factorial(m) for m in range(k + 1)], n, rank)
+    return _compose(c, _taylor_row([co, -s, -co, s][:k + 1], k), n, rank)
 
 
 def absolute(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if k >= 1 and (u0 == 0.0).any():
+    if k >= 1 and np.count_nonzero(u0 == 0.0):
         raise DomainError("abs is not differentiable at 0")
     return c * (np.expand_dims(np.sign(u0), rank) if rank else np.sign(u0))
 
 
 def powf(c, k, n, rank, p):
     u0 = _u0(c, rank)
-    if (u0 <= 0.0).any():
+    if np.count_nonzero(u0 <= 0.0):
         raise DomainError("non-integer power of a nonpositive value")
     cs = [_power(u0, p)]
     coef = 1.0

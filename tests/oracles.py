@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are eleven exceptions.  ``reduceat_product`` is the series
+check.  There are twelve exceptions.  ``reduceat_product`` is the series
 product summed by one ``np.add.reduceat`` over the package's product
 table, the reference for the peeled kernel.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
@@ -22,6 +22,8 @@ the volume factor and the connection off a Tower.  ``continuity_defect``
 is the closed form of div J in terms of the Tower's connection, its
 curvature and the field densities, a different formula from the
 divergence of the currents that ``continuity_residual`` takes.
+``grad_every_row`` is ``TSeries.grad`` as it took and scaled
+the rows of every variable, then zeroed those outside the layout.
 ``UncappedTower`` is a Tower that expands a flat F to the order it is
 asked for, as every Tower did before a flat F was capped at L1's order.
 ``validate_space_loop`` is the scene load probe as a loop over probes
@@ -42,8 +44,8 @@ from finslerem.expr import (BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_s
 from finslerem.geometry import Tower
 from finslerem.maxwell import fibre_tower
 from finslerem.scene import HOMOGENEITY_TOL
-from finslerem.series import (NTERMS, TERMS, TSeries, _mul_tables, _product, _terms, contract,
-                              jet_tensor)
+from finslerem.series import (NTERMS, TERMS, TSeries, _deriv_tables, _mul_tables, _product, _terms,
+                              contract, jet_tensor)
 
 
 def tree_series(node, point, order, layout):
@@ -140,6 +142,22 @@ def full_order_compose(c, cs, n, rank=0):
         r = _product(r, h, k, n, (rank, rank), c.shape[:rank])
         r[i] = r[i] + cs[m]
     return r
+
+
+def grad_every_row(s, variables):
+    """``s.grad(variables)`` with a row taken and scaled for every variable,
+    a zero map standing in for one outside the layout, whose rows are
+    then set to 0.0."""
+    n = len(s.layout)
+    nout = _terms(n).nterms[s.order - 1]
+    rows = [_deriv_tables(s.order, s.layout.index(v), n) if v in s.layout
+            else (np.zeros(nout, dtype=np.int64), np.zeros(nout)) for v in variables]
+    src, fac = np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+    c = s.coeffs.take(src, axis=s.rank) * fac.reshape(fac.shape + (1,) * len(s.batch))
+    absent = [r for r, v in enumerate(variables) if v not in s.layout]
+    if absent:
+        c[s._at(absent)] = 0.0
+    return TSeries(c, s.order - 1, s.layout, s.rank + 1)
 
 
 def neumann_inverse(g, g0inv):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import finslerem
-from finslerem import dynamics
+from finslerem import dynamics, series
 from finslerem.dynamics import ForceEvaluator, integrate
 from finslerem.em import (
     anisotropy_ensemble,
@@ -224,6 +224,58 @@ class TestForceCalls:
         with pytest.raises(ValueError, match="one worldline"):
             integrate(curved_aniso, np.zeros((4, 2)), np.tile(Y0[:, None], 2), 0.1,
                       method="rk45")
+
+
+class TestForceCallWork:
+    """The work of one force call, on the 5-member aniso-wave ensemble
+    that ``compare`` integrates and on a curved-aniso lone point: the
+    steps of each program it runs and its series products by (order,
+    number of layout variables).  A change that runs more of them raises
+    a count.  No composition of order <= 2 runs in a smaller layout
+    (``series._restricted``), and the 4x4 linear algebra calls the
+    gufuncs beneath ``np.linalg``, not its Python wrappers."""
+
+    # before order-2 compositions ran in the full layout the steps were the
+    # same, and the products of sqrt, sin and the reciprocal ran in 4, 1
+    # and 4 variables: aniso-wave {(2, 1): 1, (2, 4): 2, (2, 5): 2},
+    # curved-aniso {(2, 1): 1, (2, 4): 2, (2, 5): 2, (3, 5): 2}
+    STEPS = {"aniso-wave": {("program", 2): 32}, "curved-aniso": {("F", 3): 14, ("L1", 2): 15}}
+    PRODUCTS = {"aniso-wave": {(2, 5): 5}, "curved-aniso": {(2, 5): 5, (3, 5): 2}}
+
+    @staticmethod
+    def _case(name):
+        scene = load_scene(FIXTURES / f"{name}.scene")
+        x, y, space = scene.particle.x0, scene.particle.y0, scene.space
+        if name == "aniso-wave":
+            space = anisotropy_ensemble(space, y, [None, 0.0, 0.1, 0.2, 0.3])
+            x, y = np.tile(x[:, None], 5) + 0.01 * np.arange(5), np.tile(y[:, None], 5)
+        tapes = {"program": space.program, "F": space.F._tape, "L1": space.L1._tape}
+        return ForceEvaluator(space), x, y, tapes
+
+    @pytest.mark.parametrize("name", list(STEPS))
+    def test_steps_and_products(self, name, monkeypatch):
+        force, x, y, tapes = self._case(name)
+        force(x, y, monitors=True)  # programs and tables built
+        products = []
+        product, square = series._product, series._square_step
+        monkeypatch.setattr(series, "_product", lambda a, b, k, n, *rest, **kw:
+                            products.append((k, n)) or product(a, b, k, n, *rest, **kw))
+        monkeypatch.setattr(series, "_square_step", lambda r, h, n, rank:
+                            products.append((2, n)) or square(r, h, n, rank))
+        for fn in ("det", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, fn, lambda *a: pytest.fail("np.linalg wrapper"))
+        force(x, y)
+        force(x, y, monitors=True)
+        assert {p: products.count(p) for p in set(products)} == {
+            p: 2 * count for p, count in self.PRODUCTS[name].items()}
+        steps = {(which, order): program[3] for which, tape in tapes.items()
+                 for (order, _, _), program in tape._programs.items()
+                 if (which, order) in self.STEPS[name]}
+        assert {key: len(s) for key, s in steps.items()} == self.STEPS[name]
+        for (_, order), program in steps.items():
+            restricted = [fn for _, fn, *_ in program if getattr(fn, "func", None)
+                          is series._restricted]
+            assert not restricted or order >= 3
 
 
 class TestEnsemble:

@@ -384,8 +384,10 @@ class TestConcurrentEvaluation:
 
 def _count_kernels(monkeypatch):
     """Record every call of the product kernels from here on: the full
-    product, the coordinate step and the outer product, each with whether
-    a factor is a folded (read-only) constant."""
+    product (``_product``, and the order-2 Horner step of a composition,
+    which runs its product without it), the coordinate step and the
+    outer product, each with whether a factor is a folded (read-only)
+    constant."""
     calls = []
 
     def counting(name, kernel):
@@ -395,6 +397,7 @@ def _count_kernels(monkeypatch):
         return run
 
     monkeypatch.setattr(series, "_product", counting("product", series._product))
+    monkeypatch.setattr(series, "_square_step", counting("product", series._square_step))
     monkeypatch.setattr(series, "_coordinate_product",
                         counting("coordinate", series._coordinate_product))
     monkeypatch.setattr(series, "_outer_product", counting("outer", series._outer_product))
@@ -502,6 +505,34 @@ class TestTape:
         # not of all eight (495 terms), step m at order 4 - m
         assert calls == [(2, 1), (3, 1), (4, 1)] * 2
         assert np.array_equal(got.coeffs, tree_series(f.ast, pts, 4, ALL).coeffs)
+
+    @pytest.mark.parametrize("batch", [(), (7,), (60,)])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_chained_compositions_stay_in_their_layout(self, order, batch):
+        """From order 3 a chain of compositions over one smaller layout
+        gathers its argument once and scatters only its last result: the
+        same bits, signs of zeros included, as scattering and gathering at
+        every step.  Order 2 runs them in the full layout."""
+        f = parse("exp(sin(sqrt(y0^2 - y1^2)^-1))")
+        layout, sub = (1, 4, 5, 6), (4, 5)
+        nterms = series._terms(len(layout)).nterms[order]
+        steps = f._tape._build(order, len(batch), layout)[3]
+        chain = [fn.keywords for _, fn, *_ in steps if getattr(fn, "func", None)
+                 is series._restricted]
+        assert chain == [{"gather": True, "size": 0}, {"gather": False, "size": 0},
+                         {"gather": False, "size": 0}, {"gather": False, "size": nterms}]
+        assert not any(getattr(fn, "func", None) is series._restricted
+                       for _, fn, *_ in f._tape._build(2, len(batch), layout)[3])
+        rng = np.random.default_rng(order)
+        pts = rng.uniform(0.1, 0.3, (8,) + batch)
+        pts[4] += 1.0
+        q, got = program(parse("y0^2 - y1^2"), f).run(pts, order, layout)
+        want, idx = q.coeffs, series._lift_index(sub, layout, order)
+        for name in ("sqrt", "reciprocal", "sin", "exp"):
+            want = series._restricted(
+                lambda a, fn=series.FUNCTIONS[name]: fn(a, order, len(sub)), idx, want)
+        assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(np.signbit(got.coeffs), np.signbit(want))
 
     def test_tape_dies_with_field(self):
         f = parse("0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -70,6 +71,11 @@ class TestIdentitySuiteWork:
             return product(a, b, k, *rest, **kw)
 
         monkeypatch.setattr(series, "_product", counting)
+        # the order-2 Horner step of a composition runs its product without
+        # ``_product``
+        square = series._square_step
+        monkeypatch.setattr(series, "_square_step",
+                            lambda r, h, n, rank: orders.append(2) or square(r, h, n, rank))
         identity_residuals(space, xs, ys)
         assert {k: orders.count(k) for k in sorted(set(orders))} == self.COUNTS[name]
 
@@ -90,6 +96,16 @@ class TestIdentitySuiteWork:
         monkeypatch.setattr(series, "_reduceat_product",
                             recording("reduceat", series._reduceat_product))
         monkeypatch.setattr(series, "_peeled_product", recording("peeled", series._peeled_product))
+        # a narrow order-2 Horner step sums its product with one reduceat of
+        # its own, and a wide one calls the peeled kernel
+        square = series._square_step
+
+        def square_step(r, h, n, rank):
+            if h.shape[-1] < series.PEEL_COLUMNS:
+                calls["reduceat"].append((2, n, 0))
+            return square(r, h, n, rank)
+
+        monkeypatch.setattr(series, "_square_step", square_step)
         blocks = series._mul_blocks
         monkeypatch.setattr(series, "_mul_blocks",
                             lambda k, n, width: calls["blocked"].append((k, n)) or blocks(k, n, width))
@@ -290,6 +306,21 @@ class TestValidateCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "identity,max_residual,status"
         assert any(line.startswith("closed_field_hhh,") for line in lines)
+
+    def test_calls_share_the_parser_and_no_flag_carries_over(self, capsys, monkeypatch):
+        """``main`` builds its parser once per process, and a flag of one
+        call is not read by the next: without ``--samples`` (and
+        ``--format``) it takes the scene's sample count."""
+        scene = FIXTURES / "minkowski-vacuum.scene"
+        assert main(["validate", str(scene), "--samples", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 3
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        assert main(["validate", str(scene)]) == 0
+        count = load_scene(scene).sampling.count
+        assert f"samples: {count}  " in capsys.readouterr().out and count != 3
+        assert built == []
 
     def test_determinism(self, capsys):
         args = ["validate", str(FIXTURES / "randers-aniso.scene"),

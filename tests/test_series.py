@@ -22,7 +22,7 @@ from finslerem.series import (
     jet_tensor,
 )
 
-from oracles import full_horner, full_order_compose, reduceat_product
+from oracles import full_horner, full_order_compose, grad_every_row, reduceat_product
 
 
 class TestTermTables:
@@ -614,6 +614,26 @@ class TestTensorSeries:
         assert not d.coeffs[:, 0].any()
         for slot, var in enumerate((1, 4, 7), start=1):
             assert np.array_equal(d.coeffs[:, slot], s.deriv(var).coeffs)
+
+    @pytest.mark.parametrize("batch", [(), (100,)])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    @pytest.mark.parametrize("xvars", [(), (1,), (0, 2), (0, 1, 2, 3)])
+    def test_grad_takes_only_the_layout(self, xvars, rank, batch):
+        """``grad`` takes and scales the rows of the variables in the
+        layout alone, and those of the others are +0.0: bit for bit, signs
+        of zeros included, the grad that computes every row."""
+        layout = xvars + series.FIBRE_VARS
+        rng = np.random.default_rng(len(xvars) * 10 + rank)
+        for order in (1, 3):
+            size = series._terms(len(layout)).nterms[order]
+            c = rng.standard_normal((3,) * rank + (size,) + batch)
+            c[rng.random(c.shape) < 0.2] = -0.0
+            s = TSeries(c, order, layout, rank)
+            for variables in (series.BASE_VARS, series.FIBRE_VARS, series.ALL, (7, 1)):
+                got, want = s.grad(variables), grad_every_row(s, variables)
+                assert got.coeffs.shape == want.coeffs.shape
+                assert np.array_equal(got.coeffs, want.coeffs)
+                assert np.array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
 
     @pytest.mark.parametrize("batch", [(), (1,), (3,), (40,)])
     @pytest.mark.parametrize("order", [1, 2, 3])
