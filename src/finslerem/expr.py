@@ -429,8 +429,10 @@ class _Tape:
       uses fewer variables than the layout, such as ``sin(x1)``, runs in
       the layout of those variables and is scattered back
       (:func:`series._restricted`), from order 3 on; at order 2 its one
-      product costs less than the gather and the scatter.  A result that
-      only such compositions read stays in the smaller layout.
+      product costs less than the gather and the scatter, and a term
+      outside the argument's variables can be -0 where the scatter gives
+      +0.  A result that only such compositions read stays in the
+      smaller layout.
 
     Apart from that the results are those of a plain tree walk.
     """
@@ -561,10 +563,10 @@ class _Tape:
         var = dict(coords)
         value_slot = {}
         # a restricted composition that only compositions read keeps its layout
-        other = {a for _, op, args in steps if op[0] not in series.COMPOSITIONS
-                 for a in args}.union(self.roots)
+        read_elsewhere = {a for _, op, args in steps if op[0] not in series.COMPOSITIONS
+                          for a in args}.union(self.roots)
         small = {slot for slot, op, _ in steps if order >= 3 and op[0] in series.COMPOSITIONS
-                 and self.support[slot].bit_count() < n and slot not in other}
+                 and self.support[slot].bit_count() < n and slot not in read_elsewhere}
         for i, (slot, op, args) in enumerate(steps):
             fn = None
             if op[0] == "*":

@@ -491,10 +491,7 @@ def _coordinate_product(a, v0, src):
     T + e (the ``src`` of :func:`_deriv_tables`).
     """
     c = a * v0
-    if a.ndim == 1:  # a fancy in-place add is fastest on one column, a take on several
-        c[src] += a[:len(src)]
-    else:
-        c[src] = c.take(src, axis=0) + a[:len(src)]
+    c[src] = c.take(src, axis=0) + a[:len(src)]
     return c
 
 
@@ -1036,7 +1033,7 @@ def _compose(c, cs, n, rank=0):
     the last summand of its segment, where a full-order step adds
     r_K h_0, so on finite coefficients every term is that of full-order
     steps up to the sign of a zero (see the module notes).  Orders 0-2
-    run every step at order k, order 2 in :func:`_square_step`.
+    run every step at order k.
     """
     k = len(cs) - 1
     head = (slice(None),) * rank
@@ -1049,7 +1046,7 @@ def _compose(c, cs, n, rank=0):
         r = h * scale
         r[i] = cs[-1] if k == 0 else r[i] + cs[-2]
         if k == 2:
-            r = _square_step(r, h, n, rank)
+            r = _product(r, h, k, n, ranks, shape)
             r[i] = r[i] + cs[0]
         return r
     nterms = _terms(n).nterms
@@ -1062,17 +1059,6 @@ def _compose(c, cs, n, rank=0):
         r = _product(acc, h[head + (slice(nterms[d]),)], d, n, ranks, shape)
         r[i] = r[i] + cs[m]
     return r
-
-
-def _square_step(r, h, n, rank):
-    """The order-2 Horner step r h of :func:`_compose` as :func:`_product`
-    sums it: below ``PEEL_COLUMNS`` columns one gather, multiply and
-    ``reduceat`` (no order-2 product outgrows ``BLOCK_BYTES``)."""
-    if h.ndim > rank + 1 and h.shape[-1] >= PEEL_COLUMNS:
-        return _peeled_product(r, h, 2, n, (rank, rank), rank, np.multiply, 0,
-                               h.size // h.shape[rank])
-    I, J, starts = _mul_tables(2, n)
-    return np.add.reduceat(r.take(I, axis=rank) * h.take(J, axis=rank), starts, axis=rank)
 
 
 def reciprocal(c, k, n, rank=0):
@@ -1122,13 +1108,13 @@ def log(c, k, n, rank=0):
 def sin(c, k, n, rank=0):
     u0 = _u0(c, rank)
     s, co = np.sin(u0), np.cos(u0)
-    return _compose(c, _taylor_row([s, co, -s, -co][:k + 1], k), n, rank)
+    return _compose(c, _taylor_row([s, co, -s, -co], k), n, rank)
 
 
 def cos(c, k, n, rank=0):
     u0 = _u0(c, rank)
     s, co = np.sin(u0), np.cos(u0)
-    return _compose(c, _taylor_row([co, -s, -co, s][:k + 1], k), n, rank)
+    return _compose(c, _taylor_row([co, -s, -co, s], k), n, rank)
 
 
 def absolute(c, k, n, rank=0):

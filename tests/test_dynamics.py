@@ -257,11 +257,9 @@ class TestForceCallWork:
         force, x, y, tapes = self._case(name)
         force(x, y, monitors=True)  # programs and tables built
         products = []
-        product, square = series._product, series._square_step
+        product = series._product
         monkeypatch.setattr(series, "_product", lambda a, b, k, n, *rest, **kw:
                             products.append((k, n)) or product(a, b, k, n, *rest, **kw))
-        monkeypatch.setattr(series, "_square_step", lambda r, h, n, rank:
-                            products.append((2, n)) or square(r, h, n, rank))
         for fn in ("det", "inv", "solve"):
             monkeypatch.setattr(np.linalg, fn, lambda *a: pytest.fail("np.linalg wrapper"))
         force(x, y)

@@ -384,10 +384,8 @@ class TestConcurrentEvaluation:
 
 def _count_kernels(monkeypatch):
     """Record every call of the product kernels from here on: the full
-    product (``_product``, and the order-2 Horner step of a composition,
-    which runs its product without it), the coordinate step and the
-    outer product, each with whether a factor is a folded (read-only)
-    constant."""
+    product, the coordinate step and the outer product, each with whether
+    a factor is a folded (read-only) constant."""
     calls = []
 
     def counting(name, kernel):
@@ -397,7 +395,6 @@ def _count_kernels(monkeypatch):
         return run
 
     monkeypatch.setattr(series, "_product", counting("product", series._product))
-    monkeypatch.setattr(series, "_square_step", counting("product", series._square_step))
     monkeypatch.setattr(series, "_coordinate_product",
                         counting("coordinate", series._coordinate_product))
     monkeypatch.setattr(series, "_outer_product", counting("outer", series._outer_product))
@@ -533,6 +530,23 @@ class TestTape:
                 lambda a, fn=series.FUNCTIONS[name]: fn(a, order, len(sub)), idx, want)
         assert np.array_equal(got.coeffs, want)
         assert np.array_equal(np.signbit(got.coeffs), np.signbit(want))
+
+    @pytest.mark.parametrize("batch", [(), (7,), (60,)])
+    def test_order_two_compositions_run_in_the_full_layout(self, batch):
+        """An order-2 composition of fewer variables than the layout runs
+        in the full layout: the values of the restricted step scattered
+        back, and the same signs on the terms in the argument's
+        variables.  At x0 in (pi/2, pi), where cos(x0) < 0, a term outside
+        them can be -0 where the scatter gives +0."""
+        layout, sub = (0, 4, 5, 6), (0,)
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(0.1, 0.3, (8,) + batch)
+        pts[0] += 2.0
+        x, got = program(parse("x0"), parse("sin(x0)")).run(pts, 2, layout)
+        idx = series._lift_index(sub, layout, 2)
+        want = series._restricted(lambda a: series.sin(a, 2, len(sub)), idx, x.coeffs)
+        assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(np.signbit(got.coeffs[idx]), np.signbit(want[idx]))
 
     def test_tape_dies_with_field(self):
         f = parse("0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)")

@@ -71,11 +71,6 @@ class TestIdentitySuiteWork:
             return product(a, b, k, *rest, **kw)
 
         monkeypatch.setattr(series, "_product", counting)
-        # the order-2 Horner step of a composition runs its product without
-        # ``_product``
-        square = series._square_step
-        monkeypatch.setattr(series, "_square_step",
-                            lambda r, h, n, rank: orders.append(2) or square(r, h, n, rank))
         identity_residuals(space, xs, ys)
         assert {k: orders.count(k) for k in sorted(set(orders))} == self.COUNTS[name]
 
@@ -96,16 +91,6 @@ class TestIdentitySuiteWork:
         monkeypatch.setattr(series, "_reduceat_product",
                             recording("reduceat", series._reduceat_product))
         monkeypatch.setattr(series, "_peeled_product", recording("peeled", series._peeled_product))
-        # a narrow order-2 Horner step sums its product with one reduceat of
-        # its own, and a wide one calls the peeled kernel
-        square = series._square_step
-
-        def square_step(r, h, n, rank):
-            if h.shape[-1] < series.PEEL_COLUMNS:
-                calls["reduceat"].append((2, n, 0))
-            return square(r, h, n, rank)
-
-        monkeypatch.setattr(series, "_square_step", square_step)
         blocks = series._mul_blocks
         monkeypatch.setattr(series, "_mul_blocks",
                             lambda k, n, width: calls["blocked"].append((k, n)) or blocks(k, n, width))
