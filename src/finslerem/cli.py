@@ -33,6 +33,7 @@ from .errors import (
 )
 from .geometry import Tower, draw_admissible, geometry_sample
 from .maxwell import (
+    anisotropy_zeta,
     current_sample,
     fibre_tower,
     homogeneous_residuals,
@@ -153,7 +154,7 @@ def identity_residuals(space, xs, ys):
     gs = geometry_sample(space, xs, ys, tower=t)
     es = em_sample(space, xs, ys, tower=t)
     mr = homogeneous_residuals(space, xs, ys, tower=t)
-    _, zeta = horizontal_current(space, xs, ys, tower=t)
+    zeta = anisotropy_zeta(t)
 
     g, ginv, y = gs.g, gs.g_inv, t.y
     L = gs.L_chern

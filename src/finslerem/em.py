@@ -21,7 +21,7 @@ import numpy as np
 from . import expr
 from .expr import BinOp, Num, ScalarField, Var, diff_ast, subst_ast
 from .geometry import SpaceDef, Tower
-from .series import FIBRE_VARS, TSeries, contract
+from .series import FIBRE_VARS, TSeries, _remember, contract
 
 
 @dataclass
@@ -112,26 +112,36 @@ def gauge_shift(space, lam):
     return replace(space, L1=new_l1)
 
 
+#: the truncation of each (L1, y_ref) lately, keyed by the id of L1 and the
+#: shape and bytes of y_ref (so -0.0 is not 0.0); an entry holds its L1
+_truncations = {}
+
+
 def isotropic_truncation(space, y_ref):
     """Replace L1 by its fibre linearization A_i(x, y_ref) y^i.
 
     The truncated generator is linear in y, so the mixed field block and
     the anisotropy current vanish identically; comparing a scene to its
-    truncation isolates every anisotropy effect.
+    truncation isolates every anisotropy effect.  The same L1 and y_ref
+    give the same field while :data:`_truncations` holds it.
     """
     y_ref = np.asarray(y_ref, dtype=float)
     if space.L1.is_zero():
         return replace(space)
-    ref = {4 + i: float(y_ref[i]) for i in range(4)}
-    lin = None
-    for i in range(4):
-        coef = subst_ast(diff_ast(space.L1.ast, 4 + i), ref)
-        if isinstance(coef, Num) and coef.value == 0.0:
-            continue
-        term = BinOp("*", coef, Var(4 + i))
-        lin = term if lin is None else BinOp("+", lin, term)
-    new_l1 = ScalarField(lin) if lin is not None else ScalarField.zero()
-    return replace(space, L1=new_l1)
+    key = (id(space.L1), y_ref.shape, y_ref.tobytes())
+    hit = _truncations.get(key)
+    if hit is None:
+        ref = {4 + i: float(y_ref[i]) for i in range(4)}
+        lin = None
+        for i in range(4):
+            coef = subst_ast(diff_ast(space.L1.ast, 4 + i), ref)
+            if isinstance(coef, Num) and coef.value == 0.0:
+                continue
+            term = BinOp("*", coef, Var(4 + i))
+            lin = term if lin is None else BinOp("+", lin, term)
+        new_l1 = ScalarField(lin) if lin is not None else ScalarField.zero()
+        hit = _remember(_truncations, key, (space.L1, new_l1))
+    return replace(space, L1=hit[1])
 
 
 def blend_anisotropy(space, y_ref, kappa):

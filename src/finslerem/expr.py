@@ -117,8 +117,13 @@ class ScalarField:
 
     @cached_property
     def _tape(self):
-        # held by the field, so it is freed with it
-        return _Tape((self.ast,))
+        # one per exact structure in the process (see _Tape), so fields
+        # that differ only in the sign of a zero get two
+        key = _exact(self.ast)
+        tape = _tapes.get(key)
+        if tape is None:
+            tape = series._remember(_tapes, key, _Tape((self.ast,)))
+        return tape
 
     @property
     def parts(self):
@@ -287,11 +292,20 @@ class _Parser:
         )
 
 
+#: the ScalarField of each source text parsed lately, its tape with it; a
+#: failure is not kept, so a bad text raises on every call
+_parsed = {}
+
+
 def parse(source):
-    """Parse expression source into a ScalarField, or raise a syntax error."""
+    """Parse expression source into a ScalarField, or raise a syntax error.
+    The same text gives the same field while :data:`_parsed` holds it."""
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0, expected=("expression",))
-    return ScalarField(_Parser(source).parse())
+    field = _parsed.get(source)
+    if field is None:
+        field = series._remember(_parsed, source, ScalarField(_Parser(source).parse()))
+    return field
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +385,24 @@ def _array_fn(op, order, n):
     return lambda a: fn(a, order, n, 0, arg)
 
 
+def _exact(node):
+    """A key that two ASTs share exactly when they compile alike: their
+    trees, operators and numbers are equal, signs of zeros included.
+    Neither dataclass equality (``Num(0.0) == Num(-0.0)``) nor
+    ``to_source`` (which prints both as 0) tells the zeros apart."""
+    if isinstance(node, Num):
+        return ("num", node.value, math.copysign(1.0, node.value))
+    if isinstance(node, Var):
+        return ("var", node.index)
+    if isinstance(node, Neg):
+        return ("neg", _exact(node.arg))
+    if isinstance(node, BinOp):
+        return (node.op, _exact(node.left), _exact(node.right))
+    if isinstance(node, Call):
+        return (node.func,) + tuple(_exact(a) for a in node.args)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 def _coordinate_step(src, a, v0):
     """``a`` times a chart coordinate of value row ``v0`` (``src`` as in
     :func:`series._coordinate_product`, which it looks up at each call)."""
@@ -391,6 +423,13 @@ class _Tape:
     its child slots, never on a whole subtree, so a subexpression that
     several roots hold runs once.  A ScalarField's tape has one root;
     :func:`program` compiles several fields into one.
+
+    Tapes are shared process-wide and compiled once: every ScalarField of
+    one exact structure (:func:`_exact`) gets the tape in :data:`_tapes`,
+    and :func:`program` the one in :data:`_joined` for the same member
+    tapes.  Each cache keeps its latest ``series.PLAN_CACHE`` entries, and
+    a tape lives while a cache or a field holds it, with the programs it
+    has built for each order, batch rank and layout.
 
     A program runs on bare coefficient arrays, shaped (nterms, *batch).
     Each step is a function of arrays with its order, layout and
@@ -457,12 +496,7 @@ class _Tape:
         slots = []
         for op, args, node in tape.code:
             args = tuple(slots[a] for a in args)
-            if op is not None:
-                key = op + args
-            elif isinstance(node, Num):
-                key = ("num", node.value, math.copysign(1.0, node.value))
-            else:
-                key = ("var", node.index)
+            key = op + args if op is not None else _exact(node)
             slots.append(self._emit(key, op, args, node))
         return tuple(slots[r] for r in tape.roots)
 
@@ -481,11 +515,8 @@ class _Tape:
         return self._emit((name, arg) + args, (name, arg), args, node)
 
     def _compile(self, node):
-        if isinstance(node, Num):
-            v = node.value
-            return self._emit(("num", v, math.copysign(1.0, v)), None, (), node)
-        if isinstance(node, Var):
-            return self._emit(("var", node.index), None, (), node)
+        if isinstance(node, (Num, Var)):
+            return self._emit(_exact(node), None, (), node)
         if isinstance(node, Neg):
             return self._op("neg", (self._compile(node.arg),), node)
         if isinstance(node, BinOp):
@@ -650,12 +681,26 @@ class _Tape:
         return out
 
 
+#: the tape of each exact AST structure compiled lately (``_exact``)
+_tapes = {}
+
+#: the joined program of each tuple of member tapes lately, by their ids;
+#: an entry holds its tapes, so no id in its key is reused while it lives
+_joined = {}
+
+
 def program(*fields):
     """One compiled program over the ScalarFields ``fields``, whose
     :meth:`_Tape.run` gives their series in order; every subexpression
     they share runs once.  It is joined from the fields' own tapes, so no
-    expression is walked twice."""
-    return _Tape((), tuple(f._tape for f in fields))
+    expression is walked twice, and the same tapes give the same program
+    while :data:`_joined` holds it."""
+    tapes = tuple(f._tape for f in fields)
+    key = tuple(map(id, tapes))
+    hit = _joined.get(key)
+    if hit is None:
+        hit = series._remember(_joined, key, (tapes, _Tape((), tapes)))
+    return hit[1]
 
 
 def eval_series(field, point, order, layout=ALL):
@@ -663,10 +708,11 @@ def eval_series(field, point, order, layout=ALL):
 
     The series is expanded in ``layout``, a sorted tuple of chart
     variables that holds every variable the field uses.  A ScalarField is
-    compiled into its series program on first use; the program lives on
-    the field and is reused by every later call.  ``field`` may also be
-    any generator with the ScalarField methods ``series(point, order,
-    layout)``, ``variables()`` and ``is_zero()``, such as
+    compiled into its series program on first use, and every later call
+    and every field of the same structure reuses it (:class:`_Tape`).
+    ``field`` may also be any generator with the ScalarField methods
+    ``series(point, order, layout)``, ``variables()`` and ``is_zero()``,
+    such as
     :class:`finslerem.em.AnisotropyBlend`.  A Tower that expands F and
     L1 to one order also reads L1's ``parts``, the ScalarFields it is
     made of, and ``combine(series, batch)``, which makes L1's series from

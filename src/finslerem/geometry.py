@@ -99,9 +99,9 @@ class GeometrySample:
 
 
 def check_det(det, what, error):
-    """Raise ``error`` for the first member whose |det| is below the threshold,
-    naming it when the batch holds more than one."""
-    small = np.abs(det) < DEGENERACY_THRESHOLD
+    """Raise ``error`` for the first member whose |det| is below the threshold
+    or NaN, naming it when the batch holds more than one."""
+    small = ~(np.abs(det) >= DEGENERACY_THRESHOLD)
     if np.count_nonzero(small):
         b = int(np.argmax(small))
         member = f"member {b}: " if det.size > 1 else ""

@@ -95,6 +95,20 @@ def _trace(s, spec):
     return TSeries(np.einsum(f"{ins}...->{out}...", s.coeffs), s.order, s.layout, len(out))
 
 
+def _anisotropy_terms(t):
+    """(Q^ia, (Q^ia)_{.a}), with Q^ia = Ft^ia S, cached on the tower."""
+    if "anisotropy" not in t.cache:
+        Q = em_series(t)["up_hv"] * t.sqrt_g
+        t.cache["anisotropy"] = Q, _trace(Q.grad(FIBRE_VARS), "iaa->i")
+    return t.cache["anisotropy"]
+
+
+def anisotropy_zeta(t):
+    """zeta^i = (1/S)(Ft^{ia} S)_{.a} at the points of Tower ``t``, coupling-free;
+    it builds none of the other series of the currents."""
+    return _anisotropy_terms(t)[1].value() / t.sqrt_g.value()
+
+
 def _current_terms(t):
     """The series the currents are made of, cached on the tower:
     (P^ij, delta_j P^ij, (Q^ia)_{.a}, delta_i Q^ia, n_j).
@@ -107,11 +121,10 @@ def _current_terms(t):
     order 1, which their divergence reads.
     """
     if "currents" not in t.cache:
-        em = em_series(t)
-        P, Q = em["up_hh"] * t.sqrt_g, em["up_hv"] * t.sqrt_g
+        P = em_series(t)["up_hh"] * t.sqrt_g
+        Q, dQy = _anisotropy_terms(t)
         n = None if t.flat_x else _trace(t.nonlinear.grad(FIBRE_VARS), "aja->j")
-        t.cache["currents"] = (P, _trace(t.delta(P), "ijj->i"),
-                               _trace(Q.grad(FIBRE_VARS), "iaa->i"),
+        t.cache["currents"] = (P, _trace(t.delta(P), "ijj->i"), dQy,
                                _trace(t.delta(Q), "iai->a"), n)
     return t.cache["currents"]
 
@@ -125,10 +138,9 @@ def horizontal_current(space, x, y, tower=None):
     if space.coupling == 0.0:
         raise ValueError("coupling must be nonzero to extract currents")
     t = tower if tower is not None else fibre_tower(space, x, y)
-    _, dP, dQy, _, n = _current_terms(t)
-    s0 = t.sqrt_g.value()
-    zeta = dQy.value() / s0
-    classical = dP.value() / s0
+    _, dP, _, _, n = _current_terms(t)
+    zeta = anisotropy_zeta(t)
+    classical = dP.value() / t.sqrt_g.value()
     if n is not None:
         classical = classical - np.einsum("ij...,j...->i...", em_series(t)["up_hh"].value(),
                                           n.value())

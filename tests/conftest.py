@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from finslerem import em, expr
 from finslerem.expr import eval_series, parse
 from finslerem.geometry import SpaceDef, Tower
 from finslerem.series import TSeries
@@ -62,6 +63,17 @@ def aniso_wave():
         F=parse(MINKOWSKI_F),
         L1=parse("0.2*sin(x0)*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)"),
     )
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty compile caches for one test: parsed fields, tapes, joined
+    programs and isotropic truncations.  A test that counts compile work
+    or reads a tape's programs then sees only its own.  (A field built
+    before the test keeps the tape it holds.)"""
+    for module, name in ((expr, "_parsed"), (expr, "_tapes"), (expr, "_joined"),
+                         (em, "_truncations")):
+        monkeypatch.setattr(module, name, {})
 
 
 @pytest.fixture

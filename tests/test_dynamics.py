@@ -17,7 +17,8 @@ from finslerem.em import (
     gauge_shift,
     isotropic_truncation,
 )
-from finslerem.errors import SingularForceMatrixError, StepRejectionLimitError
+from finslerem.errors import (DegenerateMetricError, SingularForceMatrixError,
+                              StepRejectionLimitError)
 from finslerem.expr import eval_jet, parse
 from finslerem.geometry import SpaceDef, draw_admissible, geometry_sample
 from finslerem.scene import load_scene
@@ -151,6 +152,18 @@ class TestBatchedForce:
             with pytest.raises(SingularForceMatrixError, match=r"^\|det"):
                 ForceEvaluator(singular)(*args)
 
+    def test_nan_metric_raises(self, pr_curved, probe_point):
+        # a NaN chart coordinate makes det g NaN: an error, not a NaN force
+        x, y = probe_point
+        bad = x.copy()
+        bad[1] = np.nan
+        force = ForceEvaluator(pr_curved)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateMetricError, match=r"^\|det g\| = nan$"):
+                force(bad, y)
+            with pytest.raises(DegenerateMetricError, match=r"^member 1: \|det g\| = nan$"):
+                force(np.stack([x, bad, x], axis=1), np.tile(y[:, None], 3))
+
 
 class TestReferenceForce:
     """The force, with its shared program and one take per generator, is
@@ -253,7 +266,7 @@ class TestForceCallWork:
         return ForceEvaluator(space), x, y, tapes
 
     @pytest.mark.parametrize("name", list(STEPS))
-    def test_steps_and_products(self, name, monkeypatch):
+    def test_steps_and_products(self, name, monkeypatch, fresh_caches):
         force, x, y, tapes = self._case(name)
         force(x, y, monitors=True)  # programs and tables built
         products = []

@@ -1,11 +1,12 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finslerem import series
-from finslerem.em import blend_anisotropy, isotropic_truncation
+from finslerem import em, expr, series
+from finslerem.em import anisotropy_ensemble, blend_anisotropy, isotropic_truncation
 from finslerem.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from finslerem.expr import (
     BinOp,
@@ -14,6 +15,8 @@ from finslerem.expr import (
     Num,
     ScalarField,
     Var,
+    _Tape,
+    _exact,
     _outer_step,
     check_homogeneity,
     diff_ast,
@@ -26,7 +29,7 @@ from finslerem.expr import (
     to_source,
 )
 
-from finslerem.geometry import draw_admissible
+from finslerem.geometry import SpaceDef, draw_admissible
 from finslerem.scene import load_scene
 from finslerem.series import ALL, TSeries
 
@@ -411,8 +414,9 @@ def _node_count(node):
     return 1 + sum(_node_count(a) for a in node.args)
 
 
+@pytest.mark.usefixtures("fresh_caches")
 class TestTape:
-    """eval_series runs a program compiled once per field."""
+    """eval_series runs a program compiled once per field structure."""
 
     def test_repeated_subtree_evaluated_once(self, monkeypatch):
         f = parse("(y0*y1 + x0)*(y0*y1 + x0)")
@@ -548,13 +552,20 @@ class TestTape:
         assert np.array_equal(got.coeffs, want)
         assert np.array_equal(np.signbit(got.coeffs[idx]), np.signbit(want[idx]))
 
-    def test_tape_dies_with_field(self):
-        f = parse("0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)")
-        eval_series(f, PT, 2)
-        refs = [weakref.ref(f), weakref.ref(f._tape)]
+    def test_evicted_tapes_are_freed(self):
+        # a tape lives while a cache or a field holds it: of 3 x PLAN_CACHE
+        # fields dropped after use, only the tapes the caches keep stay
+        n = 3 * series.PLAN_CACHE
+        refs = []
+        for i in range(n):
+            f = parse(f"0.3*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2) + {i}*y2")
+            eval_series(f, PT, 2)
+            refs.append(weakref.ref(f._tape))
         del f
         gc.collect()
-        assert [r() for r in refs] == [None, None]
+        alive = [r() is not None for r in refs]
+        assert sum(alive) <= series.PLAN_CACHE
+        assert not any(alive[:n - series.PLAN_CACHE])
 
     @pytest.mark.parametrize("order", [0, 2])
     def test_constant_domain_error_raised_at_evaluation(self, order):
@@ -576,6 +587,96 @@ class TestTape:
         with pytest.raises(DomainError) as ei:
             eval_series(f, PT, 1)
         assert "division by zero" in str(ei.value)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestCompileCache:
+    """Parsing and compiling are pure functions of their exact input,
+    memoized process-wide in caches of at most ``series.PLAN_CACHE``
+    entries each."""
+
+    SOURCE = "0.2*sin(x0)*y1^2/sqrt(y0^2 - y1^2 - y2^2 - y3^2)"
+    Y_REF = np.array([1.0, 0.1, 0.0, 0.0])
+
+    def test_one_field_and_one_tape_per_text(self):
+        f = parse(self.SOURCE)
+        assert parse(self.SOURCE) is f
+        assert parse(" " + self.SOURCE) is not f
+        # another field of the same structure shares the tape
+        assert ScalarField(f.ast)._tape is f._tape
+        assert parse(" " + self.SOURCE)._tape is f._tape
+
+    def test_one_program_per_member_tapes(self, aniso_wave):
+        space = replace(aniso_wave)  # no program built yet
+        joined = program(space.F, space.L1)
+        assert space.program is joined
+        assert replace(aniso_wave).program is joined
+        assert program(space.L1, space.F) is not joined
+        blend = anisotropy_ensemble(space, self.Y_REF, [None, 0.5]).L1
+        assert blend._tape is program(blend.iso, blend.full)
+
+    def test_one_truncation_per_l1_and_exact_y_ref(self, aniso_wave):
+        iso = isotropic_truncation(aniso_wave, self.Y_REF).L1
+        assert isotropic_truncation(aniso_wave, list(self.Y_REF)).L1 is iso
+        assert isotropic_truncation(aniso_wave, self.Y_REF + 1e-16).L1 is not iso
+
+    def test_signed_zeros_get_their_own_tapes(self):
+        pos, neg = (ScalarField(BinOp("*", Num(z), Var(4))) for z in (0.0, -0.0))
+        assert pos == neg and pos.source() == neg.source()  # neither tells them apart
+        assert pos._tape is not neg._tape
+        got = {}
+        for f in (pos, neg):
+            got[f is neg] = eval_series(f, PT, 2).coeffs
+            assert _same_bits(got[f is neg], _Tape((f.ast,)).run(PT, 2, ALL)[0].coeffs)
+        assert np.signbit(got[True]).all() and not np.signbit(got[False]).any()
+
+    def test_truncations_keep_the_sign_of_a_zero(self, aniso_wave):
+        # subst_ast writes a y_ref component of -0.0 as Num(-0.0)
+        neg_ref = self.Y_REF * np.array([1.0, 1.0, -1.0, 1.0])
+        pos = isotropic_truncation(aniso_wave, self.Y_REF).L1
+        neg = isotropic_truncation(aniso_wave, neg_ref).L1
+        assert pos.source() == neg.source() and _exact(pos.ast) != _exact(neg.ast)
+        assert pos._tape is not neg._tape
+        pts = np.random.default_rng(5).uniform(-0.2, 0.2, (8, 3))
+        pts[4] += 1.0
+        for f in (pos, neg):
+            got = eval_series(f, pts, 2, aniso_wave.layout).coeffs
+            want = _Tape((f.ast,)).run(pts, 2, aniso_wave.layout)[0].coeffs
+            assert _same_bits(got, want)
+
+    def test_caches_are_bounded(self):
+        n = 3 * series.PLAN_CACHE
+        fields = [parse(f"y0 + {i}*y1^2/y0") for i in range(n)]
+        first = eval_series(fields[0], PT, 2).coeffs
+        for f in fields:
+            eval_series(f, PT, 2)
+            program(f, fields[0])
+            isotropic_truncation(SpaceDef(F=fields[-1], L1=f), self.Y_REF)
+        for cache in (expr._parsed, expr._tapes, expr._joined, em._truncations):
+            assert 0 < len(cache) <= series.PLAN_CACHE
+        # compiled again after eviction: a new field and tape, the same bits
+        again = parse("y0 + 0*y1^2/y0")
+        assert again is not fields[0] and again._tape is not fields[0]._tape
+        assert _same_bits(eval_series(again, PT, 2).coeffs, first)
+
+    @pytest.mark.parametrize("source, error, offset", [
+        ("y0 + foo", UnknownIdentifierError, 5),
+        ("y0 + ", ExprSyntaxError, 5),
+        ("sqrt(y0", ExprSyntaxError, 7),
+        ("   ", ExprSyntaxError, 0),
+    ])
+    def test_errors_raise_on_every_call(self, source, error, offset):
+        seen = []
+        for _ in range(3):
+            with pytest.raises(error) as ei:
+                parse(source)
+            seen.append((type(ei.value), str(ei.value), ei.value.offset))
+        assert seen == [seen[0]] * 3 and seen[0][2] == offset
+        assert not expr._parsed
 
 
 class TestTapeOracle:

@@ -9,6 +9,7 @@ from finslerem.expr import ScalarField, _Tape, eval_jet, eval_series, parse
 from finslerem.geometry import (
     SpaceDef,
     Tower,
+    check_det,
     divergence,
     draw_admissible,
     geometry_sample,
@@ -416,6 +417,15 @@ class TestValueStages:
             Tower(space, xs, ys).ginv_values
         with pytest.raises(DegenerateMetricError, match=r"^\|det g\| = 0\.000e\+00$"):
             Tower(space, xs[:, 1], ys[:, 1]).ginv_values
+
+    def test_nan_determinant_is_degenerate(self):
+        # |nan| < threshold is False: the check must not read it as regular
+        with pytest.raises(DegenerateMetricError, match=r"^\|det g\| = nan$"):
+            check_det(np.float64("nan"), "det g", DegenerateMetricError)
+        det = np.array([1.0, -2.0, np.nan, 0.5])
+        with pytest.raises(DegenerateMetricError, match=r"^member 2: \|det g\| = nan$"):
+            check_det(det, "det g", DegenerateMetricError)
+        check_det(det[:2], "det g", DegenerateMetricError)
 
 
 class TestSpraySolve:
