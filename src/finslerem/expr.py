@@ -712,8 +712,7 @@ def eval_series(field, point, order, layout=ALL):
     and every field of the same structure reuses it (:class:`_Tape`).
     ``field`` may also be any generator with the ScalarField methods
     ``series(point, order, layout)``, ``variables()`` and ``is_zero()``,
-    such as
-    :class:`finslerem.em.AnisotropyBlend`.  A Tower that expands F and
+    such as :class:`finslerem.em.AnisotropyBlend`.  A Tower that expands F and
     L1 to one order also reads L1's ``parts``, the ScalarFields it is
     made of, and ``combine(series, batch)``, which makes L1's series from
     theirs (``SpaceDef.program``); ``Tower.tiled`` runs L1's ``_tape``,

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  There are twelve exceptions.  ``reduceat_product`` is the series
+check.  ``same_bits`` compares arrays bit for bit, signs of zeros
+included.  There are twelve exceptions.  ``reduceat_product`` is the series
 product summed by one ``np.add.reduceat`` over the package's product
 table, the reference for the peeled kernel.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
@@ -46,6 +47,16 @@ from finslerem.maxwell import fibre_tower
 from finslerem.scene import HOMOGENEITY_TOL
 from finslerem.series import (NTERMS, TERMS, TSeries, _deriv_tables, _mul_tables, _product, _terms,
                               contract, jet_tensor)
+
+
+def same_bits(got, want):
+    """Equal values, NaN where ``want`` is NaN, and the same sign on every
+    other entry (zeros and infinities included).  Which NaN a sum of two
+    NaNs returns is not compared: numpy's own add loops do not fix it (a
+    vectorized body and its scalar tail may pick different operands)."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan]))
 
 
 def tree_series(node, point, order, layout):

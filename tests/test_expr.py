@@ -34,7 +34,7 @@ from finslerem.scene import load_scene
 from finslerem.series import ALL, TSeries
 
 from conftest import FIXTURES
-from oracles import fd_jet, richardson_jet, tree_series
+from oracles import fd_jet, richardson_jet, same_bits, tree_series
 
 
 def mi(*vars_):
@@ -589,10 +589,6 @@ class TestTape:
         assert "division by zero" in str(ei.value)
 
 
-def _same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.usefixtures("fresh_caches")
 class TestCompileCache:
     """Parsing and compiling are pure functions of their exact input,
@@ -631,7 +627,7 @@ class TestCompileCache:
         got = {}
         for f in (pos, neg):
             got[f is neg] = eval_series(f, PT, 2).coeffs
-            assert _same_bits(got[f is neg], _Tape((f.ast,)).run(PT, 2, ALL)[0].coeffs)
+            assert same_bits(got[f is neg], _Tape((f.ast,)).run(PT, 2, ALL)[0].coeffs)
         assert np.signbit(got[True]).all() and not np.signbit(got[False]).any()
 
     def test_truncations_keep_the_sign_of_a_zero(self, aniso_wave):
@@ -646,7 +642,7 @@ class TestCompileCache:
         for f in (pos, neg):
             got = eval_series(f, pts, 2, aniso_wave.layout).coeffs
             want = _Tape((f.ast,)).run(pts, 2, aniso_wave.layout)[0].coeffs
-            assert _same_bits(got, want)
+            assert same_bits(got, want)
 
     def test_caches_are_bounded(self):
         n = 3 * series.PLAN_CACHE
@@ -661,7 +657,7 @@ class TestCompileCache:
         # compiled again after eviction: a new field and tape, the same bits
         again = parse("y0 + 0*y1^2/y0")
         assert again is not fields[0] and again._tape is not fields[0]._tape
-        assert _same_bits(eval_series(again, PT, 2).coeffs, first)
+        assert same_bits(eval_series(again, PT, 2).coeffs, first)
 
     @pytest.mark.parametrize("source, error, offset", [
         ("y0 + foo", UnknownIdentifierError, 5),

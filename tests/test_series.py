@@ -22,7 +22,7 @@ from finslerem.series import (
     jet_tensor,
 )
 
-from oracles import full_horner, full_order_compose, grad_every_row, reduceat_product
+from oracles import full_horner, full_order_compose, grad_every_row, reduceat_product, same_bits
 
 
 class TestTermTables:
@@ -295,16 +295,6 @@ def _with_specials(rng, shape):
     return x
 
 
-def _same_bits(got, want):
-    """Equal values, NaN where ``want`` is NaN, and the same sign on every
-    other entry (zeros and infinities included).  Which NaN a sum of two
-    NaNs returns is not compared: numpy's own add loops do not fix it (a
-    vectorized body and its scalar tail may pick different operands)."""
-    nan = np.isnan(want)
-    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
-            and np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan]))
-
-
 WIDTHS = [(), (1,), (series.PEEL_COLUMNS - 1,), (series.PEEL_COLUMNS,), (100,), (300,)]
 #: most elements a reference product may gather, to keep the tests small
 GATHER_CAP = 3_000_000
@@ -337,7 +327,7 @@ class TestPeeledProduct:
                 with np.errstate(invalid="ignore"):
                     got = _product(a, b, order, n, top=top)
                     want = reduceat_product(a, b, order, n, top=top)
-                assert _same_bits(got, want), (batch, top)
+                assert same_bits(got, want), (batch, top)
 
     @pytest.mark.parametrize("width", [series.PEEL_COLUMNS, 100, 300])
     @pytest.mark.parametrize("n", range(2, NVARS + 1))
@@ -356,7 +346,7 @@ class TestPeeledProduct:
                 want = np.concatenate(
                     [reduceat_product(a[:, c:c + per], b[:, c:c + per], order, n, top=top)
                      for c in range(0, width, per)], axis=1)
-            assert _same_bits(got, want), top
+            assert same_bits(got, want), top
 
     # every contract spec of the package, with the tensor shapes it takes there
     SPECS = [
@@ -388,7 +378,7 @@ class TestPeeledProduct:
                     with np.errstate(invalid="ignore"):
                         got = _product(a, b, order, n, ranks, out_tensor, combine, top)
                         want = reduceat_product(a, b, order, n, ranks, out_tensor, combine, top)
-                    assert _same_bits(got, want), (order, batch, top)
+                    assert same_bits(got, want), (order, batch, top)
 
     def test_kernel_choice(self, monkeypatch):
         """Products of at least PEEL_COLUMNS batch columns are peeled, with
@@ -467,7 +457,7 @@ class TestNumpyReduceatRule:
         for i, (s0, length) in enumerate(zip(starts, lengths)):
             segment = np.moveaxis(x.take(np.arange(s0, s0 + length), axis=axis), axis, 0)
             want = self._rule(segment)
-            assert _same_bits(got.take(i, axis=axis), want), length
+            assert same_bits(got.take(i, axis=axis), want), length
             regrouped += not np.array_equal(self._in_order(segment), want)
         assert np.signbit(got.take(0, axis=axis)).all()
         assert regrouped  # the data tells the groupings apart
@@ -487,7 +477,7 @@ class TestNumpyReduceatRule:
         for i in range(len(starts)):
             segment = np.moveaxis(x.take(np.arange(bounds[i], bounds[i + 1]), axis=axis), axis, 0)
             want = self._rule(segment)
-            assert _same_bits(got.take(i, axis=axis), want), i
+            assert same_bits(got.take(i, axis=axis), want), i
             in_order = segment[0]
             for s in segment[1:]:
                 in_order = in_order + s
