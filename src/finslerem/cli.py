@@ -128,16 +128,30 @@ def _fmt(v):
 def _open_out(flag, scene):
     """The output stream, opened before any work: ``--out`` if given, else
     the scene's ``[output] path``, "-" being stdout.  A path that cannot
-    be opened is a bad flag or a load error."""
+    be opened is a bad flag or a load error, and a run that fails removes
+    the file it opened."""
     path = flag if flag is not None else scene.output.path
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8")
+        return _kept_if_done(open(path, "w", encoding="utf-8"))
     except OSError as e:
         if flag is not None:
             raise _FlagError(f"--out: {e}") from None
         raise _LoadFailure(f"[output] path: {e}") from None
+
+
+@contextlib.contextmanager
+def _kept_if_done(out):
+    """The opened file ``out``, closed at the end and removed if the run fails."""
+    with out:
+        try:
+            yield out
+        except BaseException:
+            out.close()
+            with contextlib.suppress(OSError):
+                os.remove(out.name)
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +411,7 @@ def _run_members(scene, space, members, draws):
 
     def run(space, x0, y0):
         return integrate(space, x0, y0, it.t_end, method=it.method, dt=it.dt,
-                         abs_tol=it.abs_tol, rel_tol=it.rel_tol).endpoint
+                         abs_tol=it.abs_tol, rel_tol=it.rel_tol, monitors=False).endpoint
 
     x0, y0 = scene.particle.x0, scene.particle.y0
     if it.method == "rk4":

@@ -10,7 +10,8 @@ exactly.  The coordinate acceleration is then dy/dt = a - 2 G.
 
 Per accepted step the integrator records the generating-function value
 and the two orthogonality monitors g(F, y) and g(Ft-correction, y),
-plus the residual of the 2-form writing of the equations of motion.
+plus the residual of the 2-form writing of the equations of motion,
+unless it is asked for none.
 The force call that records them also gives the next step its first
 stage, so rk4 makes 4 force calls per step and rk45 6 per attempt.
 """
@@ -28,7 +29,9 @@ from .errors import (
     SingularForceMatrixError,
     StepRejectionLimitError,
 )
-from .geometry import Tower, check_det, lapack
+from . import series
+from .geometry import LAPACK_ERRSTATE, check_det
+from .series import TSeries
 
 __all__ = [
     "TrajectoryState",
@@ -42,6 +45,10 @@ __all__ = [
 MAX_RK4_STEPS = 10**6
 
 _EYE = np.eye(4)
+
+#: the jets of F^2 that the force reads when F uses x: the spray's three,
+#: then the connection's two from order 3
+_CURVED_JETS = ("yy", "yx", "x", "yyx", "yyy")
 
 
 @dataclass
@@ -79,75 +86,173 @@ class Trajectory:
 
 
 class ForceEvaluator:
-    """The Lorentz solve on the value stages of one low-order Tower.
+    """The Lorentz solve of one scene, by its compiled force (:func:`_compiled`).
 
     Takes one point, x and y of shape (4,), or the member points of an
-    ensemble, shape (4, B).  The members run as the Tower's (B, 4, 4)
-    stacks with batched det/inv/solve, and no step mixes members, so a
-    member's column is bit for bit its lone point's call.  A degenerate
-    metric or singular force matrix raises for the first failing member
-    and names its index when there is more than one.
-
-    A flat F is expanded to order 2 like L1, so the Tower runs the two
-    generators as one program.
+    ensemble, shape (4, B).  The members run as (B, 4, 4) stacks with
+    batched det/inv/solve, and no step mixes members, so a member's
+    column is bit for bit its lone point's call.  A degenerate metric or
+    singular force matrix raises for the first failing member and names
+    its index when there is more than one.  The monitors are computed
+    only when asked for, from the values the solve left.
     """
 
     def __init__(self, space):
         self.space = space
         self.qc = space.qc()
-        self.has_em = space.has_field
-        # the connection, which needs F to order 3, enters only through the field
-        self.order_f = 3 if (self.has_em and not space.flat_x) else 2
+        self._by_rank = {}  # the compiled force of each batch rank
 
     def __call__(self, x, y, monitors=False):
-        t = Tower(self.space, x, y, order_f=self.order_f, order_l1=2)
-        # every array below is (..., 4, ...), with the member axis first
-        # for an ensemble
-        g, ginv, yv = t.g_stack, t.ginv_stack, t.y_stack
-        qc = self.qc
-        if self.has_em:
-            F, Ft = t.field_stack
-            F_mix_h = ginv @ F
-            F_mix_v = ginv @ Ft
-            M = _EYE - qc * F_mix_v
-            det = _umath_linalg.det(M, signature="d->d")
-            check_det(det, "det(I - (q/c)Ft)", SingularForceMatrixError)
-            force_h = F_mix_h @ yv
-            a = lapack(_umath_linalg.solve, M, qc * force_h)
-        else:
-            F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
-            force_h = F_mix_h @ yv
-            a = np.zeros(yv.shape)
-
-        # a flat F has no spray, and a - 2 * 0 is a, bit for bit
-        dydt = a.copy() if self.space.flat_x else a - 2.0 * t.spray_stack[..., None]
-        a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        force = self._by_rank.get(x.ndim)
+        if force is None:
+            force = self._by_rank[x.ndim] = _compiled(self.space, x.ndim - 1)
+        a, dydt, solved = force(self.space.L1, self.qc, x, y)
         if not monitors:
-            return a_out, dydt_out
-        res = qc * (F @ yv) + (qc * Ft - g) @ a
-        # one einsum rounds a (4, 4) and a (B, 4, 4) operand alike; a matmul
-        # chain does not
-        ortho = "...i,...ij,...j->..."
-        mon = {
-            "F_value": t.f_value,
-            "ortho_F": np.einsum(ortho, force_h[..., 0], g, yv[..., 0]),
-            "ortho_Ftilde": np.einsum(ortho, (F_mix_v @ a)[..., 0], g, yv[..., 0]),
-            "eq_motion_residual": np.maximum.reduce(np.abs(res), axis=(-2, -1)),
-        }
-        if np.ndim(x) == 1:
+            return a, dydt
+        mon = _monitors(self.qc, *solved)
+        if x.ndim == 1:
             mon = {k: float(v) for k, v in mon.items()}
-        return a_out, dydt_out, mon
+        return a, dydt, mon
+
+
+#: the compiled force of each (program tapes, order, batch rank, layout)
+#: lately, by the ids of its tapes; an entry holds its tapes
+_forces = {}
+
+
+def _compiled(space, ndim):
+    """The :class:`_Force` of ``space`` at points of batch rank ``ndim``,
+    compiled on first use and shared by every space of the same programs.
+
+    F and L1 run to order 2, F to 3 when the field reads the connection
+    (F uses x); at one order they run as one program (``space.program``).
+    """
+    order = 3 if (space.has_field and not space.flat_x) else 2
+    if not space.has_field:
+        tapes = (space.F._tape,)
+    elif order == 2:
+        tapes = (space.program,)
+    else:
+        tapes = (space.F._tape, space.L1._tape)
+    key = tuple(map(id, tapes)) + (order, ndim, space.layout)
+    force = _forces.get(key)
+    if force is None:
+        force = series._remember(_forces, key, _Force(tapes, order, ndim, space))
+    return force
+
+
+class _Force:
+    """The force of the generators that ``tapes`` compute, at points of
+    one batch rank: their built programs, then the jets of F^2 and L1,
+    det g, inv g, the field blocks, det M and the solve, in the arithmetic
+    of the series tower, bit for bit.  Every array is member-first,
+    (..., 4, ...), with batched det/inv/solve, and the linear algebra from
+    inv g to the solve runs under one ``np.errstate``.
+
+    ``tapes`` is F's program (its first root F) and, with a field, L1's
+    (the ``parts`` of L1) or one program of both.  A call returns a,
+    dy/dt and the values the monitors read (:func:`_monitors`).
+    """
+
+    def __init__(self, tapes, order, ndim, space):
+        self.tapes = tapes
+        self.order = order
+        self.layout = space.layout
+        self.flat = space.flat_x
+        self.has_field = space.has_field
+        self.programs = [tape.built(k, ndim, self.layout)
+                         for tape, k in zip(tapes, (order, 2))]
+        # the connection reads two more jets of F^2, from order 3
+        self.patterns = ("yy",) if self.flat else _CURVED_JETS[:5 if order > 2 else 3]
+        self._plans = {}  # the jet plans of F^2 and L1 by batch shape
+
+    def _jet_plans(self, batch):
+        plans = self._plans.get(batch)
+        if plans is None:
+            plans = series._remember(self._plans, batch, (
+                series.jets_plan(self.layout, self.patterns, batch),
+                series.jets_plan(self.layout, ("yy", "yx"), batch)))
+        return plans
+
+    def __call__(self, L1, qc, x, y):
+        point = np.concatenate([x, y])
+        batch = point.shape[1:]
+        e_plan, l1_plan = self._jet_plans(batch)
+        f, *parts = self.tapes[0].arrays(point, self.programs[0])
+        e = series._product(f, f, self.order, len(self.layout))
+        e_jets = series._read_jets(e, e_plan)
+        g = 0.5 * e_jets[0]
+        check_det(_umath_linalg.det(g, signature="d->d"), "det g", DegenerateMetricError)
+        yv = y.T.copy()[..., None] if batch else y[:, None]
+        spray = N = None
+        if self.has_field:
+            if not parts:
+                parts = self.tapes[1].arrays(point, self.programs[1])
+            parts = [TSeries(c, 2, self.layout) for c in parts]
+            ay, dA = series._read_jets(L1.combine(parts, batch).coeffs, l1_plan)
+            dA = dA.mT  # dA[i, j] = dA_j/dx^i, ay[a, j] = A_{j.a}
+        with np.errstate(**LAPACK_ERRSTATE):
+            if self.has_field or not self.flat:
+                ginv = _umath_linalg.inv(g, signature="d->d")
+            if not self.flat:
+                spray, N = _connection(e_jets, ginv, yv, self.has_field)
+            if self.has_field:
+                if N is not None:
+                    dA = dA - np.einsum("...ai,...aj->...ij", N, ay)  # delta_i A_j
+                F, Ft = dA - dA.mT, -ay
+                F_mix_h = ginv @ F
+                F_mix_v = ginv @ Ft
+                M = _EYE - qc * F_mix_v
+                det = _umath_linalg.det(M, signature="d->d")
+                check_det(det, "det(I - (q/c)Ft)", SingularForceMatrixError)
+                force_h = F_mix_h @ yv
+                a = _umath_linalg.solve(M, qc * force_h, signature="dd->d")
+        if not self.has_field:
+            F = Ft = F_mix_v = force_h = None
+            a = np.zeros(yv.shape)
+        # a flat F has no spray, and a - 2 * 0 is a, bit for bit
+        dydt = a.copy() if spray is None else a - 2.0 * spray[..., None]
+        return a[..., 0].T, dydt[..., 0].T, (f[0], g, yv, a, F, Ft, F_mix_v, force_h)
+
+
+def _connection(e_jets, ginv, yv, with_n):
+    """The spray G^i = 1/4 g^{il} b_l, b_l = (F^2)_{.l,k} y^k - (F^2)_{,l},
+    and with ``with_n`` the connection N^a_j = dG^a/dy^j, with
+    d(g^{-1})/dy = -g^{-1} (dg/dy) g^{-1}, from the jets of F^2."""
+    e_yx, e_x = e_jets[1:3]
+    b = e_yx @ yv - e_x[..., None]
+    spray = (0.25 * (ginv @ b))[..., 0]
+    if not with_n:
+        return spray, None
+    e_yyx, e_yyy = e_jets[3:]
+    db = np.einsum("...ljk,...k->...lj", e_yyx, yv[..., 0]) + e_yx - e_yx.mT
+    dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * e_yyy, ginv)
+    return spray, 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
+
+
+def _monitors(qc, f_value, g, yv, a, F, Ft, F_mix_v, force_h):
+    """The monitors of one force call from the values its solve left; a
+    call without a field reads zero field blocks."""
+    if F is None:
+        F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
+        force_h = F_mix_h @ yv
+    res = qc * (F @ yv) + (qc * Ft - g) @ a
+    # one einsum rounds a (4, 4) and a (B, 4, 4) operand alike; a matmul
+    # chain does not
+    ortho = "...i,...ij,...j->..."
+    return {
+        "F_value": f_value,
+        "ortho_F": np.einsum(ortho, force_h[..., 0], g, yv[..., 0]),
+        "ortho_Ftilde": np.einsum(ortho, (F_mix_v @ a)[..., 0], g, yv[..., 0]),
+        "eq_motion_residual": np.maximum.reduce(np.abs(res), axis=(-2, -1)),
+    }
 
 
 def _record(states, t, x, y, a, mon):
-    states.append(
-        TrajectoryState(
-            t=t, x=x.copy(), y=y.copy(), delta_y_dt=a.copy(),
-            F_value=mon["F_value"], ortho_F=mon["ortho_F"],
-            ortho_Ftilde=mon["ortho_Ftilde"],
-            eq_motion_residual=mon["eq_motion_residual"],
-        )
-    )
+    mon = mon or dict.fromkeys(("F_value", "ortho_F", "ortho_Ftilde", "eq_motion_residual"))
+    states.append(TrajectoryState(t=t, x=x.copy(), y=y.copy(), delta_y_dt=a.copy(), **mon))
 
 
 def _wrap_err(e, t):
@@ -155,12 +260,13 @@ def _wrap_err(e, t):
 
 
 def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
-              abs_tol=1e-9, rel_tol=1e-8, max_rejections=30):
+              abs_tol=1e-9, rel_tol=1e-8, max_rejections=30, monitors=True):
     """Integrate the worldline from (x0, y0) to t_end.
 
     method "rk4": classic fixed-step with step dt; "rk45": Dormand-Prince
     embedded pair at the given tolerances, with dt seeding the first
-    step.  Monitors are recorded at every accepted step and integration
+    step.  Monitors are recorded at every accepted step (None for each
+    without ``monitors``, and then none is computed) and integration
     aborts with the failing t on per-sample errors.  dt and t_end must be
     finite and > 0, and rk4 takes at most MAX_RK4_STEPS steps.  An rk45
     step below 16 units in the last place of t no longer advances time
@@ -188,14 +294,19 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
         a, dydt = force(z[:4], z[4:])
         return np.concatenate([z[4:], dydt])
 
+    def recorded(z):
+        """(a, dy/dt, monitors or None) of a state the run records."""
+        out = force(z[:4], z[4:], monitors=monitors)
+        return out if monitors else out + (None,)
+
     states = []
     t = 0.0
+    z = np.concatenate([x, y])
     try:
-        a, dydt, mon = force(x, y, monitors=True)
+        a, dydt, mon = recorded(z)
     except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
         _wrap_err(e, t)
     _record(states, t, x, y, a, mon)
-    z = np.concatenate([x, y])
     k1 = np.concatenate([y, dydt])  # f(z), from the call that took the monitors
 
     if method == "rk4":
@@ -208,7 +319,7 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
                 k4 = f(z + h * k3)
                 z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 t = (n + 1) * h
-                a, dydt, mon = force(z[:4], z[4:], monitors=True)
+                a, dydt, mon = recorded(z)
             except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
                 _wrap_err(e, t)
             _record(states, t, z[:4], z[4:], a, mon)
@@ -248,7 +359,7 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
                 zs = z + h * sum(A[s][m] * k[m] for m in range(s))
                 k.append(f(zs))
             z5 = z + h * sum(A[6][m] * k[m] for m in range(6))
-            a5, dydt5, mon5 = force(z5[:4], z5[4:], monitors=True)
+            a5, dydt5, mon5 = recorded(z5)
             k.append(np.concatenate([z5[4:], dydt5]))
             z4 = z + h * sum(B4[m] * k[m] for m in range(7))
         except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:

@@ -409,6 +409,12 @@ def _coordinate_step(src, a, v0):
     return series._coordinate_product(a, v0, src)
 
 
+def _stacked_step(dst, src, factors, v0):
+    """The coordinate steps of ``factors``, stacked as the rows of one
+    array, with the coordinate values ``v0`` (:func:`series._coordinate_rows`)."""
+    return series._coordinate_rows(np.array(factors), v0, dst, src)
+
+
 def _outer_step(ia, ib, a, b):
     """``a`` times ``b`` in disjoint variables (:func:`series._outer_product`)."""
     return series._outer_product(a, b, ia, ib)
@@ -459,7 +465,17 @@ class _Tape:
       value v0 plus one degree-1 term of coefficient 1, so output term K
       sums a_K v0, a_{K-e} and products with 0.  The step reads v0 from
       the point, so a coordinate that only such steps read is never
-      expanded into a series.
+      expanded into a series.  Such steps also run several at once
+      (:func:`series._coordinate_rows`), each row summing what its own
+      step sums, with flat shifts fixed when the program is built: the
+      products of a coordinate with a coordinate leaf, such as the leaf
+      squares ``y_i*y_i``, as one grouped step on the rows of the leaves'
+      array, before the other steps; and the steps that depend on no
+      other one, such as the ``c_i(x)*y^i`` of a truncation, as one
+      stacked step once their factors are there (:meth:`_stacked`).
+      Only a batch whose rows fit in ``series.BLOCK_BYTES`` runs them so;
+      a wider one runs each step where it is read, while its operands are
+      in cache (a program's ``wide`` steps).
     - Any other product of two factors in disjoint variables, such as
       ``(1 + 0.2*x1^2)*y0^2``, is an outer product
       (:func:`series._outer_product`): output term K sums one nonzero
@@ -557,8 +573,12 @@ class _Tape:
         return result
 
     def _build(self, order, ndim, layout):
-        """The program at ``order``: folded constants, coordinate leaves and
-        steps, each step ``(slot, fn, a, b, dead)``."""
+        """The program at ``order``: ``(init, leaves, values, steps,
+        failure, wide)``, the folded constants, the coordinate leaves with
+        their grouped step, the coordinate value rows, the steps, each
+        ``(slot, fn, a, b, dead)``, a constant's failure and ``(rows,
+        steps)``: the steps of a batch too wide for ``rows`` rows in a
+        block (None if a batch of any width runs the same)."""
         outside = [VAR_NAMES[n.index] for _, _, n in self.code
                    if isinstance(n, Var) and n.index not in layout]
         if outside:
@@ -593,11 +613,15 @@ class _Tape:
         # fold, and a constant with a higher term keeps the product.
         var = dict(coords)
         value_slot = {}
+        # (slot, factor, coordinate) of each coordinate step
+        coordinate = []
         # a restricted composition that only compositions read keeps its layout
         read_elsewhere = {a for _, op, args in steps if op[0] not in series.COMPOSITIONS
                           for a in args}.union(self.roots)
         small = {slot for slot, op, _ in steps if order >= 3 and op[0] in series.COMPOSITIONS
                  and self.support[slot].bit_count() < n and slot not in read_elsewhere}
+        # the steps that can raise, whose order a rescheduling keeps
+        raising = {slot for slot, op, _ in steps if op[0] in series.FUNCTIONS}
         for i, (slot, op, args) in enumerate(steps):
             fn = None
             if op[0] == "*":
@@ -606,6 +630,7 @@ class _Tape:
                     if not consts[c][1:].any():
                         fn, args = partial(operator.mul, float(consts[c][0])), (other,)
                 elif c in var:
+                    coordinate.append((slot, other, c))
                     src = _deriv_tables(order, layout.index(var[c]), n)[0]
                     v0 = value_slot.setdefault(c, len(self.code) + len(value_slot))
                     fn, args = partial(_coordinate_step, src), (other, v0)
@@ -620,12 +645,23 @@ class _Tape:
                                  series._lift_index(sub, layout, order),
                                  gather=args[0] not in small, size=0 if slot in small else nterms)
             steps[i] = (slot, fn or _array_fn(op, order, n), args)
-        # a coordinate is expanded only where a step reads its series
+        # a coordinate leaf times a coordinate (the leaf squares y_i*y_i)
+        # joins the grouped step, one step per leaf
+        group, grouped_leaves = [], []
+        for slot, leaf, c in coordinate:
+            if leaf in var and leaf not in grouped_leaves:
+                group.append((slot, leaf, c))
+                grouped_leaves.append(leaf)
+        grouped = {slot for slot, _, _ in group}
+        # a coordinate is expanded only where a step reads its series; the
+        # grouped step's leaves are the first rows
         read = {a for _, _, args in steps for a in args}.union(self.roots)
-        slots = tuple(slot for slot, _ in coords if slot in read)
+        slots = tuple(grouped_leaves) + tuple(
+            slot for slot, _ in coords if slot in read and slot not in grouped_leaves)
         # the rows of one array, each a value and a degree-1 term of 1
-        lvars = [var[s] for s in slots]
-        leaves = (slots, lvars, nterms, [n - layout.index(v) for v in lvars] if order else None)
+        lvars = np.array([var[s] for s in slots], dtype=np.intp)
+        ones = (np.arange(len(slots)), np.array([n - layout.index(v) for v in lvars], dtype=np.intp)
+                ) if order else None
         values = [(v0, var[c]) for c, v0 in value_slot.items()]
         # shared by every call: broadcast over the batch axes, read-only
         pad = (1,) * ndim
@@ -633,32 +669,154 @@ class _Tape:
             if c is not None:
                 consts[i] = c.reshape(c.shape + pad)
                 consts[i].flags.writeable = False
-        # drop each intermediate after its last use, so few stay alive
-        last = {a: i for i, (_, _, args) in enumerate(steps) for a in args}
+        init = consts + [None] * len(value_slot)
+        # a batch whose grouped rows fit in a block runs the leaf squares
+        # before the other steps and the independent coordinate steps
+        # stacked; a wider one runs each step where it is read, while it is
+        # in cache (``wide``)
+        wide, rows = self._sweep(steps), 0
+        if group:
+            steps = [step for step in steps if step[0] not in grouped]
+            # a leaf's own value row is its coordinate's
+            squares = all(leaf == c for _, leaf, c in group)
+            rows = len(group)
+            group = (tuple(slot for slot, _, _ in group),
+                     None if squares else np.array([var[c] for _, _, c in group], dtype=np.intp),
+                     *series._coordinate_shifts(order, [layout.index(var[c]) for _, _, c in group],
+                                                n))
+        stacked = self._stacked(steps, [step for step in coordinate if step[0] not in grouped],
+                                raising, len(init))
+        if stacked is not None:
+            steps, members = stacked
+            rows = max(rows, len(members))
+            init += [None] * (2 * len(members) + 1)
+            values.append((len(init) - 1, np.array([var[c] for _, _, c in members], dtype=np.intp)))
+            shifts = series._coordinate_shifts(order, [layout.index(var[c]) for _, _, c in members],
+                                               n)
+            steps = [(slot, fn or partial(_stacked_step, *shifts), args)
+                     for slot, fn, args in steps]
+        leaves = (slots, lvars, nterms, ones, group or None)
+        return (init, leaves, values, self._sweep(steps), failure,
+                (rows, wide) if rows else None)
+
+    def _stacked(self, steps, coordinate, raising, free):
+        """``steps`` with the coordinate steps of ``coordinate`` ((slot,
+        factor, coordinate) each) that depend on no other one run as one
+        stacked step, and those members; None if fewer than two qualify
+        or the steps that can raise (``raising``) would change order.
+
+        Each member's factor must come from a step that cannot raise,
+        which none of the others shares, and no member or factor may be a
+        root.  The factors move to the slots from ``free`` on, the
+        products after them, and the slot after those holds the members'
+        coordinate values.  The stacked step, ``(products, None,
+        (factors, values))``, runs once its factors are there, and each
+        step that reads a product waits for it; the others keep their
+        order."""
+        made = {slot: i for i, (slot, _, _) in enumerate(steps)}
+        candidates, factors = [], set()
+        for slot, factor, c in coordinate:
+            if (factor in made and factor not in raising and factor not in factors
+                    and not {slot, factor} & set(self.roots)):
+                candidates.append((slot, factor, c))
+                factors.add(factor)
+        # the candidates each slot depends on, as bits
+        bits = {slot: 1 << i for i, (slot, _, _) in enumerate(candidates)}
+        below = {}
+        for slot, _, args in steps:
+            below[slot] = bits.get(slot, 0)
+            for a in args:
+                below[slot] |= below.get(a, 0)
+        members = [step for step in candidates if not below[step[1]]]
+        if len(members) < 2:
+            return None
+        # the steps in their order, the stacked step (``merged``) right
+        # after the last factor, and each step before that which reads a
+        # product, or a step put off so, put off until after it
+        merged, members_at = len(steps), {made[slot] for slot, _, _ in members}
+        last = max(made[factor] for _, factor, _ in members)
+        waits, order, later = {slot for slot, _, _ in members}, [], []
+        for i, (slot, _, args) in enumerate(steps):
+            if i in members_at:
+                continue
+            if i < last and waits.intersection(args):
+                waits.add(slot)
+                later.append(i)
+            else:
+                order.append(i)
+            if i == last:
+                order += [merged] + later
+        ranks = [i for i in order if i != merged and steps[i][0] in raising]
+        if ranks != sorted(ranks):
+            return None
+        m = len(members)
+        rename = {factor: free + i for i, (_, factor, _) in enumerate(members)}
+        rename.update({slot: free + m + i for i, (slot, _, _) in enumerate(members)})
+        out = []
+        for i in order:
+            if i == merged:
+                out.append((tuple(range(free + m, free + 2 * m)), None,
+                            (tuple(range(free, free + m)), free + 2 * m)))
+            else:
+                slot, fn, args = steps[i]
+                out.append((rename.get(slot, slot), fn, tuple(rename.get(a, a) for a in args)))
+        return out, members
+
+    def _sweep(self, steps):
+        """The steps ``(slot, fn, args)`` as ``(slot, fn, a, b, dead)``:
+        each intermediate is dropped (``dead``) after its last use, so few
+        stay alive.  A stacked step's tuples of consecutive slots become
+        slices of the values."""
+        def each(x):
+            return x if isinstance(x, tuple) else (x,)
+
+        def ref(x):
+            return slice(x[0], x[-1] + 1) if isinstance(x, tuple) else x
+
+        last = {a: i for i, (_, _, args) in enumerate(steps) for x in args for a in each(x)}
         dead = [[] for _ in steps]
         for a, i in last.items():
             if a not in self.roots:
                 dead[i].append(a)
-        steps = [(slot, fn, args[0], args[1] if len(args) > 1 else None, tuple(d))
-                 for (slot, fn, args), d in zip(steps, dead)]
-        return consts + [None] * len(value_slot), leaves, values, steps, failure
+        return [(ref(slot), fn, ref(args[0]), ref(args[1]) if len(args) > 1 else None, tuple(d))
+                for (slot, fn, args), d in zip(steps, dead)]
 
-    def run(self, point, order, layout):
-        """The series of every root at ``point`` (shape (8,) or (8, B)), in order."""
-        batch = point.shape[1:]
-        key = (order, len(batch), layout)
+    def built(self, order, ndim, layout):
+        """The program at ``order`` for points of batch rank ``ndim`` in
+        ``layout``, built on first use."""
+        key = (order, ndim, layout)
         program = self._programs.get(key)
         if program is None:
             program = self._programs[key] = self._build(*key)
-        init, (slots, lvars, nterms, e), values, steps, failure = program
+        return program
+
+    def run(self, point, order, layout):
+        """The series of every root at ``point`` (shape (8,) or (8, B)), in order."""
+        program = self.built(order, point.ndim - 1, layout)
+        return [TSeries(c, order, layout) for c in self.arrays(point, program)]
+
+    def arrays(self, point, program):
+        """The coefficient arrays of every root at ``point`` by a ``program``
+        of :meth:`built`; each root owns its array."""
+        batch = point.shape[1:]
+        init, (slots, lvars, nterms, ones, group), values, steps, failure, wide = program
+        # a row of a column is nterms * 8 bytes, point.size is 8 a column
+        if wide is not None and nterms * point.size * wide[0] > series.BLOCK_BYTES:
+            steps, group = wide[1], None
         vals = list(init)
         if slots:
             c = np.zeros((len(slots), nterms) + batch)
-            c[:, 0] = point[lvars]
-            if e is not None:
-                c[range(len(slots)), e] = 1.0
-            for i, slot in enumerate(slots):
-                vals[slot] = c[i]
+            c[:, 0] = point.take(lvars, axis=0)
+            if ones is not None:
+                c[ones] = 1.0
+            for slot, row in zip(slots, c):
+                vals[slot] = row
+            if group is not None:
+                outs, gvars, dst, src = group
+                m = len(outs)
+                v0 = c[:m, 0] if gvars is None else point[gvars]
+                for slot, row in zip(outs, series._coordinate_rows(c[:m], v0, dst, src)):
+                    vals[slot] = row
         for slot, var in values:
             vals[slot] = point[var]
         try:
@@ -677,7 +835,7 @@ class _Tape:
                 c = np.broadcast_to(c, c.shape[:1] + batch).copy()
             elif r in self.roots[:i]:
                 c = c.copy()  # every root owns its coefficients
-            out.append(TSeries(c, order, layout))
+            out.append(c)
         return out
 
 

@@ -31,9 +31,6 @@ LORENTZ = (1, -1, -1, -1)
 #: einsum labels of a series' own tensor axes in the adapted derivative
 _INDICES = "bcdefghij"
 
-#: the jets of F^2 that a Tower reads when F uses x
-_CURVED_JETS = ("yy", "yx", "x", "yyx", "yyy")
-
 
 @dataclass(frozen=True)
 class SpaceDef:
@@ -101,9 +98,9 @@ class GeometrySample:
 def check_det(det, what, error):
     """Raise ``error`` for the first member whose |det| is below the threshold
     or NaN, naming it when the batch holds more than one."""
-    small = ~(np.abs(det) >= DEGENERACY_THRESHOLD)
-    if np.count_nonzero(small):
-        b = int(np.argmax(small))
+    ok = np.abs(det) >= DEGENERACY_THRESHOLD
+    if not ok.all():
+        b = int(np.argmin(ok))
         member = f"member {b}: " if det.size > 1 else ""
         raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}")
 
@@ -112,11 +109,16 @@ def _singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
+#: ``np.linalg``'s error state for inv and solve: a singular matrix raises
+#: LinAlgError, with no warning
+LAPACK_ERRSTATE = dict(call=_singular, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
 def lapack(gufunc, *args):
     """``np.linalg``'s inv or solve of float stacks by its ``gufunc``, under
-    its error state: a singular matrix raises LinAlgError, with no warning."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    its error state (``LAPACK_ERRSTATE``)."""
+    with np.errstate(**LAPACK_ERRSTATE):
         return gufunc(*args, signature="d" * len(args) + "->d")
 
 
@@ -145,18 +147,14 @@ def _trailing(name):
     return _stage(lambda t: _batch_last(getattr(t, name)) if t.batch else getattr(t, name))
 
 
-def _connection(series_name, stack_name, rank):
+def _connection(series_name, rank):
     """The values of the spray (rank 1) or the connection (rank 2), batch
-    axis last: zero where F does not use x, read off the series stage
-    ``series_name`` by a Tower that builds it (``series_connection``),
-    else the gathered ``stack_name``."""
+    axis last: zero where F does not use x, else read off the series stage
+    ``series_name``."""
     def values(t):
         if t.flat_x:
             return np.zeros((4,) * rank + t.batch)
-        if t.series_connection:
-            return np.ascontiguousarray(getattr(t, series_name).value())
-        stack = getattr(t, stack_name)
-        return _batch_last(stack) if t.batch else stack
+        return np.ascontiguousarray(getattr(t, series_name).value())
     return _stage(values)
 
 
@@ -166,7 +164,7 @@ class Tower:
     ``order_f`` is the ambient truncation order for F (4 covers every
     formula in the package but the continuity residual, which takes 5),
     ``order_l1`` the one for the potential generator.  Lower orders make
-    dynamics-style value extraction cheap.
+    value extraction cheap (``metric`` takes F to order 2).
     A flat F (``space.flat_x``) is expanded to ``min(order_f,
     max(order_l1, 3))``: with no connection, F's highest reader is the
     inverse metric of the field blocks (order ``order_l1 - 2``) and
@@ -178,12 +176,9 @@ class Tower:
     subexpression they share once (``fused``; a Tower whose L1 is never
     read clears it before its first stage, and F runs alone).
 
-    The spray G and the connection N have two routes.  A Tower with F to
-    order 4 or more that uses x (``series_connection``) builds their
-    series for the connection's derivatives and reads their values off
-    them.  The force's Towers (F to order 2 or 3) gather the values from
-    the jets of F^2 with batched linear algebra (``spray_stack``,
-    ``nonlinear_stack``), which is faster at a lone point.
+    The values of the spray G and the connection N are read off their
+    series.  (The Lorentz force gathers its own from the jets of F^2, in
+    :mod:`finslerem.dynamics`.)
     """
 
     def __init__(self, space, x, y, order_f=4, order_l1=3):
@@ -194,13 +189,11 @@ class Tower:
         self.y = np.asarray(y, dtype=float)
         self.point = np.concatenate([self.x, self.y], axis=0)
         self.batch = self.point.shape[1:]
-        self.y_stack = self.y.T.copy()[..., None] if self.batch else self.y[:, None]
         self.kf = order_f
         self.kl = order_l1
         self.layout = space.layout
         self.flat_x = space.flat_x
         self.fused = order_f == order_l1 and space.has_field
-        self.series_connection = order_f >= 4 and not space.flat_x
         self.cache = {}
 
     #: the stages :meth:`tiled` repeats: those the field blocks and the
@@ -268,21 +261,12 @@ class Tower:
         return expr.eval_series(self.space.L1, self.point, self.kl, self.layout)
 
     # -- value stages ----------------------------------------------------
-    # Gathered from the jets of e = F^2 and L1 as member-first stacks,
-    # (B, 4, 4) and y_stack (B, 4, 1) for a batch of B, which batched
-    # det/inv/solve take as they are; the *_values views have the batch
-    # axis trailing.  Each generator's jets come from one take.
-    @_stage
-    def _e_jets(self):
-        """The jets of F^2 that the value stages read, by pattern: the
-        spray and the connection read more when F uses x, the connection's
-        two from order 3."""
-        patterns = ("yy",) if self.flat_x else _CURVED_JETS[:5 if self.kf > 2 else 3]
-        return dict(zip(patterns, jets(self.e, patterns)))
-
+    # The metric is gathered from the jets of e = F^2 as a member-first
+    # stack, (B, 4, 4) for a batch of B, which batched det/inv take as it
+    # is; the *_values views have the batch axis trailing.
     @_stage
     def g_stack(self):
-        return 0.5 * self._e_jets["yy"]
+        return 0.5 * jets(self.e, ("yy",))[0]
 
     @_stage
     def det_values(self):
@@ -293,44 +277,10 @@ class Tower:
         check_det(self.det_values, "det g", DegenerateMetricError)
         return lapack(_umath_linalg.inv, self.g_stack)
 
-    @_stage
-    def _spray_rhs(self):
-        """(e_yx, b) with b_l = (F^2)_{.l,k} y^k - (F^2)_{,l}, so G = 1/4 g^{-1} b."""
-        e_yx = self._e_jets["yx"]
-        return e_yx, e_yx @ self.y_stack - self._e_jets["x"][..., None]
-
-    @_stage
-    def spray_stack(self):
-        """G^i, (B, 4)."""
-        if self.flat_x:
-            return np.zeros(self.y_stack.shape[:-1])
-        return (0.25 * (self.ginv_stack @ self._spray_rhs[1]))[..., 0]
-
-    @_stage
-    def nonlinear_stack(self):
-        """N^a_j = dG^a/dy^j, with d(g^{-1})/dy = -g^{-1} (dg/dy) g^{-1}."""
-        if self.flat_x:
-            return np.zeros(self.g_stack.shape)
-        e_yx, b = self._spray_rhs
-        ginv = self.ginv_stack
-        db = (np.einsum("...ljk,...k->...lj", self._e_jets["yyx"], self.y_stack[..., 0])
-              + e_yx - e_yx.mT)
-        dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * self._e_jets["yyy"], ginv)
-        return 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
-
-    @_stage
-    def field_stack(self):
-        """(F_ij, Ft_ia) from A_j = L1_{.j}: delta_i A_j - delta_j A_i and -A_{i.a}."""
-        ay, dA = jets(self.l1_series, ("yy", "yx"))  # ay[a, j] = A_{j.a}, symmetric
-        dA = dA.mT  # dA[i, j] = dA_j/dx^i
-        if not self.flat_x:
-            dA = dA - np.einsum("...ai,...aj->...ij", self.nonlinear_stack, ay)  # delta_i A_j
-        return dA - dA.mT, -ay
-
     g_values = _trailing("g_stack")
     ginv_values = _trailing("ginv_stack")
-    spray_values = _connection("spray", "spray_stack", 1)
-    nonlinear_values = _connection("nonlinear", "nonlinear_stack", 2)
+    spray_values = _connection("spray", 1)
+    nonlinear_values = _connection("nonlinear", 2)
 
     # -- series stages ---------------------------------------------------
     # Tensor series, (*tensor, nterms, *batch): a tensor stage is a few

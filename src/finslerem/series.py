@@ -495,6 +495,54 @@ def _coordinate_product(a, v0, src):
     return c
 
 
+def _coordinate_shifts(k, positions, n):
+    """(dst, src) of :func:`_coordinate_rows`: flat indices into m rows of
+    order-k coefficients in a layout of n variables, whose coordinates sit
+    at ``positions``.  Row i reads term T at ``src`` and adds it at T + e_i
+    (``dst``), for each term T of degree < k, both offset by i rows."""
+    nterms = _terms(n).nterms[k]
+    dst, src = [], []
+    for i, pos in enumerate(positions):
+        shift = _deriv_tables(k, pos, n)[0]
+        dst.append(i * nterms + shift)
+        src.append(i * nterms + np.arange(len(shift)))
+    return np.concatenate(dst), np.concatenate(src)
+
+
+def _coordinate_rows(a, v0, dst, src):
+    """The :func:`_coordinate_product` of each row of ``a``, shaped
+    ``(m, nterms, *batch)``, with the coordinate of values ``v0[i]``, as
+    one step: the same sums, term by term.  ``dst`` and ``src`` are the
+    flat shifts of :func:`_coordinate_shifts`, fixed for every batch
+    shape.  The rows run in pieces of at most ``BLOCK_BYTES`` (but at
+    least one row); returns the m products."""
+    m = len(a)
+    per = max(BLOCK_BYTES * m // (8 * a.size), 1) if a.size else m
+    if per >= m:
+        return _shifted_rows(a, v0, dst, src)
+    nterms, step = a.shape[1], len(dst) // m
+    out = []
+    for r0 in range(0, m, per):
+        r1 = min(r0 + per, m)
+        out.extend(_shifted_rows(a[r0:r1], v0[r0:r1], dst[r0 * step:r1 * step] - r0 * nterms,
+                                 src[r0 * step:r1 * step] - r0 * nterms))
+    return out
+
+
+def _shifted_rows(a, v0, dst, src):
+    """One piece of :func:`_coordinate_rows`, as one array."""
+    batch = a.shape[2:]
+    c = a * v0[:, None]
+    flat = c.reshape((-1,) + batch)
+    if batch:  # a take beats fancy indexing on a few columns
+        t = flat.take(dst, axis=0)
+        t += a.reshape(flat.shape).take(src, axis=0)
+        flat[dst] = t
+    else:
+        flat[dst] += a.reshape(-1)[src]
+    return c
+
+
 def coordinate_contraction(a, values):
     """The series of ``contract("lk,k->l", a, y)`` for the fibre coordinate
     series y^k of base values ``values`` (shaped ``(4, *batch)``), without
@@ -659,15 +707,25 @@ def jets(series, patterns):
     batched linear algebra takes as they are.  The values are those of
     ``jet_tensor`` moved to that layout.
     """
-    batch = series.batch
-    key = (series.layout, patterns, batch)
+    if max(map(len, patterns)) > series.order:
+        raise ValueError(f"patterns {patterns!r} beyond trusted order {series.order}")
+    return _read_jets(series.coeffs, jets_plan(series.layout, patterns, series.batch))
+
+
+def jets_plan(layout, patterns, batch):
+    """The plan of :func:`jets` for scalar series in ``layout`` at a batch
+    of shape ``batch``, built on first use (:func:`_jets_plan`)."""
+    key = (layout, patterns, batch)
     plan = _jets_cache.get(key)
     if plan is None:
         plan = _remember(_jets_cache, key, _jets_plan(*key))
-    if max(map(len, patterns)) > series.order:
-        raise ValueError(f"patterns {patterns!r} beyond trusted order {series.order}")
+    return plan
+
+
+def _read_jets(coeffs, plan):
+    """The tensors of :func:`jets` by a plan of :func:`_jets_plan`."""
     idx, fac, inactive, blocks = plan
-    out = series.coeffs.take(idx)
+    out = coeffs.take(idx)
     out *= fac
     if inactive is not None:
         out[inactive] = 0.0
@@ -1044,20 +1102,23 @@ def _compose(c, cs, n, rank=0):
     scale = np.expand_dims(cs[-1], rank) if rank else cs[-1]
     if k < 3:
         r = h * scale
-        r[i] = cs[-1] if k == 0 else r[i] + cs[-2]
+        if k:
+            r[i] += cs[-2]
+        else:
+            r[i] = cs[-1]
         if k == 2:
             r = _product(r, h, k, n, ranks, shape)
-            r[i] = r[i] + cs[0]
+            r[i] += cs[0]
         return r
     nterms = _terms(n).nterms
     r = h[head + (slice(nterms[1]),)] * scale
-    r[i] = r[i] + cs[-2]
+    r[i] += cs[-2]
     for m in range(k - 2, -1, -1):
         d = k - m
         acc = np.zeros(shape + (nterms[d],) + c.shape[rank + 1:])
         acc[head + (slice(nterms[d - 1]),)] = r
         r = _product(acc, h[head + (slice(nterms[d]),)], d, n, ranks, shape)
-        r[i] = r[i] + cs[m]
+        r[i] += cs[m]
     return r
 
 
@@ -1084,15 +1145,22 @@ def sqrt(c, k, n, rank=0):
     return _compose(c, cs, n, rank)
 
 
-def _taylor_row(derivs, k):
-    """d_m / m! for m <= k, the derivatives d_m cycling through ``derivs``;
-    d_0 and d_1 are not divided, which changes no bit."""
-    return [d if m < 2 else d / math.factorial(m)
-            for m, d in zip(range(k + 1), itertools.cycle(derivs))]
+def _taylor_row(d0, d1, k):
+    """d_m / m! for m <= k, the derivatives d_m cycling through d0, d1,
+    -d0, -d1, each negation taken where it is read; d_0 and d_1 are not
+    divided, which changes no bit."""
+    row = []
+    for m in range(k + 1):
+        d = (d0, d1)[m % 2]
+        if m % 4 > 1:
+            d = -d
+        row.append(d if m < 2 else d / math.factorial(m))
+    return row
 
 
 def exp(c, k, n, rank=0):
-    return _compose(c, _taylor_row([np.exp(_u0(c, rank))], k), n, rank)
+    e = np.exp(_u0(c, rank))
+    return _compose(c, [e if m < 2 else e / math.factorial(m) for m in range(k + 1)], n, rank)
 
 
 def log(c, k, n, rank=0):
@@ -1107,14 +1175,13 @@ def log(c, k, n, rank=0):
 
 def sin(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    s, co = np.sin(u0), np.cos(u0)
-    return _compose(c, _taylor_row([s, co, -s, -co], k), n, rank)
+    return _compose(c, _taylor_row(np.sin(u0), np.cos(u0), k), n, rank)
 
 
 def cos(c, k, n, rank=0):
     u0 = _u0(c, rank)
     s, co = np.sin(u0), np.cos(u0)
-    return _compose(c, _taylor_row([co, -s, -co, s], k), n, rank)
+    return _compose(c, _taylor_row(co, -s, k), n, rank)
 
 
 def absolute(c, k, n, rank=0):

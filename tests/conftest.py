@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from finslerem import em, expr
+from finslerem import dynamics, em, expr
 from finslerem.expr import eval_series, parse
 from finslerem.geometry import SpaceDef, Tower
 from finslerem.series import TSeries
@@ -68,11 +68,11 @@ def aniso_wave():
 @pytest.fixture
 def fresh_caches(monkeypatch):
     """Empty compile caches for one test: parsed fields, tapes, joined
-    programs and isotropic truncations.  A test that counts compile work
-    or reads a tape's programs then sees only its own.  (A field built
-    before the test keeps the tape it holds.)"""
+    programs, isotropic truncations and compiled forces.  A test that
+    counts compile work or reads a tape's programs then sees only its own.
+    (A field built before the test keeps the tape it holds.)"""
     for module, name in ((expr, "_parsed"), (expr, "_tapes"), (expr, "_joined"),
-                         (em, "_truncations")):
+                         (em, "_truncations"), (dynamics, "_forces")):
         monkeypatch.setattr(module, name, {})
 
 

@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
 check.  ``same_bits`` compares arrays bit for bit, signs of zeros
-included.  There are twelve exceptions.  ``reduceat_product`` is the series
+included.  There are thirteen exceptions.  ``reduceat_product`` is the series
 product summed by one ``np.add.reduceat`` over the package's product
 table, the reference for the peeled kernel.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
@@ -17,7 +17,9 @@ degree solve.  The scalar identity oracle reads the
 tower entry by entry, in the order of evaluation that its whole-tensor
 contractions replaced.  ``reference_force`` is the Lorentz solve read
 off separately evaluated generators with ``jet_tensor``, the arithmetic
-that ``ForceEvaluator`` had before it shared one program and one take.
+that ``ForceEvaluator`` had before it shared one program and one take,
+and ``tower_force`` the force as it ran on the stages of a Tower before
+it was compiled.
 ``fd_divergence`` takes central differences of the components but reads
 the volume factor and the connection off a Tower.  ``continuity_defect``
 is the closed form of div J in terms of the Tower's connection, its
@@ -36,17 +38,18 @@ import itertools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from finslerem import expr, geometry
 from finslerem.em import em_series
-from finslerem.errors import DomainError, HomogeneityViolationError
+from finslerem.errors import DomainError, HomogeneityViolationError, SingularForceMatrixError
 from finslerem.expr import (BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_series, eval_value,
                             eval_values)
 from finslerem.geometry import Tower
 from finslerem.maxwell import fibre_tower
 from finslerem.scene import HOMOGENEITY_TOL
 from finslerem.series import (NTERMS, TERMS, TSeries, _deriv_tables, _mul_tables, _product, _terms,
-                              contract, jet_tensor)
+                              contract, jet_tensor, jets)
 
 
 def same_bits(got, want):
@@ -612,6 +615,61 @@ def reference_force(space, x, y):
         "ortho_F": np.einsum(ortho, (F_mix_h @ yv)[..., 0], g, yv[..., 0]),
         "ortho_Ftilde": np.einsum(ortho, (F_mix_v @ a)[..., 0], g, yv[..., 0]),
         "eq_motion_residual": np.max(np.abs(res), axis=(-2, -1)),
+    }
+    if np.ndim(x) == 1:
+        mon = {k: float(v) for k, v in mon.items()}
+    return a_out, dydt_out, mon
+
+
+def tower_force(space, x, y, monitors=False):
+    """``ForceEvaluator(space)(x, y, monitors)`` as it ran on the value
+    stages of one low-order Tower, before the force was compiled: F to
+    order 2 (3 when the field reads the connection), L1 to 2, the spray,
+    the connection and the field blocks gathered from the jets of F^2 and
+    L1 as member-first stacks, and inv and solve each under
+    ``geometry.lapack``.  The same bits are the compiled force's gate."""
+    has_em = space.has_field
+    order_f = 3 if (has_em and not space.flat_x) else 2
+    t = Tower(space, x, y, order_f=order_f, order_l1=2)
+    patterns = ("yy",) if t.flat_x else ("yy", "yx", "x", "yyx", "yyy")[:5 if t.kf > 2 else 3]
+    e_jets = dict(zip(patterns, jets(t.e, patterns)))
+    g, ginv = t.g_stack, t.ginv_stack
+    yv = t.y.T.copy()[..., None] if t.batch else t.y[:, None]
+    qc = space.qc()
+    if not t.flat_x:
+        e_yx = e_jets["yx"]
+        b = e_yx @ yv - e_jets["x"][..., None]
+    if has_em:
+        ay, dA = jets(t.l1_series, ("yy", "yx"))  # ay[a, j] = A_{j.a}, symmetric
+        dA = dA.mT  # dA[i, j] = dA_j/dx^i
+        if not t.flat_x:
+            db = (np.einsum("...ljk,...k->...lj", e_jets["yyx"], yv[..., 0]) + e_yx - e_yx.mT)
+            dginv = -np.einsum("...ia,...abj,...bl->...ilj", ginv, 0.5 * e_jets["yyy"], ginv)
+            N = 0.25 * (np.einsum("...ilj,...l->...ij", dginv, b[..., 0]) + ginv @ db)
+            dA = dA - np.einsum("...ai,...aj->...ij", N, ay)  # delta_i A_j
+        F, Ft = dA - dA.mT, -ay
+        F_mix_h = ginv @ F
+        F_mix_v = ginv @ Ft
+        M = np.eye(4) - qc * F_mix_v
+        det = _umath_linalg.det(M, signature="d->d")
+        geometry.check_det(det, "det(I - (q/c)Ft)", SingularForceMatrixError)
+        force_h = F_mix_h @ yv
+        a = geometry.lapack(_umath_linalg.solve, M, qc * force_h)
+    else:
+        F = Ft = F_mix_h = F_mix_v = np.zeros(g.shape)
+        force_h = F_mix_h @ yv
+        a = np.zeros(yv.shape)
+    dydt = a.copy() if t.flat_x else a - 2.0 * (0.25 * (ginv @ b))[..., 0][..., None]
+    a_out, dydt_out = a[..., 0].T, dydt[..., 0].T
+    if not monitors:
+        return a_out, dydt_out
+    res = qc * (F @ yv) + (qc * Ft - g) @ a
+    ortho = "...i,...ij,...j->..."
+    mon = {
+        "F_value": t.f_value,
+        "ortho_F": np.einsum(ortho, force_h[..., 0], g, yv[..., 0]),
+        "ortho_Ftilde": np.einsum(ortho, (F_mix_v @ a)[..., 0], g, yv[..., 0]),
+        "eq_motion_residual": np.maximum.reduce(np.abs(res), axis=(-2, -1)),
     }
     if np.ndim(x) == 1:
         mon = {k: float(v) for k, v in mon.items()}

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -387,8 +388,9 @@ class TestConcurrentEvaluation:
 
 def _count_kernels(monkeypatch):
     """Record every call of the product kernels from here on: the full
-    product, the coordinate step and the outer product, each with whether
-    a factor is a folded (read-only) constant."""
+    product, the coordinate step, the grouped coordinate step and the
+    outer product, each with whether a factor is a folded (read-only)
+    constant."""
     calls = []
 
     def counting(name, kernel):
@@ -400,6 +402,7 @@ def _count_kernels(monkeypatch):
     monkeypatch.setattr(series, "_product", counting("product", series._product))
     monkeypatch.setattr(series, "_coordinate_product",
                         counting("coordinate", series._coordinate_product))
+    monkeypatch.setattr(series, "_coordinate_rows", counting("grouped", series._coordinate_rows))
     monkeypatch.setattr(series, "_outer_product", counting("outer", series._outer_product))
     return calls
 
@@ -414,6 +417,60 @@ def _node_count(node):
     return 1 + sum(_node_count(a) for a in node.args)
 
 
+class TestGroupedCoordinateStep:
+    """``series._coordinate_rows``, the tape's grouped step of the products
+    of coordinate leaves with coordinates, is ``series._coordinate_product``
+    of each row, bit for bit, on any factors."""
+
+    #: the coordinate of each row, by its position in a layout of 5 variables
+    POSITIONS = (1, 2, 3, 4, 0, 2)
+
+    @staticmethod
+    def factors(order, batch):
+        """Rows of coefficients and coordinate values with negative, signed
+        zero and non-finite entries."""
+        rng = np.random.default_rng(order * 1000 + sum(batch))
+        nterms = series._terms(5).nterms[order]
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        a = rng.normal(size=(6, nterms) + batch)
+        v0 = rng.normal(size=(6,) + batch)
+        for arr in (a, v0):
+            hit = rng.choice(arr.size, max(arr.size // 4, 2), replace=False)
+            arr.flat[hit] = rng.choice(specials, len(hit))
+        v0.flat[:2] = (0.0, -0.0)
+        return a, v0
+
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (100,)], ids=["lone", "w1", "w7", "w100"])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_rows_are_the_per_step_products(self, order, batch):
+        a, v0 = self.factors(order, batch)
+        dst, src = series._coordinate_shifts(order, self.POSITIONS, 5)
+        with np.errstate(invalid="ignore"):
+            got = series._coordinate_rows(a, v0, dst, src)
+            want = [series._coordinate_product(a[i], v0[i], series._deriv_tables(order, pos, 5)[0])
+                    for i, pos in enumerate(self.POSITIONS)]
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert same_bits(g, w), i
+
+    def test_temporaries_fit_a_block(self):
+        """At order 4 and 100 columns a row of 126 terms takes 100.8 KB: the
+        rows run one by one, each in an array of its own, and nothing the
+        step makes besides its rows outgrows ``series.BLOCK_BYTES``."""
+        a, v0 = self.factors(4, (100,))
+        dst, src = series._coordinate_shifts(4, self.POSITIONS, 5)
+        tracemalloc.start()
+        try:
+            with np.errstate(invalid="ignore"):
+                got = series._coordinate_rows(a, v0, dst, src)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a[0].nbytes <= series.BLOCK_BYTES < 2 * a[0].nbytes
+        assert all(g.base.nbytes <= series.BLOCK_BYTES for g in got)
+        assert peak - current <= series.BLOCK_BYTES
+
+
 @pytest.mark.usefixtures("fresh_caches")
 class TestTape:
     """eval_series runs a program compiled once per field structure."""
@@ -422,9 +479,10 @@ class TestTape:
         f = parse("(y0*y1 + x0)*(y0*y1 + x0)")
         calls = _count_kernels(monkeypatch)
         s = eval_series(f, PT, 2)
-        # y0*y1 and the outer product; a tree walk makes 3 (before coordinate
-        # steps, the tape made 2 full products)
-        assert [name for name, _ in calls] == ["coordinate", "product"]
+        # y0*y1, a coordinate times a coordinate leaf, and the outer product;
+        # a tree walk makes 3 (before coordinate steps, the tape made 2 full
+        # products)
+        assert [name for name, _ in calls] == ["grouped", "product"]
         u = TSeries.coordinate(4, PT[4], 2) * TSeries.coordinate(5, PT[5], 2) \
             + TSeries.coordinate(0, PT[0], 2)
         assert np.array_equal(s.coeffs, (u * u).coeffs)
@@ -453,6 +511,40 @@ class TestTape:
         assert np.isnan(s.coeffs[1:]).all()
         assert np.array_equal(s.coeffs, want.coeffs, equal_nan=True)
 
+    @staticmethod
+    def kernels(program):
+        return [getattr(fn, "func", fn) for _, fn, *_ in program[3]]
+
+    def test_coordinate_steps_run_grouped_and_stacked(self):
+        """The leaf squares run as one grouped step and the coordinate
+        steps that depend on no other one as one stacked step, while the
+        rows fit in a block; a wider batch runs every step alone, where it
+        is read.  Either way the series are the tree walk's, bit for bit."""
+        f = parse("y0^2 - y1^2 + 2*sin(x0)*y0 + 3*cos(x1)*y1 + 5*x2*y2")
+        layout = (0, 1, 2, 4, 5, 6)
+        rng = np.random.default_rng(4)
+        program = f._tape.built(2, 1, layout)
+        rows, wide = program[5]
+        assert rows == 3 and len(program[1][4][0]) == 2  # stacked 3, grouped 2
+        assert expr._stacked_step in self.kernels(program)
+        assert expr._coordinate_step not in self.kernels(program)
+        assert sum(getattr(fn, "func", fn) is expr._coordinate_step for _, fn, *_ in wide) == 5
+        for width in (1, 7, 300):  # 300 columns of 3 rows of 28 terms outgrow a block
+            pts = rng.uniform(0.2, 1.2, (8, width))
+            want = tree_series(f.ast, pts, 2, layout)
+            assert same_bits(eval_series(f, pts, 2, layout).coeffs, want.coeffs)
+
+    def test_stacking_keeps_the_order_of_failures(self):
+        """Stacking 2*x1*y0 and 3*x2*y1 would run sqrt(2*x1*y0) after
+        log(x3), so the steps stay apart and a point where both fail names
+        the sqrt, as the tree walk does."""
+        f = parse("sqrt(2*x1*y0) + log(x3) + 3*x2*y1")
+        program = f._tape.built(2, 1, (1, 2, 3, 4, 5))
+        assert expr._stacked_step not in self.kernels(program)
+        pts = np.tile(np.array([[0.0, -0.5, 0.3, -0.2, 1.0, 0.1, 0.0, 0.0]]).T, 3)
+        with pytest.raises(DomainError, match=r"sqrt of a nonpositive value in 'sqrt\(2\*x1\*y0\)'"):
+            eval_series(f, pts, 2, (1, 2, 3, 4, 5))
+
     def test_truncation_tape_makes_no_product_with_a_constant(self, aniso_wave, monkeypatch):
         iso = isotropic_truncation(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0])).L1
         pts = np.random.default_rng(1).uniform(0.1, 0.3, (8, 7))
@@ -462,8 +554,10 @@ class TestTape:
         calls = _count_kernels(monkeypatch)
         eval_series(iso, pts, 2, aniso_wave.layout)
         # before constants scaled, 16 products, 10 of them with a folded
-        # constant; before coordinate steps, 6 products
-        assert sorted(calls) == [("coordinate", False)] * 4 + [("product", False)]
+        # constant; before coordinate steps, 6 products; before the
+        # coordinate steps were stacked, 4 of them.  The y2 and y3 terms
+        # share their factor, so one runs alone.
+        assert sorted(calls) == [("coordinate", False), ("grouped", False), ("product", False)]
 
     def test_blended_aniso_wave_tape_is_small(self, aniso_wave):
         blended = blend_anisotropy(aniso_wave, np.array([1.0, 0.1, 0.0, 0.0]), 0.3).L1

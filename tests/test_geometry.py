@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from finslerem import dynamics
 from finslerem.em import anisotropy_ensemble, em_series
 from finslerem.errors import DegenerateMetricError, SignatureMismatchError
 from finslerem.expr import ScalarField, _Tape, eval_jet, eval_series, parse
@@ -367,29 +368,39 @@ class TestValueStages:
         scene = load_scene(FIXTURES / f"{name}.scene")
         xs, ys = draw_admissible(scene.space, scene.rng(), 8, scene.sampling.x_box,
                                  scene.sampling.y_box)
-        t = Tower(scene.space, xs[:, cols], ys[:, cols])
-        # the force's Tower gathers G, N and the field blocks from the jets;
-        # a full Tower reads G and N off its series
-        force = Tower(scene.space, xs[:, cols], ys[:, cols], order_f=3, order_l1=2)
+        x, y = xs[:, cols], ys[:, cols]
+        t = Tower(scene.space, x, y)
 
         def values(m):
             return np.array([[s.value() for s in row] for row in m])
 
         def trailing(stack):
-            return np.moveaxis(stack, 0, -1) if force.batch else stack
+            return np.moveaxis(stack, 0, -1) if t.batch else stack
 
         self._close(t.g_values, values(t.g))
         self._close(t.ginv_values, values(t.ginv))
         self._close(t.det_values, t.det_series.value())
         self._close(t.spray_values, np.array([s.value() for s in t.spray]))
         self._close(t.nonlinear_values, values(t.nonlinear))
-        self._close(trailing(force.spray_stack), np.array([s.value() for s in t.spray]))
-        self._close(trailing(force.nonlinear_stack), values(t.nonlinear))
+        # the force gathers G and N from the jets of F^2 (to order 3) and
+        # the field blocks from those of L1; a Tower reads them off its series
+        e_jets = series.jets(Tower(scene.space, x, y, order_f=3, order_l1=2).e,
+                             dynamics._CURVED_JETS)
+        ginv = np.linalg.inv(0.5 * e_jets[0])
+        spray, N = dynamics._connection(e_jets, ginv, y.T[..., None] if t.batch else y[:, None],
+                                        True)
+        self._close(trailing(spray), np.array([s.value() for s in t.spray]))
+        self._close(trailing(N), values(t.nonlinear))
+        *_, solved = dynamics._compiled(scene.space, y.ndim - 1)(scene.space.L1,
+                                                                 scene.space.qc(), x, y)
         em = em_series(t)
-        for stack, block in zip(force.field_stack, ("F_hh", "F_hv")):
-            self._close(trailing(stack), values(em[block]))
+        for stack, block in zip(solved[4:6], ("F_hh", "F_hv")):
+            if stack is None:  # no field
+                assert not values(em[block]).any()
+            else:
+                self._close(trailing(stack), values(em[block]))
 
-    #: the value stages a force's Tower (F to order 3) can read
+    #: the value stages a Tower with F to order 3 (``em_sample``'s) can read
     GATHERED = ("g_values", "ginv_values", "det_values", "spray_values", "nonlinear_values")
 
     @pytest.mark.parametrize("orders", [(4, 3), (5, 4), (3, 2)])

@@ -173,3 +173,39 @@ def test_closed_stdout_is_one_line_and_exit_1(command, tmp_path):
     assert proc.wait(timeout=120) == 1, err
     assert len(err.splitlines()) <= 1, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+FAILING_RUN = """[space]
+F = "sqrt(y0^2 - y1^2 - y2^2 - y3^2)"
+L1 = "0.1*y0*log(1 - x1)"
+
+[particle]
+x0 = 0 0 0 0
+y0 = 1 0.5 0 0
+
+[integrate]
+method = rk4
+dt = 0.01
+t_end = 5
+"""
+
+
+@pytest.mark.parametrize("where", ["flag", "scene", "stdout"])
+def test_failed_run_removes_its_output_file(where, tmp_path):
+    """A trajectory that fails part way (x1 reaches 1, where log(1 - x1)
+    has no value) exits 1 with one line and leaves no output file behind,
+    whether ``--out`` or the scene's ``[output] path`` named it; a run
+    writing to stdout writes nothing there."""
+    out_path = tmp_path / "out.csv"
+    text = FAILING_RUN + (f"\n[output]\npath = {out_path}\n" if where == "scene" else "")
+    path = tmp_path / "failing.scene"
+    path.write_text(text)
+    argv = ["trajectory", str(path)] + {"flag": ["--out", str(out_path)], "scene": [],
+                                        "stdout": ["--out", "-"]}[where]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue() == (
+        "error: at t=1.55: log of a nonpositive value in 'log(1 - x1)'\n")
+    assert out.getvalue() == ""
+    assert not out_path.exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import finslerem
-from finslerem import em, expr, series
+from finslerem import dynamics, em, expr, series
 from finslerem.cli import identity_residuals, main, run_validation
 from finslerem.dynamics import ForceEvaluator
 from finslerem.errors import (
@@ -136,8 +136,8 @@ class TestIdentitySuiteWork:
 
     @pytest.mark.parametrize("name", [f[:-len(".scene")] for f in ALL_FIXTURES])
     def test_full_tower_reads_the_connection_off_its_series(self, name, monkeypatch):
-        """The identity suite's Towers run no gather of G or N, and their
-        inverse metric stops at the order of the field blocks."""
+        """The identity suite's two Towers stop their inverse metric at the
+        order of the field blocks."""
         space = load_scene(FIXTURES / f"{name}.scene").space
         xs, ys = draw_admissible(space, np.random.default_rng(13), 20)
         towers = []
@@ -151,7 +151,6 @@ class TestIdentitySuiteWork:
         identity_residuals(space, xs, ys)
         assert len(towers) == 2
         for t in towers:
-            assert not {"_spray_rhs", "spray_stack", "nonlinear_stack"} & set(t.__dict__)
             if "ginv" in t.__dict__:
                 assert t.ginv.order == max(1, t.kl - 2)
         assert "ginv" in towers[0].__dict__
@@ -160,7 +159,7 @@ class TestIdentitySuiteWork:
 class TestCompileWork:
     """Parsing and compilation per job of the benchmark's scenes: a cold
     job compiles each expression once, and a repeat of the same scene in
-    the same process compiles nothing."""
+    the same process compiles nothing: no tape, program or force."""
 
     # before the caches every job made the cold job's calls, a repeat too
     COLD = {
@@ -168,7 +167,7 @@ class TestCompileWork:
         "validate-randers-aniso": {"parse": 2, "tape": 3, "build": 2},
         "validate-pr-curved": {"parse": 2, "tape": 2, "build": 3},
         "validate-aniso-wave": {"parse": 2, "tape": 3, "build": 2},
-        "compare-aniso-wave": {"parse": 2, "tape": 5, "build": 4, "diff_ast": 4},
+        "compare-aniso-wave": {"parse": 2, "tape": 5, "build": 4, "diff_ast": 4, "force": 1},
     }
 
     @pytest.mark.parametrize("job", list(COLD))
@@ -195,6 +194,7 @@ class TestCompileWork:
         counting(expr._Tape, "__init__", "tape")
         counting(expr._Tape, "_build", "build")
         counting(em, "diff_ast", "diff_ast")
+        counting(dynamics._Force, "__init__", "force")
         assert main(argv) == 0
         assert counts == self.COLD[job]
         cold = capsys.readouterr()
@@ -202,6 +202,26 @@ class TestCompileWork:
         assert main(argv) == 0
         assert counts == {}
         assert capsys.readouterr() == cold
+
+
+class TestMonitorsWhereRead:
+    """``compare`` reads only the endpoints of its member runs and computes
+    no monitor; ``trajectory`` writes them and computes one per row."""
+
+    @pytest.mark.parametrize("command", [["compare", "--kappa-sweep", "0,0.5"], ["trajectory"]])
+    def test_monitor_calls(self, command, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "short.scene"
+        path.write_text((FIXTURES / "aniso-wave.scene").read_text()
+                        .replace("t_end = 1", "t_end = 0.005"))
+        calls = []
+        monitors = dynamics._monitors
+        monkeypatch.setattr(dynamics, "_monitors", lambda *a: calls.append(1) or monitors(*a))
+        assert main([command[0], str(path), *command[1:]]) == 0
+        if command[0] == "compare":
+            assert calls == []
+        else:  # a header, then t = 0 and 5 rk4 steps
+            assert len(capsys.readouterr().out.splitlines()) == 7
+            assert len(calls) == 6
 
 
 class TestRoundingGate:
