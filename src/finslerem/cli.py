@@ -21,7 +21,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import expr
-from .dynamics import integrate
 from .em import anisotropy_ensemble, em_sample
 from .errors import (
     DegenerateMetricError,
@@ -43,7 +42,7 @@ from .maxwell import (
 from .scene import MAX_SAMPLES, load_scene
 from .series import FIBRE_VARS
 
-#: most points a currents grid may have; a point costs tens of milliseconds
+#: most points a currents grid may have; a point costs about a millisecond
 MAX_GRID_POINTS = 10**5
 
 LOAD_ERRORS = (
@@ -298,6 +297,8 @@ def cmd_validate(args):
 
 
 def cmd_trajectory(args):
+    from .dynamics import integrate  # only the commands that integrate load it
+
     scene = _load(args.scene)
     it = scene.integrate
     with _open_out(args.out, scene) as out:
@@ -405,6 +406,8 @@ def _run_members(scene, space, members, draws):
     currents of all members come from one Tower over a copy of the draws
     per member, which holds the F-only stages of ``draws`` (``Tower.tiled``).
     """
+    from .dynamics import integrate
+
     space = replace(space, L1=replace(space.L1, kappas=tuple(members)))
     it = scene.integrate
     nb = len(members)

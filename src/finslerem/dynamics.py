@@ -31,6 +31,7 @@ from .errors import (
 )
 from . import series
 from .geometry import LAPACK_ERRSTATE, check_det
+from .scene import MAX_RK4_STEPS
 from .series import TSeries
 
 __all__ = [
@@ -40,9 +41,6 @@ __all__ = [
     "integrate",
     "MAX_RK4_STEPS",
 ]
-
-#: most fixed steps an rk4 run may take (the fixture scenes take at most 1e4)
-MAX_RK4_STEPS = 10**6
 
 _EYE = np.eye(4)
 
@@ -268,9 +266,11 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     step.  Monitors are recorded at every accepted step (None for each
     without ``monitors``, and then none is computed) and integration
     aborts with the failing t on per-sample errors.  dt and t_end must be
-    finite and > 0, and rk4 takes at most MAX_RK4_STEPS steps.  An rk45
-    step below 16 units in the last place of t no longer advances time
-    reliably and raises StepRejectionLimitError.
+    finite and > 0, and either method takes at most MAX_RK4_STEPS steps:
+    rk4 refuses a longer run at once, and rk45 raises
+    StepRejectionLimitError when it has accepted that many short of
+    t_end.  An rk45 step below 16 units in the last place of t no longer
+    advances time reliably and raises StepRejectionLimitError too.
 
     rk4 also integrates an ensemble: x0 and y0 of shape (4, B) run B
     worldlines in lockstep through one batched force, each member as it
@@ -347,6 +347,10 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     h = min(dt, t_end)
     rejections = 0
     while t < t_end - 1e-14:
+        if len(states) > MAX_RK4_STEPS:
+            raise StepRejectionLimitError(
+                f"rk45 stopped at t={t:.6g} after {MAX_RK4_STEPS} accepted steps"
+            )
         h_min = 16 * np.spacing(t)
         if h < h_min:
             raise StepRejectionLimitError(

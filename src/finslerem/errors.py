@@ -58,7 +58,8 @@ class SingularForceMatrixError(FinslerEMError):
 
 
 class StepRejectionLimitError(FinslerEMError):
-    """Adaptive integrator rejected too many consecutive steps."""
+    """Adaptive integrator gave up: too many consecutive rejections, a step
+    too small to advance t, or too many accepted steps."""
 
 
 class SceneParseError(FinslerEMError):

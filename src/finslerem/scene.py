@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr, geometry
-from .dynamics import MAX_RK4_STEPS
 from .errors import (
     DomainError,
     FinslerEMError,
@@ -30,6 +29,9 @@ from .geometry import SpaceDef
 HOMOGENEITY_TOL = 1e-10
 #: most samples a validation may draw; peak memory grows about 25 KB per sample
 MAX_SAMPLES = 10**4
+#: most steps an integration may take: rk4's fixed steps, checked at load,
+#: and rk45's accepted ones (the fixture scenes take at most 1e4)
+MAX_RK4_STEPS = 10**6
 
 
 @dataclass

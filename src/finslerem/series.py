@@ -209,12 +209,19 @@ _jet_tensor_cache = {}
 
 
 def _mul_tables(k, n=NVARS):
-    """(I, J, K-sorted starts) index arrays for products truncated at degree k."""
+    """(I, J, K-sorted starts) index arrays for products truncated at degree k.
+
+    Terms run in degree-major order, so the partners J of a term I are the
+    prefix of terms of degree <= k - |I|, and the pairs, by I and then J,
+    are listed in time linear in their number.
+    """
     t = _terms(n)
     if k not in t.mul:
         size = t.nterms[k]
-        deg = t.degree[:size]
-        I, J = np.nonzero(deg[:, None] + deg[None, :] <= k)  # row-major: by I, then J
+        counts = np.array(t.nterms)[k - t.degree[:size]]
+        ends = np.cumsum(counts)
+        I = np.repeat(np.arange(size), counts)
+        J = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
         K = t.lookup(t.codes[I] + t.codes[J])
         by_k = np.argsort(K, kind="stable")
         I, J = I[by_k], J[by_k]

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
 check.  ``same_bits`` compares arrays bit for bit, signs of zeros
-included.  There are thirteen exceptions.  ``reduceat_product`` is the series
+included.  There are fourteen exceptions.  ``mask_mul_tables`` is the
+product table found by scanning the full degree mask, as it was built
+before its pairs were listed by prefix.  ``reduceat_product`` is the series
 product summed by one ``np.add.reduceat`` over the package's product
 table, the reference for the peeled kernel.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
@@ -110,6 +112,18 @@ def tree_series(node, point, order, layout):
 
     out, = widen(walk(node))
     return TSeries(np.broadcast_to(out.coeffs, out.coeffs.shape[:1] + batch), order, layout)
+
+
+def mask_mul_tables(k, n):
+    """``series._mul_tables(k, n)`` from the size x size mask of pairs
+    whose degrees add up to at most k."""
+    t = _terms(n)
+    size = t.nterms[k]
+    deg = t.degree[:size]
+    I, J = np.nonzero(deg[:, None] + deg[None, :] <= k)  # row-major: by I, then J
+    K = t.lookup(t.codes[I] + t.codes[J])
+    by_k = np.argsort(K, kind="stable")
+    return I[by_k], J[by_k], np.searchsorted(K[by_k], np.arange(size))
 
 
 def reduceat_product(a, b, k, n=8, ranks=(0, 0), out_tensor=(), combine=np.multiply, top=False):

@@ -484,6 +484,18 @@ class TestIntegrate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
 
+    def test_rk45_step_bound(self, curved_aniso, monkeypatch):
+        """An rk45 run stops after MAX_RK4_STEPS accepted steps, naming t
+        and the bound; a run that ends within the bound is untouched."""
+        monkeypatch.setattr(dynamics, "MAX_RK4_STEPS", 20)
+        short = integrate(curved_aniso, X0, Y0, 1e-3, method="rk45", dt=1e-4)
+        assert len(short.states) <= 21 and short.states[-1].t == 1e-3
+        with pytest.raises(StepRejectionLimitError) as ei:
+            integrate(curved_aniso, X0, Y0, 1e9, method="rk45", dt=1e-3)
+        t = float(str(ei.value).split("t=")[1].split()[0])
+        assert 0 < t < 1e9
+        assert "after 20 accepted steps" in str(ei.value)
+
     def test_unknown_method(self, minkowski):
         with pytest.raises(ValueError):
             integrate(minkowski, X0, Y0, 1.0, method="euler")

@@ -209,3 +209,22 @@ def test_failed_run_removes_its_output_file(where, tmp_path):
         "error: at t=1.55: log of a nonpositive value in 'log(1 - x1)'\n")
     assert out.getvalue() == ""
     assert not out_path.exists()
+
+
+def test_endless_rk45_run_stops_at_the_step_bound(tmp_path, monkeypatch):
+    """An rk45 trajectory that would take more than MAX_RK4_STEPS accepted
+    steps exits 1 with one line naming t and the bound, and leaves no
+    output file behind."""
+    from finslerem import dynamics
+
+    monkeypatch.setattr(dynamics, "MAX_RK4_STEPS", 20)
+    path = tmp_path / "endless.scene"
+    path.write_text((FIXTURES / "curved-aniso.scene").read_text()
+                    .replace("method = rk4", "method = rk45").replace("t_end = 1\n", "t_end = 1e9\n"))
+    out_path = tmp_path / "out.csv"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["trajectory", str(path), "--out", str(out_path)]) == 1
+    assert re.fullmatch(r"error: rk45 stopped at t=\S+ after 20 accepted steps\n", err.getvalue())
+    assert out.getvalue() == ""
+    assert not out_path.exists()

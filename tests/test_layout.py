@@ -27,7 +27,7 @@ from finslerem.scene import load_scene, parse_scene_text
 from finslerem.series import ALL, MAX_ORDER, TSeries, jet_tensor
 
 from conftest import FIXTURES, density
-from oracles import fd_divergence
+from oracles import fd_divergence, mask_mul_tables
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.scene"))
 LAYOUT_SIZES = {"curved-aniso": 5, "randers-aniso": 4, "pr-curved": 6, "aniso-wave": 5}
@@ -89,6 +89,12 @@ class TestTables:
                 for got, want in zip(series._deriv_tables(k, pos, n),
                                      _ref_deriv_tables(ref, k, pos)):
                     assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_equal_the_mask_oracle(self, n):
+        for k in range(MAX_ORDER + 1):
+            for got, want in zip(series._mul_tables(k, n), mask_mul_tables(k, n)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_order_4_triples_per_layout_size(self):
         assert [len(series._mul_tables(4, n)[0]) for n in (4, 5, 6, 8)] == \
