@@ -29,6 +29,7 @@ from .errors import (
     HomogeneityViolationError,
     SceneParseError,
     SignatureMismatchError,
+    drop_failing,
 )
 from .geometry import Tower, draw_admissible, geometry_sample
 from .maxwell import (
@@ -42,8 +43,13 @@ from .maxwell import (
 from .scene import MAX_SAMPLES, load_scene
 from .series import FIBRE_VARS
 
-#: most points a currents grid may have; a point costs about a millisecond
+#: most points a currents grid may have; a point costs about 0.2 ms in a
+#: batch of GRID_CHUNK
 MAX_GRID_POINTS = 10**5
+
+#: grid points ``currents`` evaluates as one batch; 1000-point grids ran
+#: alike from 48 to 128 and slower at 16 or 32
+GRID_CHUNK = 64
 
 LOAD_ERRORS = (
     SceneParseError,
@@ -204,7 +210,7 @@ def identity_residuals(space, xs, ys):
         np.abs(t2.g_values - g).max() / max(np.abs(g).max(), 1.0)
     )
 
-    l1v = expr.eval_values(space.L1, t.point)
+    l1v = t.l1_series.value()
     ay = np.einsum("i...,i...->...", es.A, y)
     out["potential_euler"] = (np.abs(ay - l1v) / np.maximum(np.abs(l1v), 1.0)).max()
     out["potential_vertical_euler"] = np.abs(
@@ -229,31 +235,15 @@ def run_validation(scene, samples, seed, tol):
     xs, ys = draw_admissible(
         scene.space, rng, samples, scene.sampling.x_box, scene.sampling.y_box
     )
-    errors = 0
-    try:
-        residuals, info = identity_residuals(scene.space, xs, ys)
-    except FinslerEMError:
-        # batch hit a bad point: fall back to per-sample, tally failures
-        residuals, info = {}, {}
-        used = 0
-        for k in range(xs.shape[1]):
-            try:
-                r, inf = identity_residuals(
-                    scene.space, xs[:, k : k + 1], ys[:, k : k + 1]
-                )
-            except FinslerEMError:
-                errors += 1
-                continue
-            used += 1
-            for name, v in r.items():
-                residuals[name] = max(residuals.get(name, 0.0), v)
-            for name, v in inf.items():
-                info[name] = max(info.get(name, 0.0), v)
-        if used == 0:
-            raise
+    # a sample that fails is tallied, and the suite reads the others
+    found, _, failed = drop_failing(
+        lambda k: identity_residuals(scene.space, xs[:, k], ys[:, k]), xs.shape[1])
+    if found is None:
+        raise next(iter(failed.values()))
+    residuals, info = found
     rows = [(name, v, v <= tol) for name, v in residuals.items()]
     rows += [(name, v, None) for name, v in info.items()]
-    return rows, errors
+    return rows, len(failed)
 
 
 def _emit_report(rows, errors, samples, fmt, out):
@@ -362,24 +352,25 @@ def cmd_currents(args):
             + [f"zeta{i}" for i in range(4)] + ["divJ", "status"]
         )
         out.write(",".join(cols) + "\n")
-        for combo in itertools.product(*args.grid):
-            x = np.array(combo[:4])
-            y = np.array(combo[4:])
-            try:
-                # a point that overflows is this row's error, not a warning
-                with np.errstate(all="ignore"):
-                    cs = current_sample(scene.space, x, y, with_continuity=True)
-                vals = list(combo) + list(cs.J_h) + list(cs.J_v) + list(cs.zeta) \
-                    + [cs.continuity]
-                if not np.all(np.isfinite(vals)):
-                    raise DomainError("current not finite at grid point")
-            except FinslerEMError as e:
-                n_err += 1
-                row = [_fmt(v) for v in combo] + ["nan"] * 13
-                out.write(",".join(row) + f",error:{type(e).__name__}\n")
-                continue
-            max_div = max(max_div, abs(cs.continuity))
-            out.write(",".join(_fmt(v) for v in vals) + ",ok\n")
+        points = itertools.product(*args.grid)
+        while chunk := list(itertools.islice(points, GRID_CHUNK)):
+            pts = np.array(chunk).T
+            # a point that overflows is its row's error, not a warning
+            with np.errstate(all="ignore"):
+                cs, keep, failed = drop_failing(lambda k: current_sample(
+                    scene.space, pts[:4, k], pts[4:, k], with_continuity=True), len(chunk))
+            rows = {} if cs is None else dict(zip(keep.tolist(), np.concatenate(
+                [cs.J_h, cs.J_v, cs.zeta, cs.continuity[None]]).T))
+            for b, combo in enumerate(chunk):
+                row = rows.get(b)
+                if row is None or not np.all(np.isfinite(row)):
+                    n_err += 1
+                    kind = type(failed[b]).__name__ if b in failed else "DomainError"
+                    out.write(",".join([_fmt(v) for v in combo] + ["nan"] * 13)
+                              + f",error:{kind}\n")
+                    continue
+                max_div = max(max_div, abs(row[-1]))
+                out.write(",".join(_fmt(v) for v in combo + tuple(row)) + ",ok\n")
     print(
         f"currents: max |div J| = {_fmt(max_div)}  point errors: {n_err}",
         file=sys.stderr,
@@ -404,7 +395,8 @@ def _run_members(scene, space, members, draws):
     ``draws`` the Tower of the scene at the draws.  rk4 integrates every
     member in one batched worldline ensemble; rk45 runs them in turn.  The
     currents of all members come from one Tower over a copy of the draws
-    per member, which holds the F-only stages of ``draws`` (``Tower.tiled``).
+    per member, which holds the F-only stages of ``draws`` (``Tower.tiled``):
+    column b * n + j of its errors' ``columns`` is member b at draw j.
     """
     from .dynamics import integrate
 
@@ -434,26 +426,22 @@ def _run_members(scene, space, members, draws):
 
 def _member_runs(scene, y_ref, members, xs, ys):
     """Yield each member's run, MEMBER_CHUNK members at a time; each chunk
-    is one ensemble, or one member at a time if that fails.  A member's
+    is one ensemble of the members that do not fail in it.  A member's
     column rounds as it would alone, so the chunking does not show.
 
-    The fallback reproduces a serial sweep: every member before the
-    failing one, then the failing member's error.
+    A member that fails runs alone, in member order, as in a serial
+    sweep: every member before it, then its error.
     """
     space = anisotropy_ensemble(scene.space, y_ref, members)
     draws = fibre_tower(scene.space, xs, ys)
     draws.fused = False  # ``tiled`` reads only its F-only stages: F runs alone
     for a in range(0, len(members), MEMBER_CHUNK):
         chunk = members[a:a + MEMBER_CHUNK]
-        try:
-            runs = _run_members(scene, space, chunk, draws)
-        except FinslerEMError:
-            runs = None
-        if runs is not None:
-            yield from runs
-            continue
-        for m in chunk:
-            yield _run_members(scene, space, [m], draws)[0]
+        runs, keep, _ = drop_failing(
+            lambda k: _run_members(scene, space, [chunk[i] for i in k], draws), len(chunk))
+        runs = dict(zip(keep.tolist(), runs or ()))
+        for i, m in enumerate(chunk):
+            yield runs[i] if i in runs else _run_members(scene, space, [m], draws)[0]
 
 
 def cmd_compare(args):

@@ -90,9 +90,9 @@ class ForceEvaluator:
     ensemble, shape (4, B).  The members run as (B, 4, 4) stacks with
     batched det/inv/solve, and no step mixes members, so a member's
     column is bit for bit its lone point's call.  A degenerate metric or
-    singular force matrix raises for the first failing member and names
-    its index when there is more than one.  The monitors are computed
-    only when asked for, from the values the solve left.
+    singular force matrix raises for the first failing member, naming it
+    when there is more than one, and its ``columns`` are every failing
+    member.  The monitors are computed only when asked for.
     """
 
     def __init__(self, space):
@@ -253,10 +253,6 @@ def _record(states, t, x, y, a, mon):
     states.append(TrajectoryState(t=t, x=x.copy(), y=y.copy(), delta_y_dt=a.copy(), **mon))
 
 
-def _wrap_err(e, t):
-    raise type(e)(f"at t={t:.6g}: {e}") from e
-
-
 def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
               abs_tol=1e-9, rel_tol=1e-8, max_rejections=30, monitors=True):
     """Integrate the worldline from (x0, y0) to t_end.
@@ -288,24 +284,28 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
     y = np.array(y0, dtype=float)
     if method == "rk45" and x.ndim > 1 and x.shape[1] > 1:
         raise ValueError("rk45 integrates one worldline at a time")
-    force = ForceEvaluator(space)
+    evaluator = ForceEvaluator(space)
+
+    def force(z, monitors=False):
+        """The force at state z; a per-point error names the time t."""
+        try:
+            return evaluator(z[:4], z[4:], monitors=monitors)
+        except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
+            raise type(e)(f"at t={t:.6g}: {e}", columns=e.columns) from e
 
     def f(z):
-        a, dydt = force(z[:4], z[4:])
+        a, dydt = force(z)
         return np.concatenate([z[4:], dydt])
 
     def recorded(z):
         """(a, dy/dt, monitors or None) of a state the run records."""
-        out = force(z[:4], z[4:], monitors=monitors)
+        out = force(z, monitors)
         return out if monitors else out + (None,)
 
     states = []
     t = 0.0
     z = np.concatenate([x, y])
-    try:
-        a, dydt, mon = recorded(z)
-    except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
-        _wrap_err(e, t)
+    a, dydt, mon = recorded(z)
     _record(states, t, x, y, a, mon)
     k1 = np.concatenate([y, dydt])  # f(z), from the call that took the monitors
 
@@ -313,15 +313,12 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
         nsteps = max(1, int(round(t_end / dt)))
         h = t_end / nsteps
         for n in range(nsteps):
-            try:
-                k2 = f(z + 0.5 * h * k1)
-                k3 = f(z + 0.5 * h * k2)
-                k4 = f(z + h * k3)
-                z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                t = (n + 1) * h
-                a, dydt, mon = recorded(z)
-            except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
-                _wrap_err(e, t)
+            k2 = f(z + 0.5 * h * k1)
+            k3 = f(z + 0.5 * h * k2)
+            k4 = f(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = (n + 1) * h
+            a, dydt, mon = recorded(z)
             _record(states, t, z[:4], z[4:], a, mon)
             k1 = np.concatenate([z[4:], dydt])
         return Trajectory(states=states, method="rk4-fixed", dt=h)
@@ -357,17 +354,14 @@ def integrate(space, x0, y0, t_end, method="rk4", dt=1e-3,
                 f"step {h:.3g} below the minimum {h_min:.3g} at t={t:.6g}"
             )
         h = min(h, t_end - t)
-        try:
-            k = [k1]
-            for s in range(1, 6):
-                zs = z + h * sum(A[s][m] * k[m] for m in range(s))
-                k.append(f(zs))
-            z5 = z + h * sum(A[6][m] * k[m] for m in range(6))
-            a5, dydt5, mon5 = recorded(z5)
-            k.append(np.concatenate([z5[4:], dydt5]))
-            z4 = z + h * sum(B4[m] * k[m] for m in range(7))
-        except (DomainError, DegenerateMetricError, SingularForceMatrixError) as e:
-            _wrap_err(e, t)
+        k = [k1]
+        for s in range(1, 6):
+            zs = z + h * sum(A[s][m] * k[m] for m in range(s))
+            k.append(f(zs))
+        z5 = z + h * sum(A[6][m] * k[m] for m in range(6))
+        a5, dydt5, mon5 = recorded(z5)
+        k.append(np.concatenate([z5[4:], dydt5]))
+        z4 = z + h * sum(B4[m] * k[m] for m in range(7))
         scale = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z5))
         err = np.sqrt(np.mean(((z5 - z4) / scale) ** 2))
         if err <= 1.0:

@@ -183,7 +183,7 @@ class AnisotropyBlend:
     def ast(self):
         """The scene's L1 expression, which every member blends toward.
 
-        It is no member's value: the evaluators that walk an AST
+        It is no member's value: the evaluators of one field's values
         (``expr.eval_values`` and those built on it) refuse a blend.
         """
         return self.full.ast

@@ -1,13 +1,45 @@
 """Exception types shared across the package.
 
-Per-point failures (domain violations, degenerate metrics) are raised as
-exceptions so that sweep drivers can catch them point by point, tally them
-and keep going; they are never allowed to abort a whole grid run.
+Per-point failures (domain violations, degenerate metrics) name the batch
+columns they hit, so that a sweep drops those points, tallies them and
+runs on with the rest (:func:`drop_failing`); they never abort a whole
+grid run.
 """
+
+import numpy as np
 
 
 class FinslerEMError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``columns`` is a boolean mask
+    over the batch, True at each failing point, or None when the failure
+    is not one of points in a batch (a lone point, a folded constant)."""
+
+    def __init__(self, *args, columns=None):
+        super().__init__(*args)
+        self.columns = columns
+
+
+def drop_failing(run, width):
+    """``run(keep)`` on the columns ``keep`` (an index array) of a batch of
+    ``width`` that do not fail: the columns a FinslerEMError names (every
+    one if it names none) are dropped and the rest run again, until
+    ``run`` returns or no column is left.  A mask of m entries per column
+    names a column where one of its m consecutive entries is True.
+    Returns ``(result, keep, failed)``: the result (None if no column is
+    left), the columns it covers and each dropped column's error, in the
+    order they were raised."""
+    keep, failed = np.arange(width), {}
+    while keep.size:
+        try:
+            return run(keep), keep, failed
+        except FinslerEMError as e:
+            bad = e.columns
+            if bad is None or bad.size % keep.size or not bad.any():
+                bad = np.ones(keep.size, dtype=bool)
+            bad = bad.reshape(keep.size, -1).any(axis=1)
+            failed.update((int(c), e) for c in keep[bad])
+            keep = keep[~bad]
+    return None, keep, failed
 
 
 class ExprSyntaxError(FinslerEMError):
@@ -38,10 +70,10 @@ class DomainError(FinslerEMError):
     ``subexpr`` is the offending subexpression, printed back as source.
     """
 
-    def __init__(self, message, subexpr=None):
+    def __init__(self, message, subexpr=None, columns=None):
         if subexpr is not None:
             message = f"{message} in {subexpr!r}"
-        super().__init__(message)
+        super().__init__(message, columns=columns)
         self.subexpr = subexpr
 
 

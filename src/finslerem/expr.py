@@ -25,8 +25,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import series
-from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
-from .series import ALL, FACT, NTERMS, TERMS, TSeries, VAR_NAMES, _deriv_tables
+from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError, drop_failing
+from .series import ALL, TSeries, VAR_NAMES, _deriv_tables
 
 __all__ = [
     "ScalarField",
@@ -362,15 +362,6 @@ def to_source(node):
 _ARRAY_OPS = {"+": operator.add, "-": operator.sub, "neg": operator.neg}
 
 
-def _literal(node):
-    """The value of an exponent written as a number or a negated number."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg) and isinstance(node.arg, Num):
-        return -node.arg.value
-    return None
-
-
 def _array_fn(op, order, n):
     """The function of coefficient arrays that runs one operation at
     ``order`` in a layout of n variables."""
@@ -540,18 +531,34 @@ class _Tape:
             if node.op == "/":
                 return self._op("*", (a, self._op("reciprocal", (b,), node)), node)
             if node.op == "^":
-                return self._power(a, b, node.right, node)
+                return self._power(a, b, node)
             return self._op(node.op, (a, b), node)
         if isinstance(node, Call):
             args = [self._compile(a) for a in node.args]
             if node.func == "pow":
-                return self._power(args[0], args[1], node.args[1], node)
+                return self._power(args[0], args[1], node)
             return self._op(node.func, (args[0],), node)
         raise TypeError(f"not an AST node: {node!r}")
 
-    def _power(self, base, exponent, exponent_node, node):
-        """Exact paths for a literal exponent, exp(b log a) otherwise."""
-        p = _literal(exponent_node)
+    def _literal(self, slot):
+        """The value of a slot of numbers only (``2``, ``1+1``, ``3^2``) at
+        order 0, or None if it holds a variable or fails."""
+        if self.support[slot]:
+            return None
+        op, args, node = self.code[slot]
+        if op is None:
+            return node.value
+        values = [self._literal(a) for a in args]
+        if None in values:
+            return None
+        try:
+            return float(_array_fn(op, 0, 1)(*(np.array([v]) for v in values))[0])
+        except DomainError:
+            return None
+
+    def _power(self, base, exponent, node):
+        """Exact paths for an exponent of numbers only, exp(b log a) otherwise."""
+        p = self._literal(exponent)
         if p is None:
             log = self._op("log", (base,), node)
             return self._op("exp", (self._op("*", (exponent, log), node),), node)
@@ -825,7 +832,7 @@ class _Tape:
                 for d in dead:
                     vals[d] = None
         except DomainError as e:
-            raise DomainError(str(e), to_source(self.code[slot][2])) from None
+            raise DomainError(str(e), to_source(self.code[slot][2]), columns=e.columns) from None
         if failure is not None:
             raise DomainError(failure[0], to_source(failure[1]))
         out = []
@@ -889,55 +896,32 @@ def eval_jet(field, point, order):
     """
     layout = tuple(sorted(field.variables()))
     s = eval_series(field, np.asarray(point, dtype=float), order, layout).lift(ALL)
+    t8 = series._terms(series.NVARS)
     partials = {}
-    for i in range(1, NTERMS[order]):
-        partials[TERMS[i]] = float(s.coeffs[i] * FACT[i])
+    for i in range(1, t8.nterms[order]):
+        partials[t8.rows[i]] = float(s.coeffs[i] * t8.fact[i])
     return Jet(value=float(s.coeffs[0]), partials=partials, order=order)
 
 
-def _np_eval(node, pts):
-    if isinstance(node, Num):
-        return np.full(pts.shape[1:], node.value)
-    if isinstance(node, Var):
-        return pts[node.index]
-    if isinstance(node, Neg):
-        return -_np_eval(node.arg, pts)
-    if isinstance(node, BinOp):
-        a = _np_eval(node.left, pts)
-        b = _np_eval(node.right, pts)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return np.divide(a, b)
-        return np.power(a, b)
-    if isinstance(node, Call):
-        args = [_np_eval(a, pts) for a in node.args]
-        if node.func == "pow":
-            return np.power(args[0], args[1])
-        if node.func == "abs":
-            return np.abs(args[0])
-        return getattr(np, node.func)(args[0])
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def eval_values(field, points):
-    """Plain vectorized evaluation; domain violations come back as NaN.
+    """The field's values at ``points`` (shape (8,) or (8, B)); a point
+    where the field fails (a domain error, see :func:`eval_series`) reads
+    NaN.
 
-    This tree walk stays beside the compiled programs, which give the
-    same values at order 0, because it does not raise: ``draw_admissible``
-    reads its NaN to reject inadmissible draws, where a program raises
-    ``DomainError`` for the whole batch.  It is also the finite-difference
-    oracle's evaluator, independent of the compiled path."""
+    It runs the field's compiled program at order 0 in the field's own
+    variables, dropping the columns that fail (``errors.drop_failing``)."""
     if not isinstance(field, ScalarField):
-        raise TypeError(f"eval_values walks a ScalarField's AST, not a {type(field).__name__}")
+        raise TypeError(f"eval_values runs a ScalarField's program, not a {type(field).__name__}")
     pts = np.asarray(points, dtype=float)
+    batch = pts.reshape(len(pts), -1)
+    layout = tuple(sorted(field.variables()))
+    out = np.full(batch.shape[1], np.nan)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = _np_eval(field.ast, pts)
-    return np.asarray(out, dtype=float)
+        values, keep, _ = drop_failing(
+            lambda k: field.series(batch[:, k], 0, layout).coeffs[0], batch.shape[1])
+    if values is not None:
+        out[keep] = values
+    return out.reshape(pts.shape[1:])
 
 
 def eval_value(field, point):

@@ -97,12 +97,14 @@ class GeometrySample:
 
 def check_det(det, what, error):
     """Raise ``error`` for the first member whose |det| is below the threshold
-    or NaN, naming it when the batch holds more than one."""
+    or NaN, naming it when the batch holds more than one; the error's
+    ``columns`` are every such member of a batch."""
     ok = np.abs(det) >= DEGENERACY_THRESHOLD
     if not ok.all():
         b = int(np.argmin(ok))
         member = f"member {b}: " if det.size > 1 else ""
-        raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}")
+        raise error(f"{member}|{what}| = {np.abs(det).flat[b]:.3e}",
+                    columns=~ok if det.ndim else None)
 
 
 def _singular(err, flag):

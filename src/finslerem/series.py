@@ -196,13 +196,16 @@ def _terms(n):
     return t
 
 
-_T8 = _terms(NVARS)
-#: all 8-variable multi-indices with total degree <= MAX_ORDER, degree-major order
-TERMS = _T8.rows
-INDEX = _T8.index
-DEGREE = _T8.degree
-NTERMS = _T8.nterms
-FACT = _T8.fact
+#: the 8-variable tables' module names, read from ``_terms(8)`` on first use
+_T8_NAMES = {"TERMS": "rows", "INDEX": "index", "DEGREE": "degree", "NTERMS": "nterms",
+             "FACT": "fact"}
+
+
+def __getattr__(name):
+    if name in _T8_NAMES:
+        return getattr(_terms(NVARS), _T8_NAMES[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _lift_cache = {}
 _jet_tensor_cache = {}
@@ -1077,6 +1080,14 @@ def _u0(c, rank):
     return c[(slice(None),) * rank + (0,)]
 
 
+def _check(bad, rank, message):
+    """Raise DomainError(message) where ``bad``, a test of the value row,
+    holds, naming the failing batch columns (none for an unbatched row)."""
+    if np.count_nonzero(bad):
+        columns = bad.any(axis=tuple(range(rank))) if bad.ndim > rank else None
+        raise DomainError(message, columns=columns)
+
+
 def _power(u0, e):
     """u0 ** e, rounded as in a batch column: a numpy scalar's ``**`` calls
     libm's ``pow``, which can round apart from numpy's array loop, so a lone
@@ -1131,8 +1142,7 @@ def _compose(c, cs, n, rank=0):
 
 def reciprocal(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if np.count_nonzero(u0 == 0.0):
-        raise DomainError("division by zero")
+    _check(u0 == 0.0, rank, "division by zero")
     cs = [1.0 / u0]
     for _ in range(k):
         cs.append(-cs[-1] / u0)
@@ -1141,8 +1151,8 @@ def reciprocal(c, k, n, rank=0):
 
 def sqrt(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if np.count_nonzero(u0 <= 0.0):
-        raise DomainError("sqrt of a nonpositive value")
+    # the value alone is defined at 0, a derivative is not
+    _check(u0 < 0.0 if k == 0 else u0 <= 0.0, rank, "sqrt of a nonpositive value")
     cs = [np.sqrt(u0)]
     # d^m sqrt / m! = binom(1/2, m) u0^(1/2 - m)
     coef = 1.0
@@ -1172,8 +1182,7 @@ def exp(c, k, n, rank=0):
 
 def log(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if np.count_nonzero(u0 <= 0.0):
-        raise DomainError("log of a nonpositive value")
+    _check(u0 <= 0.0, rank, "log of a nonpositive value")
     cs = [np.log(u0)]
     for m in range(1, k + 1):
         cs.append((-1.0) ** (m - 1) / (m * _power(u0, m)))
@@ -1193,15 +1202,15 @@ def cos(c, k, n, rank=0):
 
 def absolute(c, k, n, rank=0):
     u0 = _u0(c, rank)
-    if k >= 1 and np.count_nonzero(u0 == 0.0):
-        raise DomainError("abs is not differentiable at 0")
+    if k >= 1:
+        _check(u0 == 0.0, rank, "abs is not differentiable at 0")
     return c * (np.expand_dims(np.sign(u0), rank) if rank else np.sign(u0))
 
 
 def powf(c, k, n, rank, p):
     u0 = _u0(c, rank)
-    if np.count_nonzero(u0 <= 0.0):
-        raise DomainError("non-integer power of a nonpositive value")
+    _check(u0 < 0.0 if k == 0 and p > 0 else u0 <= 0.0, rank,
+           "non-integer power of a nonpositive value")
     cs = [_power(u0, p)]
     coef = 1.0
     for m in range(1, k + 1):

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the package's Taylor tower: values
 come from plain finite differences of the raw expressions or from
 hand-derived closed forms, so agreement with the tower is a two-sided
-check.  ``same_bits`` compares arrays bit for bit, signs of zeros
-included.  There are fourteen exceptions.  ``mask_mul_tables`` is the
-product table found by scanning the full degree mask, as it was built
-before its pairs were listed by prefix.  ``reduceat_product`` is the series
+check.  ``tree_values`` is their evaluator, a numpy walk of the AST.
+``same_bits`` compares arrays bit for bit, signs of zeros included.
+There are fourteen exceptions.  ``mask_mul_tables`` is the product table
+found by scanning the full degree mask, as it was built before its pairs
+were listed by prefix.  ``reduceat_product`` is the series
 product summed by one ``np.add.reduceat`` over the package's product
 table, the reference for the peeled kernel.  ``tree_series`` walks an expression
 with the package's series arithmetic but none of the compiled tape's
@@ -45,8 +46,7 @@ from numpy.linalg import _umath_linalg
 from finslerem import expr, geometry
 from finslerem.em import em_series
 from finslerem.errors import DomainError, HomogeneityViolationError, SingularForceMatrixError
-from finslerem.expr import (BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_series, eval_value,
-                            eval_values)
+from finslerem.expr import BinOp, Call, Jet, Neg, Num, ScalarField, Var, eval_series
 from finslerem.geometry import Tower
 from finslerem.maxwell import fibre_tower
 from finslerem.scene import HOMOGENEITY_TOL
@@ -62,6 +62,45 @@ def same_bits(got, want):
     nan = np.isnan(want)
     return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
             and np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan]))
+
+
+def _walk(node, pts):
+    if isinstance(node, Num):
+        return np.full(pts.shape[1:], node.value)
+    if isinstance(node, Var):
+        return pts[node.index]
+    if isinstance(node, Neg):
+        return -_walk(node.arg, pts)
+    if isinstance(node, BinOp):
+        a = _walk(node.left, pts)
+        b = _walk(node.right, pts)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return np.divide(a, b)
+        return np.power(a, b)
+    if isinstance(node, Call):
+        args = [_walk(a, pts) for a in node.args]
+        if node.func == "pow":
+            return np.power(args[0], args[1])
+        if node.func == "abs":
+            return np.abs(args[0])
+        return getattr(np, node.func)(args[0])
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def tree_values(field, points):
+    """Values of a ScalarField at ``points`` (shape (8,) or (8, B)) by a
+    plain numpy walk of its AST; a point outside a builtin's domain reads
+    NaN or inf.  The finite-difference oracles' evaluator, independent of
+    the compiled programs behind ``expr.eval_values``."""
+    pts = np.asarray(points, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.asarray(_walk(field.ast, pts), dtype=float)
 
 
 def tree_series(node, point, order, layout):
@@ -251,10 +290,12 @@ def fd_jet(field, point, order, step=1e-3):
 
     if offsets:
         pts = point[:, None] + step * np.array(offsets).T
-        vals = eval_values(field, pts)
+        vals = tree_values(field, pts)
         if not np.all(np.isfinite(vals)):
             raise DomainError("stencil left the field domain", field.source())
-    value = eval_value(field, point)
+    value = float(tree_values(field, point))
+    if not np.isfinite(value):
+        raise DomainError("field not finite at point", field.source())
 
     partials = {}
     for alpha, (a, b) in zip(alphas, slices):
@@ -411,7 +452,7 @@ def plain_coordinate_currents(space, x, y, step=1e-3):
             pp, pm = p8.copy(), p8.copy()
             pp[4 + i] += step
             pm[4 + i] -= step
-            out[i] = (eval_values(space.L1, pp) - eval_values(space.L1, pm)) / (2 * step)
+            out[i] = (tree_values(space.L1, pp) - tree_values(space.L1, pm)) / (2 * step)
         return out
 
     def metric_at(p8):
@@ -426,13 +467,13 @@ def plain_coordinate_currents(space, x, y, step=1e-3):
                         q[4 + i] += si * step
                         q[4 + j] += sj * step
                         pts.append(q)
-                vals = eval_values(e, np.array(pts).T)
+                vals = tree_values(e, np.array(pts).T)
                 if i == j:
                     q0 = p8.copy()
                     qp, qm = p8.copy(), p8.copy()
                     qp[4 + i] += step
                     qm[4 + i] -= step
-                    vv = eval_values(e, np.array([qp, q0, qm]).T)
+                    vv = tree_values(e, np.array([qp, q0, qm]).T)
                     g[i, i] = 0.5 * (vv[0] - 2 * vv[1] + vv[2]) / step**2
                 else:
                     g[i, j] = g[j, i] = 0.5 * (

@@ -37,6 +37,7 @@ from oracles import (
     pr_metric,
     pr_riemann,
     richardson_jet,
+    tree_values,
 )
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -261,8 +262,6 @@ class TestDivergence:
         assert divergence(minkowski, vh, vv, x, y) == pytest.approx(4.0, abs=1e-12)
 
     def test_callable_matches_fields(self, curved_aniso, probe_point):
-        from finslerem.expr import eval_value
-
         x, y = probe_point
         fields_h = [parse("sin(x0)*y1"), parse("y0"), parse("0"), parse("x1")]
         fields_v = [parse("y1*y0/y0"), parse("0.5*y2"), parse("0"), parse("0")]
@@ -271,11 +270,11 @@ class TestDivergence:
 
         def fh(xs, ys):
             p = np.concatenate([xs, ys])
-            return np.array([eval_value(f, p) for f in fields_h])
+            return np.array([tree_values(f, p) for f in fields_h])
 
         def fv(xs, ys):
             p = np.concatenate([xs, ys])
-            return np.array([eval_value(f, p) for f in fields_v])
+            return np.array([tree_values(f, p) for f in fields_v])
 
         fd = fd_divergence(curved_aniso, fh, fv, x, y, step=1e-3)
         assert fd == pytest.approx(exact, rel=1e-5, abs=1e-6)

@@ -2,7 +2,8 @@
 
 ``import finslerem`` loads only what a scene load and a Tower run; the
 dynamics, em, maxwell and cli modules load on first use, and every name
-the package exports resolves to its module's object.  Each case runs in
+the package exports resolves to its module's object.  A scene load
+builds no 8-variable term table.  Each case runs in
 a fresh interpreter, since a module once imported stays in
 ``sys.modules``.
 """
@@ -54,6 +55,20 @@ def test_loading_a_scene_imports_no_lazy_module():
     """))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_loading_a_scene_builds_no_8_variable_table():
+    # every Tower expands in the scene's own layout; the 8-variable tables
+    # (``series.TERMS``, ``NTERMS``, ...) are built when first read
+    proc = _python("-c", textwrap.dedent(f"""
+        import finslerem
+        from finslerem import series
+        finslerem.load_scene({str(FIXTURES / "curved-aniso.scene")!r})
+        print(8 in series._terms_cache, end=" ")
+        print(series.NTERMS, 8 in series._terms_cache)
+    """))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False [1, 9, 45, 165, 495, 1287] True\n"
 
 
 def test_every_export_resolves_to_its_modules_object():

@@ -19,7 +19,7 @@ from finslerem.cli import main
 from finslerem.dynamics import ForceEvaluator
 from finslerem.em import blend_anisotropy, em_sample, isotropic_truncation
 from finslerem.expr import (
-    BinOp, Num, ScalarField, Var, eval_jet, eval_series, eval_values, parse,
+    BinOp, Num, ScalarField, Var, eval_jet, eval_series, parse,
 )
 from finslerem.geometry import Tower, divergence, draw_admissible, geometry_sample
 from finslerem.maxwell import current_sample, homogeneous_residuals
@@ -27,7 +27,7 @@ from finslerem.scene import load_scene, parse_scene_text
 from finslerem.series import ALL, MAX_ORDER, TSeries, jet_tensor
 
 from conftest import FIXTURES, density
-from oracles import fd_divergence, mask_mul_tables
+from oracles import fd_divergence, mask_mul_tables, tree_values
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.scene"))
 LAYOUT_SIZES = {"curved-aniso": 5, "randers-aniso": 4, "pr-curved": 6, "aniso-wave": 5}
@@ -238,7 +238,7 @@ def test_divergence_exact_path_with_variable_outside_layout(pr_curved):
 
     def call(comps):
         return lambda xs, ys: np.array(
-            [eval_values(f, np.concatenate([xs, ys])) for f in comps]
+            [tree_values(f, np.concatenate([xs, ys])) for f in comps]
         )
 
     fd = fd_divergence(pr_curved, call(vh), call(vv), x, y)

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -161,13 +162,15 @@ class TestCompileWork:
     job compiles each expression once, and a repeat of the same scene in
     the same process compiles nothing: no tape, program or force."""
 
-    # before the caches every job made the cold job's calls, a repeat too
+    # before the caches every job made the cold job's calls, a repeat too;
+    # two builds are F's and L1's order-0 programs, which the load probe
+    # and the admissible draws run (``expr.eval_values``)
     COLD = {
-        "validate-curved-aniso": {"parse": 2, "tape": 2, "build": 3},
-        "validate-randers-aniso": {"parse": 2, "tape": 3, "build": 2},
-        "validate-pr-curved": {"parse": 2, "tape": 2, "build": 3},
-        "validate-aniso-wave": {"parse": 2, "tape": 3, "build": 2},
-        "compare-aniso-wave": {"parse": 2, "tape": 5, "build": 4, "diff_ast": 4, "force": 1},
+        "validate-curved-aniso": {"parse": 2, "tape": 2, "build": 5},
+        "validate-randers-aniso": {"parse": 2, "tape": 3, "build": 4},
+        "validate-pr-curved": {"parse": 2, "tape": 2, "build": 5},
+        "validate-aniso-wave": {"parse": 2, "tape": 3, "build": 4},
+        "compare-aniso-wave": {"parse": 2, "tape": 5, "build": 6, "diff_ast": 4, "force": 1},
     }
 
     @pytest.mark.parametrize("job", list(COLD))
@@ -473,6 +476,47 @@ class TestCurrentsCommand:
         rc = main(["currents", str(FIXTURES / "planewave.scene"), "--grid", "0:1:2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("name, grid", [
+        # F leaves its domain from x0 = 5.5 on: DomainError rows
+        ("pr-curved.scene", "0:30:{n},0:0:1,0:0:1,0:0:1,1:1:1,0.5:0.5:1,0:0:1,0:0:1"),
+        # y0 overflows F^2 from the second point on: DegenerateMetricError rows
+        ("curved-aniso.scene", "0:0:1,0:1:1,0:0:1,0:0:1,1:1e200:{n},0.1:0.1:1,0:0:1,0:0:1"),
+    ], ids=["domain", "overflow"])
+    def test_chunked_rows_are_the_per_point_rows(self, name, grid, offset, tmp_path, capsys):
+        from finslerem.cli import GRID_CHUNK, _fmt, _grid
+
+        spec = grid.format(n=GRID_CHUNK + offset)
+        out = tmp_path / "c.csv"
+        assert main(["currents", str(FIXTURES / name), "--grid", spec, "--out", str(out)]) == 0
+        want, n_err = _per_point_currents(load_scene(FIXTURES / name).space, _grid(spec), _fmt)
+        assert out.read_text().splitlines()[1:] == want
+        assert 0 < n_err < GRID_CHUNK + offset
+        assert f"point errors: {n_err}" in capsys.readouterr().err
+
+
+def _per_point_currents(space, grid, fmt):
+    """The rows of ``currents`` as it ran one point at a time, its reference,
+    and their number of errors."""
+    from finslerem.maxwell import current_sample
+
+    rows, n_err = [], 0
+    for combo in itertools.product(*grid):
+        try:
+            with np.errstate(all="ignore"):
+                cs = current_sample(space, np.array(combo[:4]), np.array(combo[4:]),
+                                    with_continuity=True)
+            vals = list(combo) + list(cs.J_h) + list(cs.J_v) + list(cs.zeta) + [cs.continuity]
+            if not np.all(np.isfinite(vals)):
+                raise finslerem.DomainError("current not finite at grid point")
+        except finslerem.FinslerEMError as e:
+            n_err += 1
+            rows.append(",".join([fmt(v) for v in combo] + ["nan"] * 13)
+                        + f",error:{type(e).__name__}")
+            continue
+        rows.append(",".join(fmt(v) for v in vals) + ",ok")
+    return rows, n_err
+
 
 class TestCompareCommand:
     def test_isotropic_scene_all_deltas_zero(self, tmp_path, capsys):
@@ -524,6 +568,18 @@ class TestRunValidation:
         rows, errors = run_validation(scene, 24, 5, 1e-8)
         assert 0 < errors < 24
         assert all(p for _, _, p in rows if p is not None)
+
+    def test_computed_exponent_reads_as_its_number(self):
+        # an exponent of numbers only compiles as the number: y1^(1+1) is
+        # y1^2, defined where y1 <= 0, not exp((1+1) log y1)
+        text = (
+            '[space]\nF = "sqrt(y0^2 - y1^2 - y2^2 - y3^2)"\n'
+            'L1 = "0.1*y1^{}/sqrt(y0^2 - y1^2 - y2^2 - y3^2)"\n'
+            "[sampling]\nseed = 5\ncount = 24\n"
+        )
+        computed = run_validation(parse_scene_text(text.format("(1+1)")), 24, 5, 1e-8)
+        literal = run_validation(parse_scene_text(text.format("2")), 24, 5, 1e-8)
+        assert computed == literal and computed[1] == 0
 
     def test_zero_coupling_rejected(self, probe_point):
         from finslerem.maxwell import horizontal_current
@@ -834,6 +890,14 @@ class TestFlagContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("bad flag:"), proc.stderr
 
+    @pytest.mark.parametrize("ref, value", [("0,0,0,0", "0"), ("1,1,0,0", "0"),
+                                            ("0.1,1,0,0", "nan")])
+    def test_ref_prints_f(self, ref, value):
+        # F's value at the reference direction, 0 on the light cone
+        proc = _run_cli("compare", str(FIXTURES / "aniso-wave.scene"), "--ref", ref)
+        assert proc.returncode == 2
+        assert proc.stderr == f"bad flag: --ref: F(x0, y_ref) = {value} must be > 0\n"
+
 
 @pytest.mark.parametrize("name", ["aniso-wave.scene", "curved-aniso.scene"])
 def test_non_finite_currents_row_is_an_error(name):
@@ -1030,3 +1094,23 @@ class TestCompareEnsemble:
             next(want)
         assert err == f"error: {ei.value}\n"
         assert "at t=0.46" in err
+
+    def test_first_failing_member_in_order_not_in_time(self, tmp_path, capsys):
+        # kappa = 3.5 leaves the cone later than kappa = 12; the serial
+        # sweep stops at 3.5, the first failing member in order
+        path = coarse_copy("aniso-wave.scene", tmp_path)
+        kappas = [1.0, 3.5, 0.2, 12.0, 0.5]
+        when = {}
+        for k in (3.5, 12.0):
+            assert main(["compare", path, "--kappa-sweep", repr(k)]) == 1
+            when[k] = float(re.search(r"at t=(\S+):", capsys.readouterr().err).group(1))
+        assert when[12.0] < when[3.5]
+        assert main(["compare", path, "--kappa-sweep", "1,3.5,0.2,12,0.5"]) == 1
+        out, err = capsys.readouterr()
+        want = _serial_compare(path, kappas)
+        first = next(want)
+        assert out.splitlines()[2:] == [",".join(f"{float(v):.17g}" for v in first)]
+        with pytest.raises(finslerem.FinslerEMError) as ei:
+            next(want)
+        assert err == f"error: {ei.value}\n"
+        assert f"at t={when[3.5]:.6g}:" in err
